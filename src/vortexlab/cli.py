@@ -26,7 +26,7 @@ from .modes import is_plus
 from .quadvar import (event_frequencies, partition_scheme,
                       sample_wiener_ensemble)
 from .simulate import SimConfig, enstrophy_residual, simulate
-from .spectral import SpectralField
+from .spectral import Basis, SpectralField
 
 
 class ConfigError(Exception):
@@ -130,23 +130,17 @@ def parse_config(raw: dict) -> dict:
 
 def _sim_config(parsed) -> SimConfig:
     kwargs = parsed["_sim_kwargs"]
-    geometry = ForcingGeometry(frozenset(parsed["_forcing"]))
-    cfg = SimConfig(nu=kwargs["nu"], forcing=geometry,
-                    radius=kwargs["radius"], dt=kwargs["dt"],
-                    t_final=kwargs["t_final"], seed=kwargs["seed"])
+    initial = None
     if parsed["_initial_items"]:
-        basis = cfg.basis()
-        init = SpectralField(basis)
+        basis = Basis.build(kwargs["radius"])
+        initial = SpectralField(basis)
         for mode, coeff in parsed["_initial_items"]:
             if mode not in basis.index:
                 _fail(f"sim.initial.{mode[0]},{mode[1]}",
                       "mode outside the basis radius")
-            init.coeffs[basis.index[mode]] = coeff
-        cfg = SimConfig(nu=kwargs["nu"], forcing=geometry,
-                        radius=kwargs["radius"], dt=kwargs["dt"],
-                        t_final=kwargs["t_final"], initial=init,
-                        seed=kwargs["seed"])
-    return cfg
+            initial.coeffs[basis.index[mode]] = coeff
+    return SimConfig(forcing=ForcingGeometry(frozenset(parsed["_forcing"])),
+                     initial=initial, **kwargs)
 
 
 def _write_csv(path: Path, header, rows):
@@ -154,7 +148,7 @@ def _write_csv(path: Path, header, rows):
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v
+            writer.writerow([repr(float(v)) if isinstance(v, float) else v
                              for v in row])
 
 
@@ -289,13 +283,12 @@ def _run_bracket(parsed, out_dir: Path):
         _fail("analysis.phi_mode", "mode outside the basis radius")
     phi = SpectralField.single_mode(basis, phi_mode)
     bd = bracket_decomposition(traj, t0, t1, phi)
+    recon = bd.reconstructed_derivative()
     rows = []
     for i, s in enumerate(bd.times):
-        recon = bd.X[i] + sum(bd.Y[a, i] * bd.W[i, a]
-                              for a in range(len(bd.forced_modes)))
         rows.append([float(s), float(np.max(np.abs(bd.U[i]))),
                      float(np.max(np.abs(bd.X[i]))),
-                     float(np.max(np.abs(recon)))])
+                     float(np.max(np.abs(recon[i])))])
     _write_csv(out_dir / "bracket.csv",
                ["s", "sup_U", "sup_X", "sup_reconstructed_dU"], rows)
     plus = [k for k in basis.modes if is_plus(k)]
@@ -328,7 +321,6 @@ def run_experiment(raw_config: dict, out_dir=None, seed=None) -> dict:
     parsed = parse_config(raw_config)
     if seed is not None:
         parsed["_sim_kwargs"]["seed"] = seed
-        parsed.setdefault("sim", {})
         parsed["sim"] = dict(parsed["sim"], seed=seed)
     out = Path(out_dir) if out_dir is not None else Path(parsed.get("out", "."))
     out.mkdir(parents=True, exist_ok=True)
@@ -343,17 +335,15 @@ def run_experiment(raw_config: dict, out_dir=None, seed=None) -> dict:
         manifest["artifacts"] = _RUNNERS[parsed["kind"]](parsed, out)
         manifest["status"] = "complete"
     except ConfigError:
-        raise                      # schema problem: no artifacts at all
-    except Exception:
-        manifest["wall_time_s"] = time.monotonic() - start
-        with open(out / "manifest.json", "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        manifest = None            # schema problem: no artifacts at all
         raise
-    manifest["wall_time_s"] = time.monotonic() - start
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    finally:
+        # a runtime failure still leaves the partial manifest behind
+        if manifest is not None:
+            manifest["wall_time_s"] = time.monotonic() - start
+            with open(out / "manifest.json", "w") as fh:
+                json.dump(manifest, fh, indent=2, sort_keys=True)
+                fh.write("\n")
     return manifest
 
 

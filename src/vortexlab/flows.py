@@ -6,7 +6,8 @@ backward equation in reversed time (continuous-adjoint-then-discretize). A
 discrete-transpose stepping mode is also provided: it is the exact transpose
 of the forward one-step maps and is what the control-search gradient uses,
 so that adjoint gradients match finite differences of the discrete objective
-to roundoff rather than to O(dt).
+to roundoff rather than to O(dt). All three steps are written once, as the
+methods of `Stepper`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .simulate import SimConfig, Trajectory, simulate
-from .spectral import SpectralField, build_interaction_table
+from .spectral import TWO_PI_SQ, SpectralField, build_interaction_table
 
 
 def _window(traj: Trajectory, s: float, t: float):
@@ -25,6 +26,41 @@ def _window(traj: Trajectory, s: float, t: float):
     if i0 > i1:
         raise ValueError("need s <= t")
     return i0, i1
+
+
+class Stepper:
+    """The one-step maps linearized along a stored trajectory.
+
+    L_i = table.linearization(w_i) is step i's dense operator and D the exact
+    viscous decay over one step; each method maps an (n, m) column block.
+    """
+
+    def __init__(self, traj: Trajectory):
+        self.states = traj.states
+        self.table = build_interaction_table(traj.basis)
+        self.dt = traj.config.dt
+        lam = traj.basis.laplacian_symbol()
+        self.decay = np.exp(-traj.config.nu * lam * self.dt)[:, None]
+
+    def tangent(self, i: int, V: np.ndarray) -> np.ndarray:
+        """D(V + dt L_i V): the exponential-Euler tangent step i -> i+1."""
+        L = self.table.linearization(self.states[i])
+        return self.decay * (V + self.dt * (L @ V))
+
+    def transpose(self, i: int, U: np.ndarray) -> np.ndarray:
+        """DU + dt L_i^T (DU): the exact transpose of `tangent(i, .)`."""
+        L = self.table.linearization(self.states[i])
+        DU = self.decay * U
+        return DU + self.dt * (L.T @ DU)
+
+    def adjoint(self, i: int, U: np.ndarray) -> np.ndarray:
+        """D(U + dt L_i^T U): the backward adjoint equation stepped i+1 -> i.
+
+        L_i^T U = B(w_i, U) - C(U, w_i), since B(w, .) is skew; the drift is
+        explicit and the viscous factor exact, as in the forward template.
+        """
+        L = self.table.linearization(self.states[i])
+        return self.decay * (U + self.dt * (L.T @ U))
 
 
 def tangent_flow(traj: Trajectory, s: float, phi: SpectralField,
@@ -38,17 +74,10 @@ def tangent_flow_columns(traj: Trajectory, s: float, phi_cols: np.ndarray,
                          t: float) -> np.ndarray:
     """Tangent flow applied to every column of phi_cols at once."""
     i0, i1 = _window(traj, s, t)
-    table = build_interaction_table(traj.basis)
-    lam = traj.basis.laplacian_symbol()
-    dt = traj.config.dt
-    decay = np.exp(-traj.config.nu * lam * dt)[:, None]
-    V = np.array(phi_cols, dtype=float)
-    if V.ndim == 1:
-        V = V[:, None]
+    stepper = Stepper(traj)
+    V = np.column_stack([np.asarray(phi_cols, dtype=float)])
     for i in range(i0, i1):
-        w = traj.states[i]
-        LV = -table.apply_many_second(w, V) - table.apply_many_first(V, w)
-        V = decay * (V + dt * LV)
+        V = stepper.tangent(i, V)
     return V
 
 
@@ -65,35 +94,22 @@ def adjoint_flow_columns(traj: Trajectory, t: float, phi_cols: np.ndarray,
     """Backward adjoint flow U^{t,phi}(s) applied columnwise.
 
     Default stepping integrates the backward equation in reversed time
-    tau = t - s with the same exponential-Euler template (B(w,U) - C(U,w)
-    explicit, viscous factor exact). With discrete_transpose=True each step
-    applies the exact transpose of the forward tangent step instead.
+    tau = t - s (`Stepper.adjoint`). With discrete_transpose=True each step
+    applies the exact transpose of the forward tangent step instead
+    (`Stepper.transpose`).
 
     record=True returns the whole history (i1-i0+1, n, m), index 0 at s.
     """
     i0, i1 = _window(traj, s, t)
-    table = build_interaction_table(traj.basis)
-    lam = traj.basis.laplacian_symbol()
-    dt = traj.config.dt
-    decay = np.exp(-traj.config.nu * lam * dt)[:, None]
-    U = np.array(phi_cols, dtype=float)
-    if U.ndim == 1:
-        U = U[:, None]
+    stepper = Stepper(traj)
+    step = stepper.transpose if discrete_transpose else stepper.adjoint
+    U = np.column_stack([np.asarray(phi_cols, dtype=float)])
     hist = None
     if record:
         hist = np.empty((i1 - i0 + 1, U.shape[0], U.shape[1]))
         hist[i1 - i0] = U
     for i in range(i1 - 1, i0 - 1, -1):
-        w = traj.states[i]
-        if discrete_transpose:
-            # transpose of V -> decay*(V + dt*L_i V) is
-            # U -> U + dt * L_i^T (decay*U)
-            DU = decay * U
-            KU = table.apply_many_second(w, DU) - table.adjoint_apply_many(DU, w)
-            U = DU + dt * KU
-        else:
-            KU = table.apply_many_second(w, U) - table.adjoint_apply_many(U, w)
-            U = decay * (U + dt * KU)
+        U = step(i, U)
         if record:
             hist[i - i0] = U
     return (U, hist) if record else U
@@ -106,26 +122,18 @@ def duality_drift(traj: Trajectory, k, s: float, t: float,
     The continuum pairing is exactly constant on [s, t]; the discrete drift
     decays at first order in dt.
     """
-    from .spectral import TWO_PI_SQ
     i0, i1 = _window(traj, s, t)
     if i0 >= i1:
         raise ValueError("need s < t")
     ek = SpectralField.single_mode(traj.basis, tuple(k))
     # V history forward from s, U history backward from t
-    table = build_interaction_table(traj.basis)
-    lam = traj.basis.laplacian_symbol()
-    dt = traj.config.dt
-    decay = np.exp(-traj.config.nu * lam * dt)
-    V = ek.coeffs.copy()
-    v_hist = np.empty((i1 - i0 + 1, len(V)))
-    v_hist[0] = V
+    stepper = Stepper(traj)
+    v_hist = np.empty((i1 - i0 + 1, len(ek.coeffs), 1))
+    v_hist[0, :, 0] = ek.coeffs
     for i in range(i0, i1):
-        w = traj.states[i]
-        LV = -table.apply(w, V) - table.apply(V, w)
-        V = decay * (V + dt * LV)
-        v_hist[i + 1 - i0] = V
+        v_hist[i + 1 - i0] = stepper.tangent(i, v_hist[i - i0])
     _, u_hist = adjoint_flow_columns(traj, t, phi.coeffs[:, None], s, record=True)
-    pairing = TWO_PI_SQ * np.einsum("in,in->i", v_hist, u_hist[:, :, 0])
+    pairing = TWO_PI_SQ * np.einsum("inm,inm->i", v_hist, u_hist)
     return float(np.max(np.abs(pairing - pairing.mean())))
 
 
@@ -138,36 +146,25 @@ def second_variation(traj: Trajectory, s1: float, phi1: SpectralField,
     grid; zero up to max(s1, s2).
     """
     basis = traj.basis
-    table = build_interaction_table(basis)
-    lam = basis.laplacian_symbol()
-    dt = traj.config.dt
-    decay = np.exp(-traj.config.nu * lam * dt)
     j1 = traj.grid_index(s1)
     j2 = traj.grid_index(s2)
     it = traj.grid_index(t)
     start = max(j1, j2)
     if it <= start:
         return SpectralField(basis)
-    V1 = SpectralField(basis, phi1.coeffs.copy())
-    V2 = SpectralField(basis, phi2.coeffs.copy())
-    v1 = V1.coeffs
-    v2 = V2.coeffs
     # bring both first variations up to the start of the second-order window
-    for i in range(j1, start):
-        w = traj.states[i]
-        v1 = decay * (v1 + dt * (-table.apply(w, v1) - table.apply(v1, w)))
-    for i in range(j2, start):
-        w = traj.states[i]
-        v2 = decay * (v2 + dt * (-table.apply(w, v2) - table.apply(v2, w)))
-    psi = np.zeros(len(basis))
+    t_start = traj.times[start]
+    v1 = tangent_flow_columns(traj, s1, phi1.coeffs, t_start)
+    v2 = tangent_flow_columns(traj, s2, phi2.coeffs, t_start)
+    # columns v1, v2 and psi share each step; psi also takes the source
+    stepper = Stepper(traj)
+    X = np.hstack((v1, v2, np.zeros_like(v1)))
     for i in range(start, it):
-        w = traj.states[i]
-        source = -(table.apply(v1, v2) + table.apply(v2, v1))
-        psi = decay * (psi + dt * (-table.apply(w, psi) - table.apply(psi, w)
-                                   + source))
-        v1 = decay * (v1 + dt * (-table.apply(w, v1) - table.apply(v1, w)))
-        v2 = decay * (v2 + dt * (-table.apply(w, v2) - table.apply(v2, w)))
-    return SpectralField(basis, psi)
+        v1, v2 = X[:, 0], X[:, 1]
+        source = -(stepper.table.apply(v1, v2) + stepper.table.apply(v2, v1))
+        X = stepper.tangent(i, X)
+        X[:, 2] += stepper.dt * stepper.decay[:, 0] * source
+    return SpectralField(basis, X[:, 2])
 
 
 @dataclass
@@ -193,24 +190,15 @@ def control_gradient(traj: Trajectory, residual_proj: np.ndarray,
     Backpropagates through the discrete forward steps (discrete transpose),
     so the gradient matches central finite differences to roundoff.
     """
-    basis = traj.basis
-    table = build_interaction_table(basis)
-    lam = basis.laplacian_symbol()
-    dt = traj.config.dt
-    decay = np.exp(-traj.config.nu * lam * dt)
-    n_steps = traj.n_steps()
+    stepper = Stepper(traj)
     forced = traj.forced_indices
-    lam_T = np.zeros(len(basis))
-    lam_T[proj_idx] = residual_proj
-    grad = np.zeros((n_steps, len(forced)))
-    adj = lam_T
-    for i in range(n_steps - 1, -1, -1):
-        w = traj.states[i]
-        dadj = decay * adj
-        grad[i] = dt * dadj[forced]
-        # transpose of w -> decay*(w + dt*(N(w) + Q h)): N'(w)^T applied
-        adj = dadj + dt * (table.apply_many_second(w, dadj[:, None])[:, 0]
-                           - table.adjoint_apply_many(dadj[:, None], w)[:, 0])
+    adj = np.zeros((len(traj.basis), 1))
+    adj[proj_idx, 0] = residual_proj
+    grad = np.zeros((traj.n_steps(), len(forced)))
+    for i in range(traj.n_steps() - 1, -1, -1):
+        # w_{i+1} = decay*(w_i + dt*(N(w_i) + Q h_i)): h_i enters as dt*decay
+        grad[i] = stepper.dt * (stepper.decay * adj)[forced, 0]
+        adj = stepper.transpose(i, adj)
     return grad
 
 

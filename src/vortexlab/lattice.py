@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 from .modes import Mode, check_mode, dot, negate, norm2, perp
+from .spectral import Basis
 
 DEFAULT_MAX_SHELLS = 64
 
@@ -68,15 +69,7 @@ class ReachabilityResult:
     witness_paths: dict  # mode -> list of (l, j) generation steps
 
     def covers_ball(self, radius: float) -> bool:
-        r2 = radius * radius
-        rmax = int(math.floor(radius))
-        for k1 in range(-rmax, rmax + 1):
-            for k2 in range(-rmax, rmax + 1):
-                if (k1, k2) == (0, 0) or k1 * k1 + k2 * k2 > r2:
-                    continue
-                if (k1, k2) not in self.reached:
-                    return False
-        return True
+        return self.reached.issuperset(Basis.build(radius).modes)
 
 
 def reachable_modes(geometry: ForcingGeometry, radius: float,

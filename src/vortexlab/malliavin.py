@@ -14,10 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flows import adjoint_flow_columns
+from .flows import Stepper, adjoint_flow_columns
 from .jacobi import jacobi_eigh
 from .lattice import reachable_modes
 from .modes import canonical, is_plus, negate, norm2
+from .quadvar import wilson_interval
 from .simulate import SimConfig, Trajectory, simulate
 from .spectral import (TWO_PI_SQ, SpectralField, build_interaction_table,
                        interaction_coeff)
@@ -39,10 +40,11 @@ class MalliavinForm:
         tr = max(np.trace(M), 0.0)
         if vals[0] < -1e-10 * max(tr, 1.0):
             raise ValueError("covariance matrix must be positive semidefinite")
+        self._eigenvalues = vals
 
     def eigenvalues(self) -> np.ndarray:
-        vals, _ = jacobi_eigh(self.matrix)
-        return vals
+        """Ascending eigenvalues, kept from the solve of the PSD check."""
+        return self._eigenvalues.copy()
 
     def h1_weighted(self) -> np.ndarray:
         """Matrix for test vectors drawn from the unit H1 ball instead of L2."""
@@ -89,15 +91,13 @@ def malliavin_forward(traj: Trajectory, t: float, subspace,
         M = 0.5 * (M + M.T)
         return MalliavinForm(tuple(subspace), M, "forward-gram", t, traj)
     if method == "lyapunov":
-        table = build_interaction_table(traj.basis)
-        lam = traj.basis.laplacian_symbol()
-        decay = np.exp(-traj.config.nu * lam * dt)[:, None]
+        stepper = Stepper(traj)
         S = np.zeros((n, n))
         S[forced, forced] = 1.0
         M = 0.5 * dt * S
         eye = np.eye(n)
         for i in range(i_t):
-            Phi = decay * (eye + dt * table.linearization(traj.states[i]))
+            Phi = stepper.tangent(i, eye)
             M = Phi @ M @ Phi.T + dt * S
         M = M - 0.5 * dt * S
         M = 0.5 * (M[np.ix_(idx, idx)] + M[np.ix_(idx, idx)].T)
@@ -118,17 +118,6 @@ def malliavin_backward_form(traj: Trajectory, t: float,
                                    record=True)
     sq = np.sum(hist[:, traj.forced_indices, 0] ** 2, axis=1)
     return float(TWO_PI_SQ * np.trapezoid(sq, dx=traj.config.dt))
-
-
-def wilson_interval(successes: int, n: int, z: float = 1.96):
-    """Wilson score confidence interval for a binomial proportion."""
-    if n == 0:
-        return 0.0, 1.0
-    p = successes / n
-    denom = 1.0 + z * z / n
-    center = (p + z * z / (2 * n)) / denom
-    half = z * np.sqrt(p * (1 - p) / n + z * z / (4 * n * n)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
 
 
 @dataclass
@@ -236,25 +225,18 @@ def bracket_decomposition(traj: Trajectory, t0: float, T: float,
                           np.cumsum(0.5 * dt * (drift[1:] + drift[:-1]),
                                     axis=0)])
     R = traj.states[0][forced] + cum[i0:i1 + 1]
-    # Y_j and X along the window
+    # Y_j and X along the window; both are first-slot transposes of the
+    # dense linearization: L(a)^T u = B(a, u) - C(u, a)
     n = len(basis)
     Y = np.empty((len(forced), n_nodes, n))
-    ej_fields = [SpectralField.single_mode(basis, k).coeffs
-                 for k in traj.forced_modes]
-    for a, ej in enumerate(ej_fields):
-        Y[a] = (-table.apply_many_second(ej, U.T)
-                + table.adjoint_apply_many(U.T, ej)).T
+    for a, f in enumerate(forced):
+        Y[a] = -U @ table.linearization(np.eye(n)[f])
     X = np.empty((n_nodes, n))
     for i in range(n_nodes):
-        w = traj.states[i0 + i]
-        w_perp = w.copy()
-        w_perp[forced] = 0.0
-        r_field = np.zeros(n)
-        r_field[forced] = R[i]
-        u = U[i]
-        X[i] = (nu * lam * u
-                - table.apply(w_perp, u) + table.adjoint_apply(u, w_perp)
-                - table.apply(r_field, u) + table.adjoint_apply(u, r_field))
+        # the drift sees the forced modes through R only, not through W
+        a = traj.states[i0 + i].copy()
+        a[forced] = R[i]
+        X[i] = nu * lam * U[i] - table.linearization(a).T @ U[i]
     return BracketDecomposition(traj.times[i0:i1 + 1], U, X, Y, R, wiener,
                                 traj.forced_modes)
 

@@ -23,11 +23,6 @@ def is_plus(k: Mode) -> bool:
     return k[1] > 0 or (k[1] == 0 and k[0] > 0)
 
 
-def sign_class(k: Mode) -> int:
-    """+1 for the sine class, -1 for the cosine class."""
-    return 1 if is_plus(k) else -1
-
-
 def negate(k: Mode) -> Mode:
     return (-k[0], -k[1])
 

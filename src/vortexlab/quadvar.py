@@ -160,6 +160,17 @@ def omega_b_bound(delta_cap: float, horizon: float, n_processes: int) -> float:
             * math.exp(-delta_cap ** (-19.0 / 42.0) / (3.0 * n_processes ** 2)))
 
 
+def wilson_interval(successes: int, n: int, z: float = 1.96):
+    """Wilson score confidence interval for a binomial proportion."""
+    if n == 0:
+        return 0.0, 1.0
+    p = successes / n
+    denom = 1.0 + z * z / n
+    center = (p + z * z / (2 * n)) / denom
+    half = z * np.sqrt(p * (1 - p) / n + z * z / (4 * n * n)) / denom
+    return max(0.0, center - half), min(1.0, center + half)
+
+
 def event_frequencies(wiener_paths: np.ndarray, scheme: PartitionScheme,
                       times=None, events: str = "abc") -> EventFrequencies:
     """Empirical frequencies of the three bad events over an ensemble.
@@ -213,7 +224,6 @@ def event_frequencies(wiener_paths: np.ndarray, scheme: PartitionScheme,
                 if norm > thresh_c:
                     hit_c[p] = True
                     break
-    from .malliavin import wilson_interval
 
     def interval(hits, wanted):
         if not wanted:

@@ -17,10 +17,3 @@ def step_normals(seed: int, path_index: int, step: int, n: int) -> np.ndarray:
                               key=[seed & 0xFFFFFFFFFFFFFFFF, path_index])
     return np.random.Generator(bitgen).standard_normal(n)
 
-
-def path_normals(seed: int, path_index: int, n_steps: int, n: int) -> np.ndarray:
-    """(n_steps, n) normals, one row per step; row i equals step_normals(i)."""
-    out = np.empty((n_steps, n))
-    for i in range(n_steps):
-        out[i] = step_normals(seed, path_index, i, n)
-    return out

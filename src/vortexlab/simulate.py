@@ -178,9 +178,9 @@ def simulate(config: SimConfig, path_index: int = 0,
                 dW = sqrt_dt * step_normals(config.seed, path_index, i, len(forced))
             w[forced] += gain * dW
             incs[i] = dW
-        if np.max(np.abs(w)) > BLOWUP_LIMIT:
-            raise BlowUpError(f"state magnitude exceeded {BLOWUP_LIMIT:g} "
-                              f"at step {i + 1}; reduce dt")
+        if not np.max(np.abs(w)) <= BLOWUP_LIMIT:  # also rejects NaN
+            raise BlowUpError(f"state magnitude exceeded {BLOWUP_LIMIT:g} or "
+                              f"became non-finite at step {i + 1}; reduce dt")
         states[i + 1] = w
 
     times = config.dt * np.arange(n_steps + 1)

@@ -229,6 +229,13 @@ class InteractionTable:
         self.k = np.array(k_idx, dtype=np.intp)[order]
         self.l = np.array(l_idx, dtype=np.intp)[order]
         self.coeff = np.array(coeff, dtype=float)[order]
+        # L(w)[l, k] collects -coeff * w[j] and L(w)[l, j] collects
+        # -coeff * w[k]; flat row-major targets for one bincount
+        n = len(basis)
+        self._lin_flat = np.concatenate((self.l * n + self.k,
+                                         self.l * n + self.j))
+        self._lin_src = np.concatenate((self.j, self.k))
+        self._lin_coeff = -np.concatenate((self.coeff, self.coeff))
 
     def __len__(self) -> int:
         return len(self.coeff)
@@ -238,20 +245,6 @@ class InteractionTable:
         n = len(self.basis)
         vals = self.coeff * w[self.j] * v[self.k]
         return np.bincount(self.l, weights=vals, minlength=n)
-
-    def apply_many_second(self, w: np.ndarray, V: np.ndarray) -> np.ndarray:
-        """B(w, V[:, m]) for every column m of V, as one array."""
-        n = len(self.basis)
-        out = np.zeros((n, V.shape[1]))
-        np.add.at(out, self.l, (self.coeff * w[self.j])[:, None] * V[self.k, :])
-        return out
-
-    def apply_many_first(self, V: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """B(V[:, m], w) for every column m of V."""
-        n = len(self.basis)
-        out = np.zeros((n, V.shape[1]))
-        np.add.at(out, self.l, (self.coeff * w[self.k])[:, None] * V[self.j, :])
-        return out
 
     def adjoint_apply(self, v: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Coefficients of C(v, w), the first-slot adjoint of B(., w).
@@ -263,28 +256,13 @@ class InteractionTable:
         vals = self.coeff * w[self.k] * v[self.l]
         return np.bincount(self.j, weights=vals, minlength=n)
 
-    def adjoint_apply_many(self, V: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """C(V[:, m], w) for every column m of V."""
-        n = len(self.basis)
-        out = np.zeros((n, V.shape[1]))
-        np.add.at(out, self.j, (self.coeff * w[self.k])[:, None] * V[self.l, :])
-        return out
-
-    def b_matrix_first_slot(self, w: np.ndarray) -> np.ndarray:
-        """Dense matrix of u -> B(u, w)."""
-        n = len(self.basis)
-        m = np.zeros((n, n))
-        np.add.at(m, (self.l, self.j), self.coeff * w[self.k])
-        return m
-
     def linearization(self, w: np.ndarray) -> np.ndarray:
-        """Dense matrix of v -> -B(w, v) - B(v, w), the tangent operator's
-        non-diagonal part."""
+        """Dense matrix L(w) of v -> -B(w, v) - B(v, w), the tangent
+        operator's non-diagonal part."""
         n = len(self.basis)
-        m = np.zeros((n, n))
-        np.add.at(m, (self.l, self.k), -self.coeff * w[self.j])
-        np.add.at(m, (self.l, self.j), -self.coeff * w[self.k])
-        return m
+        vals = self._lin_coeff * w[self._lin_src]
+        return np.bincount(self._lin_flat, weights=vals,
+                           minlength=n * n).reshape(n, n)
 
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -301,7 +279,7 @@ _TABLE_CACHE: dict[tuple, InteractionTable] = {}
 def build_interaction_table(basis: Basis) -> InteractionTable:
     key = basis.modes
     table = _TABLE_CACHE.get(key)
-    if table is None or table.basis is not basis:
+    if table is None:
         table = InteractionTable(basis)
         _TABLE_CACHE[key] = table
     return table

@@ -126,6 +126,9 @@ def test_quadvar_subcommand(tmp_path):
     rows = (out / "events.csv").read_text().strip().splitlines()
     assert len(rows) == 4
     assert rows[1].startswith("small_quadratic_variation")
+    for row in rows[1:]:
+        for cell in row.split(",")[1:]:
+            float(cell)    # plain float reprs, never "np.float64(...)"
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["artifacts"]["events.csv"]["m"] == 5
 

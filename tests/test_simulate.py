@@ -65,6 +65,14 @@ def test_blow_up_raises():
         simulate(cfg)
 
 
+def test_nan_increments_raise_blow_up():
+    cfg = SimConfig(nu=1.0, forcing=CANONICAL, radius=3.0, dt=1e-2,
+                    t_final=0.1)
+    incs = np.full((cfg.n_steps(), len(Z_STAR)), np.nan)
+    with pytest.raises(BlowUpError):
+        simulate(cfg, increments=incs)
+
+
 def test_grid_index_rejects_off_grid_times():
     cfg = SimConfig(nu=1.0, forcing=CANONICAL, radius=2.0,
                     dt=1e-2, t_final=0.1)

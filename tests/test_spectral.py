@@ -246,11 +246,18 @@ def test_table_matrix_forms_agree_with_apply(basis4):
     table = build_interaction_table(basis4)
     w = rng.standard_normal(len(basis4))
     v = rng.standard_normal(len(basis4))
-    Bv = table.b_matrix_first_slot(v)   # matrix of u -> B(u, v)
-    assert np.allclose(Bv @ w, table.apply(w, v), atol=1e-12)
     L = table.linearization(w)
+    # L(w)^T v = B(w, v) - C(v, w): the transpose the adjoint steps use
+    assert np.allclose(L.T @ v, table.apply(w, v) - table.adjoint_apply(v, w),
+                       atol=1e-12)
     want = -table.apply(w, v) - table.apply(v, w)
     assert np.allclose(L @ v, want, atol=1e-12)
+
+
+def test_table_cache_is_keyed_on_modes():
+    # equal mode sets share one table even when each Basis is built afresh
+    assert (build_interaction_table(Basis.build(3.0))
+            is build_interaction_table(Basis.build(3.0)))
 
 
 def test_table_csv_export(tmp_path, basis4):
