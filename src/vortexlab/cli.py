@@ -11,17 +11,20 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
+import math
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, rng
 from .lattice import ForcingGeometry, is_generating, reachable_modes
-from .malliavin import (bracket_decomposition, min_eigenvalue_tail,
-                        pairing_rhs, PAIRING_PREFACTOR)
+from .malliavin import (DEFAULT_EPSILONS, PAIRING_PREFACTOR,
+                        bracket_decomposition, min_eigenvalue_tail,
+                        pairing_rhs)
 from .modes import is_plus
 from .quadvar import (event_frequencies, partition_scheme,
                       sample_wiener_ensemble)
@@ -51,9 +54,19 @@ def _check_keys(block, path, required, optional=()):
 def _check_number(value, path, positive=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, "expected a number")
+    if not math.isfinite(value):
+        _fail(path, "must be finite")
     if positive and value <= 0:
         _fail(path, "must be positive")
     return float(value)
+
+
+def _check_int(value, path, minimum):
+    if isinstance(value, bool) or not isinstance(value, int):
+        _fail(path, "expected an integer")
+    if value < minimum:
+        _fail(path, f"must be at least {minimum}")
+    return value
 
 
 def _check_mode_list(value, path):
@@ -69,6 +82,24 @@ def _check_mode_list(value, path):
             _fail(f"{path}[{i}]", "the zero mode is excluded")
         out.append(tuple(item))
     return out
+
+
+def _check_modes_in_ball(value, path, radius):
+    modes = _check_mode_list(value, path)
+    for i, (k1, k2) in enumerate(modes):
+        if k1 * k1 + k2 * k2 > radius * radius:
+            _fail(f"{path}[{i}]", "mode outside the basis radius")
+    return modes
+
+
+def _check_grid_time(value, path, cfg: SimConfig, positive=False):
+    """A time on cfg's step grid inside [0, t_final]."""
+    t = _check_number(value, path, positive)
+    i = round(t / cfg.dt)
+    if (not 0 <= i <= cfg.n_steps()
+            or abs(i * cfg.dt - t) > 1e-9 * max(1.0, abs(t))):
+        _fail(path, f"must be a multiple of sim.dt in [0, {cfg.t_final}]")
+    return t
 
 
 _ANALYSIS_SCHEMAS = {
@@ -114,6 +145,19 @@ def parse_config(raw: dict) -> dict:
         except ValueError:
             _fail(f"sim.initial.{key}", "key must look like 'kx,ky'")
         init_items.append(((kx, ky), _check_number(val, f"sim.initial.{key}")))
+    init_field = None
+    if init_items:
+        init_field = SpectralField(Basis.build(radius))
+        for (kx, ky), coeff in init_items:
+            if (kx, ky) not in init_field.basis.index:
+                _fail(f"sim.initial.{kx},{ky}", "mode outside the basis radius")
+            init_field.coeffs[init_field.basis.index[(kx, ky)]] = coeff
+    try:
+        cfg = SimConfig(nu=nu, forcing=ForcingGeometry(frozenset(forcing)),
+                        radius=radius, dt=dt, t_final=t_final,
+                        initial=init_field, seed=seed)
+    except ValueError as exc:
+        _fail("sim", str(exc))
     analysis = raw.get("analysis", {})
     required, optional = _ANALYSIS_SCHEMAS[kind]
     _check_keys(analysis, "analysis", required, optional)
@@ -121,26 +165,75 @@ def parse_config(raw: dict) -> dict:
     if not isinstance(out, str):
         _fail("config.out", "expected a path string")
     parsed = dict(raw)
-    parsed["_forcing"] = forcing
-    parsed["_sim_kwargs"] = dict(nu=nu, radius=radius, dt=dt,
-                                 t_final=t_final, seed=seed)
+    parsed["_sim"] = cfg
     parsed["_initial_items"] = init_items
+    parsed["_analysis"] = _check_analysis(kind, analysis, cfg)
     return parsed
 
 
-def _sim_config(parsed) -> SimConfig:
-    kwargs = parsed["_sim_kwargs"]
-    initial = None
-    if parsed["_initial_items"]:
-        basis = Basis.build(kwargs["radius"])
-        initial = SpectralField(basis)
-        for mode, coeff in parsed["_initial_items"]:
-            if mode not in basis.index:
-                _fail(f"sim.initial.{mode[0]},{mode[1]}",
-                      "mode outside the basis radius")
-            initial.coeffs[basis.index[mode]] = coeff
-    return SimConfig(forcing=ForcingGeometry(frozenset(parsed["_forcing"])),
-                     initial=initial, **kwargs)
+def _check_analysis(kind, a, cfg: SimConfig) -> dict:
+    """The analysis values with defaults filled in, checked against cfg."""
+    if kind == "simulate":
+        return {"n_paths": _check_int(a.get("n_paths", 1), "analysis.n_paths", 1)}
+    if kind == "malliavin":
+        epsilons = a.get("epsilons", list(DEFAULT_EPSILONS))
+        if not isinstance(epsilons, list) or not epsilons:
+            _fail("analysis.epsilons", "expected a non-empty list of numbers")
+        return {
+            "subspace": _check_modes_in_ball(a["subspace"], "analysis.subspace",
+                                             cfg.radius),
+            "t": _check_grid_time(a["t"], "analysis.t", cfg, positive=True),
+            "n_paths": _check_int(a.get("n_paths", 100), "analysis.n_paths", 1),
+            "epsilons": [_check_number(e, f"analysis.epsilons[{i}]", positive=True)
+                         for i, e in enumerate(epsilons)],
+        }
+    if kind == "quadvar":
+        delta_cap = _check_number(a["delta_cap"], "analysis.delta_cap",
+                                  positive=True)
+        horizon = _check_number(a.get("horizon", 1.0), "analysis.horizon",
+                                positive=True)
+        if delta_cap > horizon:
+            _fail("analysis.delta_cap", "must not exceed the horizon")
+        return {
+            "delta_cap": delta_cap,
+            "horizon": horizon,
+            "n_processes": _check_int(a.get("n_processes", 2),
+                                      "analysis.n_processes", 1),
+            "n_paths": _check_int(a.get("n_paths", 100), "analysis.n_paths", 1),
+        }
+    if kind == "control":
+        projection = _check_modes_in_ball(a["projection"], "analysis.projection",
+                                          cfg.radius)
+        target = a["target"]
+        if not isinstance(target, list) or len(target) != len(projection):
+            _fail("analysis.target", "must match the projection length")
+        t = _check_grid_time(a["t"], "analysis.t", cfg, positive=True)
+        if round(t / cfg.dt) != cfg.n_steps():
+            _fail("analysis.t", "must equal sim.t_final, the matched endpoint")
+        s = _check_grid_time(a.get("s", 0.0), "analysis.s", cfg)
+        if s >= t:
+            _fail("analysis.s", "must come before analysis.t")
+        return {
+            "projection": projection,
+            "target": [_check_number(v, f"analysis.target[{i}]")
+                       for i, v in enumerate(target)],
+            "s": s,
+            "t": t,
+            "max_iters": _check_int(a.get("max_iters", 200),
+                                    "analysis.max_iters", 0),
+            "tol": _check_number(a.get("tol", 1e-8), "analysis.tol",
+                                 positive=True),
+        }
+    if kind == "bracket":
+        t0 = _check_grid_time(a["t0"], "analysis.t0", cfg)
+        t1 = _check_grid_time(a["t1"], "analysis.t1", cfg, positive=True)
+        if t0 >= t1:
+            _fail("analysis.t0", "must come before analysis.t1")
+        return {"phi_mode": _check_modes_in_ball([a["phi_mode"]],
+                                                 "analysis.phi_mode",
+                                                 cfg.radius)[0],
+                "t0": t0, "t1": t1}
+    return {}
 
 
 def _write_csv(path: Path, header, rows):
@@ -153,8 +246,8 @@ def _write_csv(path: Path, header, rows):
 
 
 def _run_lattice(parsed, out_dir: Path):
-    geometry = ForcingGeometry(frozenset(parsed["_forcing"]))
-    radius = parsed["_sim_kwargs"]["radius"]
+    geometry = parsed["_sim"].forcing
+    radius = parsed["_sim"].radius
     result = reachable_modes(geometry, radius)
     generating, reason = is_generating(geometry)
     rows = []
@@ -173,10 +266,9 @@ def _run_lattice(parsed, out_dir: Path):
 
 
 def _run_simulate(parsed, out_dir: Path):
-    cfg = _sim_config(parsed)
-    n_paths = parsed.get("analysis", {}).get("n_paths", 1)
+    cfg = parsed["_sim"]
     info = {}
-    for p in range(n_paths):
+    for p in range(parsed["_analysis"]["n_paths"]):
         traj = simulate(cfg, path_index=p)
         traj.to_jsonl(out_dir / f"trajectory_{p}.jsonl")
         traj.norms_to_csv(out_dir / f"norms_{p}.csv")
@@ -189,14 +281,10 @@ def _run_simulate(parsed, out_dir: Path):
 
 
 def _run_malliavin(parsed, out_dir: Path):
-    cfg = _sim_config(parsed)
-    analysis = parsed["analysis"]
-    subspace = _check_mode_list(analysis["subspace"], "analysis.subspace")
-    t = _check_number(analysis["t"], "analysis.t", positive=True)
-    n_paths = analysis.get("n_paths", 100)
-    epsilons = analysis.get("epsilons",
-                            [10.0 ** -p for p in range(1, 9)])
-    table = min_eigenvalue_tail(cfg, t, subspace, n_paths, epsilons)
+    a = parsed["_analysis"]
+    n_paths = a["n_paths"]
+    table = min_eigenvalue_tail(parsed["_sim"], a["t"], a["subspace"], n_paths,
+                                a["epsilons"])
     _write_csv(out_dir / "spectrum.csv",
                ["path", "lambda_min", "lambda_min_h1", "lambda_max", "trace"],
                [[p, float(table.lambda_min[p]), float(table.lambda_min_h1[p]),
@@ -212,17 +300,12 @@ def _run_malliavin(parsed, out_dir: Path):
 
 
 def _run_quadvar(parsed, out_dir: Path):
-    analysis = parsed["analysis"]
-    delta_cap = _check_number(analysis["delta_cap"], "analysis.delta_cap",
-                              positive=True)
-    horizon = _check_number(analysis.get("horizon", 1.0), "analysis.horizon",
-                            positive=True)
-    n_proc = analysis.get("n_processes", 2)
-    n_paths = analysis.get("n_paths", 100)
-    seed = parsed["_sim_kwargs"]["seed"]
-    scheme = partition_scheme(delta_cap, horizon)
+    a = parsed["_analysis"]
+    n_paths = a["n_paths"]
+    scheme = partition_scheme(a["delta_cap"], a["horizon"])
     times = scheme.all_nodes()
-    paths = sample_wiener_ensemble(times, n_proc, n_paths, seed=seed)
+    paths = sample_wiener_ensemble(times, a["n_processes"], n_paths,
+                                   seed=parsed["_sim"].seed)
     freq = event_frequencies(paths, scheme)
     rows = [
         ["small_quadratic_variation", freq.freq_a, freq.ci_a[0],
@@ -241,22 +324,11 @@ def _run_quadvar(parsed, out_dir: Path):
 
 def _run_control(parsed, out_dir: Path):
     from .flows import control_search
-    cfg = _sim_config(parsed)
-    analysis = parsed["analysis"]
-    projection = _check_mode_list(analysis["projection"],
-                                  "analysis.projection")
-    target = analysis["target"]
-    if (not isinstance(target, list)
-            or len(target) != len(projection)):
-        _fail("analysis.target", "must match the projection length")
-    target = [_check_number(v, f"analysis.target[{i}]")
-              for i, v in enumerate(target)]
-    s = _check_number(analysis.get("s", 0.0), "analysis.s") \
-        if analysis.get("s", 0.0) != 0.0 else 0.0
-    t = _check_number(analysis["t"], "analysis.t", positive=True)
-    result = control_search(cfg, projection, np.array(target), s, t,
-                            max_iters=analysis.get("max_iters", 200),
-                            tol=analysis.get("tol", 1e-8))
+    cfg = parsed["_sim"]
+    a = parsed["_analysis"]
+    result = control_search(cfg, a["projection"], np.array(a["target"]),
+                            a["s"], a["t"], max_iters=a["max_iters"],
+                            tol=a["tol"])
     forced = sorted(cfg.forcing.z_star)
     header = ["step"] + [f"h_{k[0]}_{k[1]}" for k in forced]
     _write_csv(out_dir / "control.csv", header,
@@ -271,18 +343,11 @@ def _run_control(parsed, out_dir: Path):
 
 
 def _run_bracket(parsed, out_dir: Path):
-    cfg = _sim_config(parsed)
-    analysis = parsed["analysis"]
-    phi_mode = tuple(_check_mode_list([analysis["phi_mode"]],
-                                      "analysis.phi_mode")[0])
-    t0 = _check_number(analysis["t0"], "analysis.t0")
-    t1 = _check_number(analysis["t1"], "analysis.t1", positive=True)
-    traj = simulate(cfg)
+    a = parsed["_analysis"]
+    traj = simulate(parsed["_sim"])
     basis = traj.basis
-    if phi_mode not in basis.index:
-        _fail("analysis.phi_mode", "mode outside the basis radius")
-    phi = SpectralField.single_mode(basis, phi_mode)
-    bd = bracket_decomposition(traj, t0, t1, phi)
+    phi = SpectralField.single_mode(basis, a["phi_mode"])
+    bd = bracket_decomposition(traj, a["t0"], a["t1"], phi)
     recon = bd.reconstructed_derivative()
     rows = []
     for i, s in enumerate(bd.times):
@@ -320,7 +385,7 @@ def run_experiment(raw_config: dict, out_dir=None, seed=None) -> dict:
     """Validate, dispatch, and persist one experiment; returns the manifest."""
     parsed = parse_config(raw_config)
     if seed is not None:
-        parsed["_sim_kwargs"]["seed"] = seed
+        parsed["_sim"] = dataclasses.replace(parsed["_sim"], seed=seed)
         parsed["sim"] = dict(parsed["sim"], seed=seed)
     out = Path(out_dir) if out_dir is not None else Path(parsed.get("out", "."))
     out.mkdir(parents=True, exist_ok=True)
@@ -328,22 +393,19 @@ def run_experiment(raw_config: dict, out_dir=None, seed=None) -> dict:
     manifest = {
         "config": {k: v for k, v in parsed.items() if not k.startswith("_")},
         "version": __version__,
+        "rng": rng.SCHEME,
         "status": "partial",
         "artifacts": {},
     }
     try:
         manifest["artifacts"] = _RUNNERS[parsed["kind"]](parsed, out)
         manifest["status"] = "complete"
-    except ConfigError:
-        manifest = None            # schema problem: no artifacts at all
-        raise
     finally:
         # a runtime failure still leaves the partial manifest behind
-        if manifest is not None:
-            manifest["wall_time_s"] = time.monotonic() - start
-            with open(out / "manifest.json", "w") as fh:
-                json.dump(manifest, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+        manifest["wall_time_s"] = time.monotonic() - start
+        with open(out / "manifest.json", "w") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
     return manifest
 
 

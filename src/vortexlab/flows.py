@@ -208,9 +208,12 @@ def control_search(config: SimConfig, projection, target, s: float, t: float,
     """Gradient descent with backtracking on the endpoint-matching objective.
 
     projection: list of modes spanning the target subspace; target: the
-    desired projected coefficient vector at time t. Controls are
-    piecewise-constant rates on the forced modes over [s, t]; zero noise.
+    desired projected coefficient vector at time t, which must be
+    config.t_final. Controls are piecewise-constant rates on the forced
+    modes over [s, t]; zero noise.
     """
+    if abs(t - config.t_final) > 1e-9 * config.t_final:
+        raise ValueError("control matches the endpoint: need t == t_final")
     basis = config.basis()
     proj_idx = np.array([basis.index[tuple(k)] for k in projection], dtype=np.intp)
     target = np.asarray(target, dtype=float)

@@ -15,7 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rng
+
 GRID_TOL = 1e-9
+HOLDER_BLOCK = 2 ** 18        # pairs per row block of the Hoelder scan
 
 
 @dataclass
@@ -108,8 +111,8 @@ def sample_wiener_ensemble(times, n_processes: int, n_paths: int,
                            seed: int = 0) -> np.ndarray:
     """Exact Wiener samples at the given times, shape (n_paths, N, n_times).
 
-    Increments are drawn per (seed, path) stream, so any path can be
-    regenerated in isolation.
+    Path p is one block rng.normals(seed, rng.WIENER, p, ...), so any path
+    can be regenerated in isolation.
     """
     times = np.asarray(times, dtype=float)
     if times[0] != 0.0 or np.any(np.diff(times) <= 0):
@@ -117,22 +120,29 @@ def sample_wiener_ensemble(times, n_processes: int, n_paths: int,
     sd = np.sqrt(np.diff(times))
     out = np.zeros((n_paths, n_processes, len(times)))
     for p in range(n_paths):
-        gen = np.random.Generator(
-            np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, p]))
-        xi = gen.standard_normal((len(sd), n_processes))
+        xi = rng.normals(seed, rng.WIENER, p, (len(sd), n_processes))
         out[p, :, 1:] = np.cumsum(sd[:, None] * xi, axis=0).T
     return out
 
 
 def holder_constant(times, values, alpha: float) -> float:
-    """Grid-level alpha-Hoelder constant over pairs with 0 < |s-r| <= 1."""
+    """Grid-level alpha-Hoelder constant over pairs with 0 < |s-r| <= 1.
+
+    Scans blocks of rows holding about HOLDER_BLOCK pairs each, so memory
+    stays O(N) while the maximum is the dense N x N scan's, bit for bit.
+    """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
-    dtmat = np.abs(times[:, None] - times[None, :])
-    mask = (dtmat > 0.0) & (dtmat <= 1.0 + GRID_TOL)
-    dv = np.abs(values[:, None] - values[None, :])
-    ratios = np.where(mask, dv / np.where(mask, dtmat, 1.0) ** alpha, 0.0)
-    return float(np.max(ratios))
+    rows = max(1, HOLDER_BLOCK // len(times))
+    best = 0.0
+    for start in range(0, len(times), rows):
+        block = slice(start, start + rows)
+        dtmat = np.abs(times[block, None] - times[None, :])
+        mask = (dtmat > 0.0) & (dtmat <= 1.0 + GRID_TOL)
+        dv = np.abs(values[block, None] - values[None, :])
+        ratios = np.where(mask, dv / np.where(mask, dtmat, 1.0) ** alpha, 0.0)
+        best = np.maximum(best, np.max(ratios))
+    return float(best)
 
 
 @dataclass

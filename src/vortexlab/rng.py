@@ -1,19 +1,21 @@
-"""Counter-based Gaussian streams for reproducible parallel Monte Carlo.
+"""Counter-based Gaussian streams: every random number in vortexlab.
 
-Each (seed, path) pair owns a Philox key; the step index is the block
-counter. Draws for a given (seed, path, step) are therefore identical no
-matter how many other paths or steps were generated before, so paths can be
-simulated concurrently or replayed in isolation.
+Philox is keyed by (seed, path); the stream, one per use of randomness, is
+the counter's top word, so streams sit 2**192 blocks apart and never overlap.
+One call draws a path's whole block. Salmon et al., SC'11.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+WIENER = 0      # quadvar.sample_wiener_ensemble
+SIMULATE = 1    # simulate.simulate
+SCHEME = "philox4x64; key (seed, path); counter [0, 0, 0, stream]; standard_normal"
 
-def step_normals(seed: int, path_index: int, step: int, n: int) -> np.ndarray:
-    """n standard normals for one integrator step, in fixed mode order."""
-    bitgen = np.random.Philox(counter=[step, 0, 0, 0],
-                              key=[seed & 0xFFFFFFFFFFFFFFFF, path_index])
-    return np.random.Generator(bitgen).standard_normal(n)
 
+def normals(seed: int, stream: int, path: int, shape) -> np.ndarray:
+    """One block of standard normals for (seed, stream, path), C order."""
+    bitgen = np.random.Philox(counter=[0, 0, 0, stream],
+                              key=[seed & 0xFFFFFFFFFFFFFFFF, path])
+    return np.random.Generator(bitgen).standard_normal(shape)

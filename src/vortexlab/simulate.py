@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import rng
 from .lattice import ForcingGeometry
-from .rng import step_normals
 from .spectral import TWO_PI_SQ, Basis, SpectralField, build_interaction_table
 
 BLOWUP_LIMIT = 1e12
@@ -42,6 +42,9 @@ class SimConfig:
             raise ValueError("viscosity must be positive")
         if self.dt <= 0 or self.t_final <= 0 or self.dt >= self.t_final:
             raise ValueError("need 0 < dt < t_final")
+        steps = self.t_final / self.dt
+        if abs(steps - round(steps)) > 1e-9 * steps:
+            raise ValueError("t_final must be a whole number of steps dt")
         for k in self.forcing.z_star:
             if k[0] ** 2 + k[1] ** 2 > self.radius ** 2:
                 raise ValueError(f"forced mode {k} outside basis radius")
@@ -140,8 +143,8 @@ def simulate(config: SimConfig, path_index: int = 0,
     """Advance the truncated system and record the full trajectory.
 
     increments: optional (n_steps, n_forced) Wiener increments to replay
-    (pass an all-zero array for a deterministic run). When omitted they are
-    drawn from the counter-based stream keyed by (seed, path_index, step).
+    (pass an all-zero array for a deterministic run); a copy is kept. When
+    omitted they are one rng.SIMULATE block per path, and step i is row i.
 
     control: optional (n_steps, n_forced) deterministic forcing rates added
     to the drift on the forced modes (the controllability probe's knob).
@@ -157,13 +160,16 @@ def simulate(config: SimConfig, path_index: int = 0,
     decay = np.exp(-config.nu * lam * config.dt)
     sqrt_dt = math.sqrt(config.dt)
     # per-unit-increment gain; applied to dW so replays are bit-exact
-    gain = (noise_scale(config.nu, lam[forced], config.dt) / sqrt_dt
-            if len(forced) else np.zeros(0))
+    gain = noise_scale(config.nu, lam[forced], config.dt) / sqrt_dt
+    shape = (n_steps, len(forced))
+    incs = (sqrt_dt * rng.normals(config.seed, rng.SIMULATE, path_index, shape)
+            if increments is None else np.array(increments, dtype=float))
+    if incs.shape != shape:
+        raise ValueError(f"increments have shape {incs.shape}, need {shape}")
 
     states = np.zeros((n_steps + 1, n))
     if config.initial is not None:
         states[0] = config.initial.coeffs
-    incs = np.zeros((n_steps, len(forced)))
 
     w = states[0].copy()
     for i in range(n_steps):
@@ -171,13 +177,7 @@ def simulate(config: SimConfig, path_index: int = 0,
         if control is not None:
             drift[forced] += control[i]
         w = decay * (w + config.dt * drift)
-        if len(forced):
-            if increments is not None:
-                dW = np.asarray(increments[i], dtype=float)
-            else:
-                dW = sqrt_dt * step_normals(config.seed, path_index, i, len(forced))
-            w[forced] += gain * dW
-            incs[i] = dW
+        w[forced] += gain * incs[i]
         if not np.max(np.abs(w)) <= BLOWUP_LIMIT:  # also rejects NaN
             raise BlowUpError(f"state magnitude exceeded {BLOWUP_LIMIT:g} or "
                               f"became non-finite at step {i + 1}; reduce dt")

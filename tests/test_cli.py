@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from vortexlab import cli, rng
 from vortexlab.cli import ConfigError, main, parse_config, run_experiment
 
 BASE_SIM = {
@@ -187,11 +188,64 @@ def test_exit_2_on_kind_mismatch(tmp_path, capsys):
     assert "does not match" in capsys.readouterr().err
 
 
+MALLIAVIN = {"subspace": [[1, 0], [1, 1]], "t": 0.05}
+CONTROL = {"projection": [[1, 0], [1, 1]], "target": [0.1, -0.05], "t": 0.05}
+BRACKET = {"phi_mode": [2, 1], "t0": 0.01, "t1": 0.05}
+
+
 def test_exit_2_on_schema_error_writes_no_manifest(tmp_path):
     cfg = {"sim": BASE_SIM, "analysis": {"bogus_key": 1}}
     path = write_config(tmp_path, "c.json", cfg)
     out = tmp_path / "out"
     assert main(["malliavin", "--config", path, "--out", str(out)]) == 2
+    assert not (out / "manifest.json").exists()
+
+
+# each is rejected before its runner starts
+@pytest.mark.parametrize("kind, sim, analysis", [
+    pytest.param("simulate", {}, {"n_paths": 2.5}, id="n_paths-fraction"),
+    pytest.param("simulate", {}, {"n_paths": -3}, id="n_paths-negative"),
+    pytest.param("malliavin", {}, dict(MALLIAVIN, epsilons="x"),
+                 id="epsilons-string"),
+    pytest.param("malliavin", {}, dict(MALLIAVIN, epsilons=[]),
+                 id="epsilons-empty"),
+    pytest.param("malliavin", {}, dict(MALLIAVIN, epsilons=[0.1, -1.0]),
+                 id="epsilons-negative"),
+    pytest.param("malliavin", {}, dict(MALLIAVIN, t=0.031), id="t-off-grid"),
+    pytest.param("malliavin", {}, dict(MALLIAVIN, t=0.06), id="t-past-end"),
+    pytest.param("malliavin", {}, dict(MALLIAVIN, subspace=[[3, 0]]),
+                 id="subspace-outside-radius"),
+    pytest.param("quadvar", {}, {"delta_cap": 0.2, "n_processes": 0},
+                 id="n_processes-zero"),
+    pytest.param("quadvar", {}, {"delta_cap": 2.0}, id="delta_cap-past-horizon"),
+    pytest.param("control", {}, dict(CONTROL, tol="a"), id="tol-string"),
+    pytest.param("control", {}, dict(CONTROL, max_iters=1.5),
+                 id="max_iters-fraction"),
+    pytest.param("control", {}, dict(CONTROL, t=0.02), id="control-t-not-final"),
+    pytest.param("control", {}, dict(CONTROL, s=0.05), id="control-s-not-before-t"),
+    pytest.param("control", {}, dict(CONTROL, target=[0.1]),
+                 id="target-length"),
+    pytest.param("control", {}, dict(CONTROL, projection=[[2, 2]], target=[0.1]),
+                 id="projection-outside-radius"),
+    pytest.param("bracket", {"radius": 3.0}, dict(BRACKET, phi_mode=[3, 1]),
+                 id="phi_mode-outside-radius"),
+    pytest.param("bracket", {"radius": 3.0}, dict(BRACKET, t0=0.05),
+                 id="bracket-t0-not-before-t1"),
+    pytest.param("simulate", {"dt": 0.3, "t_final": 1.0}, {},
+                 id="horizon-not-whole-steps"),
+    pytest.param("simulate", {"initial": {"3,0": 1.0}}, {},
+                 id="initial-outside-radius"),
+])
+def test_exit_2_on_invalid_value_writes_no_manifest(tmp_path, monkeypatch,
+                                                    kind, sim, analysis):
+    def runner_started(parsed, out_dir):
+        raise AssertionError("the runner started on an invalid config")
+
+    monkeypatch.setitem(cli._RUNNERS, kind, runner_started)
+    cfg = {"sim": dict(BASE_SIM, **sim), "analysis": analysis}
+    path = write_config(tmp_path, "c.json", cfg)
+    out = tmp_path / "out"
+    assert main([kind, "--config", path, "--out", str(out)]) == 2
     assert not (out / "manifest.json").exists()
 
 
@@ -245,3 +299,4 @@ def test_run_experiment_api_returns_manifest(tmp_path):
     assert manifest["status"] == "complete"
     assert "reachability.csv" in manifest["artifacts"]
     assert manifest["config"]["kind"] == "lattice"
+    assert manifest["rng"] == rng.SCHEME

@@ -223,6 +223,14 @@ def test_control_search_trivial_target():
     assert np.max(np.abs(res.control)) == 0.0
 
 
+def test_control_search_rejects_t_before_t_final():
+    # the search always matches the endpoint at t_final
+    cfg = SimConfig(nu=1.0, forcing=CANONICAL, radius=2.0, dt=1e-2,
+                    t_final=0.05)
+    with pytest.raises(ValueError, match="t_final"):
+        control_search(cfg, [(1, 0), (1, 1)], [0.1, -0.05], 0.0, 0.02)
+
+
 def test_control_search_reaches_forced_target():
     cfg = SimConfig(nu=1.0, forcing=CANONICAL, radius=2.0, dt=2e-3,
                     t_final=0.1)

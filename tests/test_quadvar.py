@@ -1,9 +1,11 @@
 """Quadratic variation toolkit: partitions, estimators, tail bounds."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from vortexlab import quadvar
 from vortexlab.quadvar import (BLOCK_EXPONENT, CASCADE_RATIO, SampledProcess,
                                cascade_table, chi_square_cdf,
                                chi_square_small_ball_bound,
@@ -120,6 +122,35 @@ def test_holder_constant_window_restriction():
     v[-1] = 10.0  # jump at t=3; against t=2..3 only
     c_all = holder_constant(t, v, 0.25)
     assert c_all == pytest.approx(10.0 / 0.01 ** 0.25, rel=1e-9)
+
+
+@pytest.mark.parametrize("block", [2 ** 18, 1000, 37])
+def test_holder_constant_block_scan_matches_dense(monkeypatch, block):
+    monkeypatch.setattr(quadvar, "HOLDER_BLOCK", block)
+    rng = np.random.default_rng(17)
+    for n, alpha in [(2, 0.25), (300, 0.25), (701, 0.5)]:
+        t = np.sort(rng.uniform(0.0, 2.5, n))
+        v = np.cumsum(rng.standard_normal(n))
+        # dense oracle: every pair at once
+        dtmat = np.abs(t[:, None] - t[None, :])
+        mask = (dtmat > 0.0) & (dtmat <= 1.0 + quadvar.GRID_TOL)
+        dv = np.abs(v[:, None] - v[None, :])
+        want = np.max(np.where(mask, dv / np.where(mask, dtmat, 1.0) ** alpha,
+                               0.0))
+        assert holder_constant(t, v, alpha) == want
+
+
+def test_holder_constant_memory_is_bounded():
+    t = partition_scheme(0.0085, 1.0).all_nodes()
+    assert len(t) == 2942
+    v = sample_wiener_ensemble(t, 1, 1, seed=3)[0, 0]
+    tracemalloc.start()
+    try:
+        holder_constant(t, v, 0.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20      # a dense N x N scan peaks near 272 MiB
 
 
 # ------------------------------------------------------------ bad events

@@ -25,6 +25,10 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig(nu=1.0, forcing=ForcingGeometry(frozenset({(7, 0), (-7, 0)})),
                   radius=6.0)
+    with pytest.raises(ValueError, match="whole number of steps"):
+        SimConfig(nu=1.0, forcing=EMPTY, dt=0.3, t_final=1.0)
+    # representation error in t_final / dt is not a partial step
+    assert SimConfig(nu=1.0, forcing=EMPTY, dt=0.002, t_final=0.05).n_steps() == 25
 
 
 def test_single_mode_heat_decay_is_exact():
