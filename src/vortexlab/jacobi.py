@@ -15,8 +15,10 @@ def jacobi_eigh(A: np.ndarray, max_sweeps: int = 100):
 
     Cyclic sweeps over the upper triangle, zeroing each off-diagonal entry
     with a Givens rotation; stops when the off-diagonal Frobenius mass falls
-    below 1e-13 times the trace magnitude. Returns (values, vectors) sorted
-    ascending, with vectors in columns.
+    below 1e-13 times the larger of the trace magnitude and the Frobenius
+    norm, and raises np.linalg.LinAlgError if it is still above after
+    max_sweeps sweeps. Returns (values, vectors) sorted ascending, with
+    vectors in columns.
     """
     A = np.array(A, dtype=float)
     n = A.shape[0]
@@ -28,11 +30,17 @@ def jacobi_eigh(A: np.ndarray, max_sweeps: int = 100):
     V = np.eye(n)
     if n == 1:
         return A.diagonal().copy(), V
-    tol = 1e-13 * max(abs(np.trace(A)), 1e-300)
-    for _ in range(max_sweeps):
+    # the Frobenius norm keeps the tolerance scaled when the trace cancels;
+    # for a PSD matrix it never exceeds the trace
+    tol = 1e-13 * max(abs(np.trace(A)), np.linalg.norm(A), 1e-300)
+    for sweep in range(max_sweeps + 1):
         off = np.sqrt(np.sum(np.tril(A, -1) ** 2))
         if off <= tol:
             break
+        if sweep == max_sweeps:
+            raise np.linalg.LinAlgError(
+                f"Jacobi did not converge in {max_sweeps} sweeps: "
+                f"off-diagonal norm {off:.3e} > {tol:.3e}")
         for p in range(n - 1):
             for q in range(p + 1, n):
                 apq = A[p, q]

@@ -3,8 +3,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from vortexlab.spectral import Basis, SpectralField
+
+# Property tests draw the same examples on every run, replay no stored
+# failures and carry no per-example deadline, so timings on a loaded machine
+# cannot fail them.
+settings.register_profile("vortexlab", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("vortexlab")
 
 # The canonical four-mode forcing used throughout: sin and cos on (1,0), (1,1).
 FORCING = ((1, 0), (1, 1))
@@ -54,6 +64,15 @@ def field_from_dict(basis, entries):
     for label, value in entries.items():
         f.coeffs[basis.index[tuple(label)]] = value
     return f
+
+
+@st.composite
+def random_fields(draw, count):
+    """A basis of random radius in [1.5, 5] and `count` random fields on it."""
+    basis = Basis.build(draw(st.floats(1.5, 5.0)))
+    coeffs = draw(arrays(np.float64, (count, len(basis)),
+                         elements=st.floats(-1.0, 1.0)))
+    return basis, [SpectralField(basis, c) for c in coeffs]
 
 
 @pytest.fixture(scope="session")

@@ -1,15 +1,17 @@
 """Variational flows: tangent, adjoint duality, second variation, control."""
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from vortexlab.flows import (adjoint_flow, control_gradient, control_search,
-                             duality_drift, second_variation, tangent_flow,
-                             tangent_flow_columns)
+from vortexlab.flows import (Stepper, adjoint_flow, control_gradient,
+                             control_search, duality_drift, second_variation,
+                             tangent_flow, tangent_flow_columns)
 from vortexlab.lattice import ForcingGeometry
 from vortexlab.simulate import SimConfig, simulate
 from vortexlab.spectral import SpectralField, inner
 
-from conftest import Z_STAR, field_from_dict
+from conftest import Z_STAR, field_from_dict, random_fields
 
 CANONICAL = ForcingGeometry(frozenset(Z_STAR))
 
@@ -67,6 +69,23 @@ def test_adjoint_duality_discrete_transpose_exact():
         rhs = inner(phi, adjoint_flow(traj, 0.1, psi, 0.0,
                                       discrete_transpose=True))
         assert lhs == pytest.approx(rhs, abs=1e-12 * max(1.0, abs(lhs)))
+
+
+@given(random_fields(5), st.integers(0, 3))
+def test_stepper_transpose_is_exact_property(drawn, i):
+    # <U, tangent(i, V)> = <transpose(i, U), V> on random (n, 2) blocks
+    # along a trajectory started from a random field on a random radius
+    _, (w0, *cols) = drawn
+    cfg = SimConfig(nu=1.0, forcing=CANONICAL, dt=1e-3, t_final=4e-3,
+                    initial=w0)
+    stepper = Stepper(simulate(cfg))
+    V = np.stack([f.coeffs for f in cols[:2]], axis=1)
+    U = np.stack([f.coeffs for f in cols[2:]], axis=1)
+    lhs = U.T @ stepper.tangent(i, V)
+    rhs = stepper.transpose(i, U).T @ V
+    # l1 norms, which do not underflow as squares would on tiny fields
+    tol = 1e-13 * np.abs(U).sum() * np.abs(V).sum() + np.finfo(float).tiny
+    assert np.max(np.abs(lhs - rhs)) <= tol
 
 
 def deterministic_traj(dt, t_final=0.1):

@@ -1,4 +1,6 @@
 """Deterministic symmetric eigensolver."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -52,3 +54,18 @@ def test_handles_zero_and_scaled_matrices():
     vals_small, _ = jacobi_eigh(1e-30 * A)
     ref = 1e-30 * np.linalg.eigvalsh(A)
     assert np.allclose(vals_small, ref, rtol=1e-10, atol=1e-44)
+
+
+def test_traceless_matrix_converges_without_overflow():
+    # trace 0 once made the stopping tolerance 1e-313: all 100 sweeps ran
+    # and theta = (aqq - app) / apq overflowed on denormal pivots
+    A = np.array([[1.0, 2.0, 3.0], [2.0, -2.0, 1.0], [3.0, 1.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals, _ = jacobi_eigh(A)
+    assert np.max(np.abs(vals - np.linalg.eigvalsh(A))) < 1e-13
+
+
+def test_non_convergence_raises():
+    with pytest.raises(np.linalg.LinAlgError):
+        jacobi_eigh(random_symmetric(20, 20), max_sweeps=1)

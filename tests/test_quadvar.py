@@ -124,20 +124,38 @@ def test_holder_constant_window_restriction():
     assert c_all == pytest.approx(10.0 / 0.01 ** 0.25, rel=1e-9)
 
 
-@pytest.mark.parametrize("block", [2 ** 18, 1000, 37])
-def test_holder_constant_block_scan_matches_dense(monkeypatch, block):
-    monkeypatch.setattr(quadvar, "HOLDER_BLOCK", block)
+def _holder_cases():
     rng = np.random.default_rng(17)
+    cases = []
     for n, alpha in [(2, 0.25), (300, 0.25), (701, 0.5)]:
         t = np.sort(rng.uniform(0.0, 2.5, n))
         v = np.cumsum(rng.standard_normal(n))
+        cases.append(pytest.param(t, v, alpha, id=f"n{n}-alpha{alpha}"))
+    t = rng.uniform(0.0, 2.5, 200)
+    t[50] = t[120]
+    v = np.cumsum(rng.standard_normal(200))
+    cases.append(pytest.param(t, v, 0.25, id="unsorted-duplicate"))
+    t = np.sort(rng.uniform(0.0, 2.5, 150))
+    v = np.cumsum(rng.standard_normal((3, 4, 150)), axis=-1)
+    cases.append(pytest.param(t, v, 0.25, id="batch-3x4"))
+    return cases
+
+
+@pytest.mark.parametrize("t, v, alpha", _holder_cases())
+def test_holder_constant_block_scan_matches_dense(t, v, alpha):
+    got = holder_constant(t, v, alpha)
+    if v.ndim == 1:
+        assert isinstance(got, float)
+    assert np.shape(got) == v.shape[:-1]
+    for idx in np.ndindex(v.shape[:-1]):
+        series = v[idx]
         # dense oracle: every pair at once
         dtmat = np.abs(t[:, None] - t[None, :])
         mask = (dtmat > 0.0) & (dtmat <= 1.0 + quadvar.GRID_TOL)
-        dv = np.abs(v[:, None] - v[None, :])
+        dv = np.abs(series[:, None] - series[None, :])
         want = np.max(np.where(mask, dv / np.where(mask, dtmat, 1.0) ** alpha,
                                0.0))
-        assert holder_constant(t, v, alpha) == want
+        assert np.asarray(got)[idx] == want
 
 
 def test_holder_constant_memory_is_bounded():
@@ -151,6 +169,18 @@ def test_holder_constant_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2 ** 20      # a dense N x N scan peaks near 272 MiB
+
+
+def test_holder_constant_batched_memory_is_bounded():
+    t = partition_scheme(0.0085, 1.0).all_nodes()
+    paths = sample_wiener_ensemble(t, 2, 50, seed=3)
+    tracemalloc.start()
+    try:
+        holder_constant(t, paths, 0.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * paths.nbytes     # O(N) per series, not per pair
 
 
 # ------------------------------------------------------------ bad events
@@ -174,6 +204,20 @@ def test_event_b_impossible_with_single_process():
     paths = sample_wiener_ensemble(t, 1, 30, seed=10)
     f = event_frequencies(paths, s)
     assert f.freq_b == 0.0
+
+
+def test_event_c_is_max_of_sup_and_holder():
+    s = partition_scheme(0.3, 1.0)
+    t = s.all_nodes()
+    paths = sample_wiener_ensemble(t, 1, 30, seed=12)
+    f = event_frequencies(paths, s)
+    thresh = 0.3 ** (-1.0 / 28.0)
+    sup = np.array([np.max(np.abs(w)) > thresh for w in paths[:, 0]])
+    want = np.array([max(np.max(np.abs(w)), holder_constant(t, w, 0.25))
+                     > thresh for w in paths[:, 0]])
+    assert 0.0 < f.freq_c < 1.0
+    assert np.any(want & ~sup)      # some paths are decided by the scan
+    assert f.freq_c == want.mean()
 
 
 def test_event_selection_skips_work():

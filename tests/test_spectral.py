@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 from vortexlab.spectral import (Basis, SpectralField, TWO_PI_SQ, adjoint_C,
                                 biot_savart, build_interaction_table, inner,
@@ -15,7 +16,7 @@ from vortexlab.spectral import (Basis, SpectralField, TWO_PI_SQ, adjoint_C,
                                 sobolev_norm)
 
 from conftest import (eval_basis_mode, field_from_dict, grid_integral,
-                      project_on_basis, torus_grid)
+                      project_on_basis, random_fields, torus_grid)
 
 
 # ---------------------------------------------------------------- basis
@@ -239,6 +240,37 @@ def test_first_slot_adjoint_identity(basis4):
         w = SpectralField(basis4, rng.standard_normal(len(basis4)))
         assert inner(nonlinearity_B(u, w), v) == pytest.approx(
             inner(adjoint_C(v, w), u), abs=1e-9)
+
+
+# Property versions of the three identities above, on a random radius and
+# random fields. The tolerance is relative to the size of the trilinear
+# form, bounded by l1 norms (which, unlike squares, do not underflow); the
+# floor absorbs subnormal rounding when every field is tiny.
+
+def _tol(*fields):
+    size = TWO_PI_SQ * math.prod(np.abs(f.coeffs).sum() for f in fields)
+    return 1e-13 * size + np.finfo(float).tiny
+
+
+@given(random_fields(2))
+def test_second_slot_skew_conserves_enstrophy_property(drawn):
+    _, (w, v) = drawn
+    assert abs(inner(nonlinearity_B(w, v), v)) <= _tol(w, v, v)
+
+
+@given(random_fields(1))
+def test_self_advection_conserves_energy_property(drawn):
+    basis, (w,) = drawn
+    lam_inv_w = SpectralField(basis, w.coeffs / basis.laplacian_symbol())
+    assert abs(inner(nonlinearity_B(w, w), lam_inv_w)) <= _tol(w, w, w)
+
+
+@given(random_fields(3))
+def test_first_slot_adjoint_identity_property(drawn):
+    _, (u, v, w) = drawn
+    lhs = inner(nonlinearity_B(u, w), v)
+    rhs = inner(adjoint_C(v, w), u)
+    assert abs(lhs - rhs) <= _tol(u, v, w)
 
 
 def test_table_matrix_forms_agree_with_apply(basis4):
