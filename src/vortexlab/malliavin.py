@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .flows import Stepper, adjoint_flow_columns
-from .jacobi import jacobi_eigh
 from .lattice import reachable_modes
 from .modes import canonical, is_plus, negate, norm2
 from .quadvar import wilson_interval
@@ -31,25 +30,39 @@ class MalliavinForm:
     provenance: str            # "forward-gram" | "backward-form" | "lyapunov"
     t: float
     trajectory: Trajectory = field(repr=False, default=None)
+    factor: np.ndarray = field(repr=False, default=None)  # matrix = X.T @ X
 
     def __post_init__(self):
         M = self.matrix
-        if not np.allclose(M, M.T, rtol=0.0, atol=1e-12):
+        scale = np.max(np.abs(M), initial=0.0)
+        if not np.allclose(M, M.T, rtol=0.0, atol=1e-12 * scale):
             raise ValueError("covariance matrix must be symmetric")
-        vals, _ = jacobi_eigh(M)
-        tr = max(np.trace(M), 0.0)
-        if vals[0] < -1e-10 * max(tr, 1.0):
+        vals = self._spectrum(1.0)
+        if vals[0] < -1e-10 * max(np.trace(M), 1.0):
             raise ValueError("covariance matrix must be positive semidefinite")
         self._eigenvalues = vals
 
+    def _spectrum(self, w) -> np.ndarray:
+        """Ascending eigenvalues of diag(w) M diag(w)."""
+        if self.factor is None:
+            return np.linalg.eigvalsh(self.matrix * np.outer(w, w))
+        s = np.linalg.svd(self.factor * w, compute_uv=False)
+        pad = np.zeros(len(self.matrix) - len(s))
+        return np.concatenate([pad, s[::-1] ** 2])
+
     def eigenvalues(self) -> np.ndarray:
-        """Ascending eigenvalues, kept from the solve of the PSD check."""
+        """Ascending eigenvalues, kept from the solve of the PSD check.
+
+        With a factor X, the squared singular values of X: nonnegative,
+        and values below about (n eps)^2 lambda_max are unresolved. Else
+        eigvalsh of the matrix, resolved only to about eps lambda_max.
+        """
         return self._eigenvalues.copy()
 
-    def h1_weighted(self) -> np.ndarray:
-        """Matrix for test vectors drawn from the unit H1 ball instead of L2."""
+    def h1_eigenvalues(self) -> np.ndarray:
+        """Ascending spectrum for test vectors from the unit H1 ball, not L2."""
         w = 1.0 / np.sqrt([float(norm2(k)) for k in self.subspace])
-        return self.matrix * np.outer(w, w)
+        return self._spectrum(w)
 
 
 def _subspace_indices(traj: Trajectory, subspace):
@@ -83,13 +96,14 @@ def malliavin_forward(traj: Trajectory, t: float, subspace,
         cols[idx, np.arange(len(idx))] = 1.0
         _, hist = adjoint_flow_columns(traj, t, cols, 0.0,
                                        discrete_transpose=True, record=True)
-        # hist[i, k, a] = V_{k, s_i}(t)[subspace a]; trapezoid in s
-        G = np.einsum("ika,ikb->iab", hist[:, forced, :], hist[:, forced, :])
+        # hist[i, k, a] = V_{k, s_i}(t)[subspace a]; trapezoid in s, with
+        # the square roots of the weights in the factor X, M = X^T X
         weights = np.full(i_t + 1, dt)
         weights[0] = weights[-1] = 0.5 * dt
-        M = np.tensordot(weights, G, axes=1)
-        M = 0.5 * (M + M.T)
-        return MalliavinForm(tuple(subspace), M, "forward-gram", t, traj)
+        X = np.sqrt(weights)[:, None, None] * hist[:, forced, :]
+        X = X.reshape(-1, len(idx))
+        return MalliavinForm(tuple(subspace), X.T @ X, "forward-gram", t,
+                             traj, X)
     if method == "lyapunov":
         stepper = Stepper(traj)
         S = np.zeros((n, n))
@@ -161,8 +175,7 @@ def min_eigenvalue_tail(config: SimConfig, t: float, subspace,
         vals = form.eigenvalues()
         lam_min[p], lam_max[p] = vals[0], vals[-1]
         trace[p] = float(np.trace(form.matrix))
-        h1vals, _ = jacobi_eigh(form.h1_weighted())
-        lam_min_h1[p] = h1vals[0]
+        lam_min_h1[p] = form.h1_eigenvalues()[0]
     freq = np.array([(lam_min < eps).mean() for eps in epsilons])
     ivals = np.array([wilson_interval(int(round(f * n_paths)), n_paths)
                       for f in freq])

@@ -5,7 +5,6 @@ import warnings
 import numpy as np
 import pytest
 
-from vortexlab.jacobi import jacobi_eigh
 from vortexlab.lattice import ForcingGeometry
 from vortexlab.malliavin import (DEFAULT_EPSILONS, MalliavinForm,
                                  PAIRING_PREFACTOR, bracket_decomposition,
@@ -96,6 +95,10 @@ def test_form_validation_rejects_asymmetric_and_indefinite():
     with pytest.raises(ValueError):
         MalliavinForm(((1, 0), (0, 1)), np.array([[1.0, 0.0], [0.0, -0.3]]),
                       "forward-gram", 0.1, None)
+    # the symmetry tolerance scales with the entries
+    with pytest.raises(ValueError):
+        MalliavinForm(((1, 0), (0, 1)), 1e-20 * np.array([[1.0, 0.5], [0.1, 1.0]]),
+                      "forward-gram", 0.1, None)
 
 
 def test_quadratic_form_monotone_in_time():
@@ -129,8 +132,32 @@ def test_covariance_psd_and_symmetric_across_paths():
         traj = make_traj(seed=77 + p, t_final=0.05)
         form = malliavin_forward(traj, 0.05, FORCED)
         assert np.array_equal(form.matrix, form.matrix.T)
-        vals, _ = jacobi_eigh(form.matrix)
+        vals = np.linalg.eigvalsh(form.matrix)
         assert vals[0] >= -1e-12
+
+
+@pytest.mark.parametrize("t", [0.05, 0.002])   # 0.002: fewer rows than modes
+def test_gram_spectrum_matches_eigvalsh_and_bounds(t):
+    traj = make_traj(radius=3.0, t_final=0.05, seed=78)
+    form = malliavin_forward(traj, t, list(traj.basis.modes))
+    M = form.matrix
+    vals = form.eigenvalues()
+    tr = float(np.trace(M))
+    assert np.all(np.diff(vals) >= 0.0)
+    assert np.max(np.abs(vals - np.linalg.eigvalsh(M))) <= 1e-14 * tr
+    assert vals[-1] <= tr * (1.0 + 1e-12)
+    assert vals[0] <= np.min(np.diag(M))   # interlacing
+
+
+def test_graded_spectrum_stays_positive():
+    # At radius 4 the far modes are reached only through long bracket
+    # chains, so diag(M) falls to ~1e-52 against lambda_max ~ 0.02;
+    # eigvalsh(M) resolves only ~1e-17 and returns negative values here.
+    cfg = SimConfig(nu=0.5, forcing=CANONICAL, radius=4.0, dt=1e-3,
+                    t_final=0.02, seed=5)
+    table = min_eigenvalue_tail(cfg, 0.02, list(cfg.basis().modes), n_paths=2)
+    assert np.all(table.lambda_min > 0.0)
+    assert np.all(table.lambda_min_h1 > 0.0)
 
 
 # ------------------------------------------------------------ tail table
