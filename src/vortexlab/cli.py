@@ -28,7 +28,8 @@ from .malliavin import (DEFAULT_EPSILONS, PAIRING_PREFACTOR,
 from .modes import is_plus
 from .quadvar import (event_frequencies, partition_scheme,
                       sample_wiener_ensemble)
-from .simulate import SimConfig, enstrophy_residual, simulate
+from .simulate import (SimConfig, enstrophy_residual, simulate,
+                       simulate_paths)
 from .spectral import Basis, SpectralField
 
 
@@ -268,8 +269,8 @@ def _run_lattice(parsed, out_dir: Path):
 def _run_simulate(parsed, out_dir: Path):
     cfg = parsed["_sim"]
     info = {}
-    for p in range(parsed["_analysis"]["n_paths"]):
-        traj = simulate(cfg, path_index=p)
+    n_paths = parsed["_analysis"]["n_paths"]
+    for p, traj in enumerate(simulate_paths(cfg, range(n_paths))):
         traj.to_jsonl(out_dir / f"trajectory_{p}.jsonl")
         traj.norms_to_csv(out_dir / f"norms_{p}.csv")
         res = enstrophy_residual(traj)

@@ -18,7 +18,7 @@ from .flows import Stepper, adjoint_flow_columns
 from .lattice import reachable_modes
 from .modes import canonical, is_plus, negate, norm2
 from .quadvar import wilson_interval
-from .simulate import SimConfig, Trajectory, simulate
+from .simulate import SimConfig, Trajectory, simulate_paths
 from .spectral import (TWO_PI_SQ, SpectralField, build_interaction_table,
                        interaction_coeff)
 
@@ -99,7 +99,8 @@ def malliavin_forward(traj: Trajectory, t: float, subspace,
         # hist[i, k, a] = V_{k, s_i}(t)[subspace a]; trapezoid in s, with
         # the square roots of the weights in the factor X, M = X^T X
         weights = np.full(i_t + 1, dt)
-        weights[0] = weights[-1] = 0.5 * dt
+        # a one-node grid spans no time, so its single weight is 0
+        weights[0] = weights[-1] = 0.5 * dt if i_t else 0.0
         X = np.sqrt(weights)[:, None, None] * hist[:, forced, :]
         X = X.reshape(-1, len(idx))
         return MalliavinForm(tuple(subspace), X.T @ X, "forward-gram", t,
@@ -169,8 +170,7 @@ def min_eigenvalue_tail(config: SimConfig, t: float, subspace,
     lam_min_h1 = np.empty(n_paths)
     lam_max = np.empty(n_paths)
     trace = np.empty(n_paths)
-    for p in range(n_paths):
-        traj = simulate(config, path_index=p)
+    for p, traj in enumerate(simulate_paths(config, range(n_paths))):
         form = malliavin_forward(traj, t, subspace)
         vals = form.eigenvalues()
         lam_min[p], lam_max[p] = vals[0], vals[-1]

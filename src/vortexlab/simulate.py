@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -149,43 +150,100 @@ def simulate(config: SimConfig, path_index: int = 0,
     control: optional (n_steps, n_forced) deterministic forcing rates added
     to the drift on the forced modes (the controllability probe's knob).
     """
+    return _advance(config, config.basis(), [path_index], increments,
+                    control)(0)
+
+
+def simulate_paths(config: SimConfig, paths) -> Iterator[Trajectory]:
+    """One trajectory per path index, in order, each bit-identical to
+    simulate(config, path_index=p).
+
+    Paths advance side by side in blocks whose size follows from the
+    config: per-step temporaries stay within 2**16 triad terms (512 KiB)
+    and a block's state history within 2**23 values (64 MiB). Every bin of
+    the block's drift sums the same terms in the same order as a lone
+    path's, so the block size shows in no output.
+    """
+    paths = list(paths)
     basis = config.basis()
+    n_table = max(len(build_interaction_table(basis)), 1)
+    size = max(1, min(2 ** 16 // n_table,
+                      2 ** 23 // ((config.n_steps() + 1) * len(basis)),
+                      len(paths)))
+    for start in range(0, len(paths), size):
+        block = paths[start:start + size]
+        trajectory = _advance(config, basis, block)
+        yield from map(trajectory, range(len(block)))
+
+
+def _advance(config: SimConfig, basis: Basis, paths, increments=None,
+             control=None) -> Callable[[int], Trajectory]:
+    """Step the paths' states as one flat (P * n,) vector.
+
+    Path b occupies entries b*n .. (b+1)*n - 1, so the triad indices are
+    shifted by b*n and the per-mode factors are tiled. A lone path runs on
+    the table's own arrays: per-call copies of them cost page faults on
+    every step's temporaries at large radii. Returns the function that
+    cuts out the trajectory of block position b, so a caller holds one
+    path's copy at a time.
+    """
     table = build_interaction_table(basis)
     lam = basis.laplacian_symbol()
     forced_modes = tuple(sorted(config.forcing.z_star))
     forced = np.array([basis.index[k] for k in forced_modes], dtype=np.intp)
     n_steps = config.n_steps()
     n = len(basis)
+    P = len(paths)
 
     decay = np.exp(-config.nu * lam * config.dt)
     sqrt_dt = math.sqrt(config.dt)
     # per-unit-increment gain; applied to dW so replays are bit-exact
     gain = noise_scale(config.nu, lam[forced], config.dt) / sqrt_dt
     shape = (n_steps, len(forced))
-    incs = (sqrt_dt * rng.normals(config.seed, rng.SIMULATE, path_index, shape)
-            if increments is None else np.array(increments, dtype=float))
-    if incs.shape != shape:
-        raise ValueError(f"increments have shape {incs.shape}, need {shape}")
+    if increments is None:
+        incs = np.empty((n_steps, P, len(forced)))
+        for b, p in enumerate(paths):
+            incs[:, b] = sqrt_dt * rng.normals(config.seed, rng.SIMULATE, p,
+                                               shape)
+    else:
+        incs = np.array(increments, dtype=float)
+        if incs.shape != shape:
+            raise ValueError(f"increments have shape {incs.shape}, need {shape}")
+        incs = incs[:, None]
+    dW = incs.reshape(n_steps, -1)    # row i: step i's increments, path-major
 
-    states = np.zeros((n_steps + 1, n))
+    # hit: the forced entries of the flat state
+    j, k, l, coeff, hit = table.j, table.k, table.l, table.coeff, forced
+    if P > 1:
+        off = n * np.arange(P)[:, None]
+        j, k, l, hit = ((off + a).ravel() for a in (j, k, l, forced))
+        coeff, decay, gain = (np.tile(a, P) for a in (coeff, decay, gain))
+
+    states = np.zeros((n_steps + 1, P * n))
     if config.initial is not None:
-        states[0] = config.initial.coeffs
+        states[0] = np.tile(config.initial.coeffs, P)
 
     w = states[0].copy()
     for i in range(n_steps):
-        drift = -table.apply(w, w)
+        drift = -np.bincount(l, weights=coeff * w[j] * w[k], minlength=P * n)
         if control is not None:
-            drift[forced] += control[i]
+            drift[hit] += control[i]
         w = decay * (w + config.dt * drift)
-        w[forced] += gain * incs[i]
+        w[hit] += gain * dW[i]
         if not np.max(np.abs(w)) <= BLOWUP_LIMIT:  # also rejects NaN
-            raise BlowUpError(f"state magnitude exceeded {BLOWUP_LIMIT:g} or "
-                              f"became non-finite at step {i + 1}; reduce dt")
+            bad = ~np.all(np.abs(w.reshape(P, n)) <= BLOWUP_LIMIT, axis=1)
+            raise BlowUpError(
+                f"state magnitude exceeded {BLOWUP_LIMIT:g} or became "
+                f"non-finite at step {i + 1} on path {paths[np.argmax(bad)]}; "
+                "reduce dt")
         states[i + 1] = w
 
     times = config.dt * np.arange(n_steps + 1)
-    return Trajectory(config=config, basis=basis, times=times, states=states,
-                      increments=incs, forced_modes=forced_modes)
+    return lambda b: Trajectory(
+        config=config, basis=basis, times=times,
+        states=np.ascontiguousarray(states[:, b * n:(b + 1) * n]),
+        increments=np.ascontiguousarray(incs[:, b]),
+        forced_modes=forced_modes, forced_indices=forced)
 
 
 def forcing_energy_rate(traj: Trajectory) -> float:

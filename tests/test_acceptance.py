@@ -21,7 +21,7 @@ from vortexlab.quadvar import (SampledProcess, chi_square_cdf,
                                partition_scheme, qv_estimate,
                                sample_wiener_ensemble)
 from vortexlab.simulate import (SimConfig, enstrophy_residual,
-                                forcing_energy_rate, simulate)
+                                forcing_energy_rate, simulate, simulate_paths)
 from vortexlab.spectral import (Basis, SpectralField, TWO_PI_SQ,
                                 build_interaction_table, inner,
                                 nonlinearity_B, sobolev_norm)
@@ -46,8 +46,7 @@ def _representation_discrepancies(dt, n_paths, n_phis, t=0.5, seed=101):
                     t_final=t, seed=seed)
     rng = np.random.default_rng(1001)
     rels = []
-    for p in range(n_paths):
-        traj = simulate(cfg, path_index=p)
+    for traj in simulate_paths(cfg, range(n_paths)):
         form = malliavin_forward(traj, t, list(traj.basis.modes))
         for _ in range(n_phis):
             c = rng.standard_normal(len(traj.basis))
@@ -195,8 +194,7 @@ def test_acceptance_06_hypoellipticity_signature(capsys):
                     t_final=0.1, seed=60)
     n_pos = 0
     min_seen = np.inf
-    for p in range(200):
-        traj = simulate(cfg, path_index=p)
+    for traj in simulate_paths(cfg, range(200)):
         lam_min = malliavin_forward(traj, 0.1, sub).eigenvalues()[0]
         min_seen = min(min_seen, lam_min)
         if lam_min > 0.0:
@@ -207,8 +205,7 @@ def test_acceptance_06_hypoellipticity_signature(capsys):
     cfg_d = SimConfig(nu=0.5, forcing=geom, radius=3.0, dt=1e-3,
                       t_final=0.1, initial=init, seed=61)
     degen_ok = True
-    for p in range(200):
-        traj = simulate(cfg_d, path_index=p)
+    for traj in simulate_paths(cfg_d, range(200)):
         lam_min = malliavin_forward(traj, 0.1, sub).eigenvalues()[0]
         if abs(lam_min) > 1e-10:
             degen_ok = False
@@ -369,8 +366,8 @@ def test_acceptance_10_gaussian_bounds(capsys):
 def test_acceptance_11_enstrophy_balance(capsys):
     cfg = SimConfig(nu=0.5, forcing=CANONICAL, radius=3.0, dt=1e-3,
                     t_final=1.0, seed=110)
-    finals = np.array([enstrophy_residual(simulate(cfg, path_index=p))[-1]
-                       for p in range(500)])
+    finals = np.array([enstrophy_residual(traj)[-1]
+                       for traj in simulate_paths(cfg, range(500))])
     se = finals.std(ddof=1) / math.sqrt(len(finals))
     mean = finals.mean()
     traj = simulate(cfg, path_index=0)

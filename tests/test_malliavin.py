@@ -56,10 +56,13 @@ def test_short_time_diagonal_is_approximately_t():
 def test_gram_equals_lyapunov():
     traj = make_traj(radius=2.0, dt=2e-3, t_final=0.1)
     sub = [(1, 0), (1, 1), (0, 1), (-1, 0)]
-    a = malliavin_forward(traj, 0.1, sub, method="gram")
-    b = malliavin_forward(traj, 0.1, sub, method="lyapunov")
-    scale = max(1.0, np.max(np.abs(a.matrix)))
-    assert np.max(np.abs(a.matrix - b.matrix)) < 1e-12 * scale
+    for t in (0.1, 0.0):
+        a = malliavin_forward(traj, t, sub, method="gram")
+        b = malliavin_forward(traj, t, sub, method="lyapunov")
+        scale = max(1.0, np.max(np.abs(a.matrix)))
+        assert np.max(np.abs(a.matrix - b.matrix)) < 1e-12 * scale
+    # at t = 0 no noise has entered: the Gram and its spectrum are exactly 0
+    assert not np.any(a.matrix) and not np.any(a.eigenvalues())
 
 
 def test_forward_quadratic_form_matches_backward():

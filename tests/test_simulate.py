@@ -8,8 +8,9 @@ import pytest
 from vortexlab.lattice import ForcingGeometry
 from vortexlab.simulate import (BlowUpError, SimConfig, Trajectory,
                                 enstrophy_residual, forcing_energy_rate,
-                                noise_scale, simulate)
-from vortexlab.spectral import Basis, SpectralField, TWO_PI_SQ
+                                noise_scale, simulate, simulate_paths)
+from vortexlab.spectral import (Basis, SpectralField, TWO_PI_SQ,
+                                build_interaction_table)
 
 from conftest import Z_STAR, field_from_dict
 
@@ -75,6 +76,52 @@ def test_nan_increments_raise_blow_up():
     incs = np.full((cfg.n_steps(), len(Z_STAR)), np.nan)
     with pytest.raises(BlowUpError):
         simulate(cfg, increments=incs)
+
+
+def test_simulate_paths_is_bit_identical_across_blocks():
+    cfg = SimConfig(nu=0.5, forcing=CANONICAL, radius=4.0, dt=1e-3,
+                    t_final=0.02, seed=9)
+    # a radius-4 block holds 2**16 // 2352 = 27 paths, so these 60 paths,
+    # in no particular order, fill two blocks and part of a third
+    paths = list(range(100, 40, -1))
+    assert len(paths) > 2 * (2 ** 16 // len(build_interaction_table(cfg.basis())))
+    trajs = list(simulate_paths(cfg, paths))
+    assert len(trajs) == len(paths)
+    for p, traj in zip(paths, trajs):
+        ref = simulate(cfg, path_index=p)
+        assert np.array_equal(traj.states, ref.states)
+        assert np.array_equal(traj.increments, ref.increments)
+        assert traj.states.flags.c_contiguous and traj.states.base is None
+
+
+def test_simulate_paths_starts_every_path_from_the_initial_field():
+    basis = Basis.build(3.0)
+    rng = np.random.default_rng(4)
+    init = SpectralField(basis, 0.3 * rng.standard_normal(len(basis)))
+    cfg = SimConfig(nu=0.5, forcing=CANONICAL, radius=3.0, dt=1e-3,
+                    t_final=0.05, initial=init, seed=2)
+    for p, traj in zip(range(5), simulate_paths(cfg, range(5))):
+        assert np.array_equal(traj.states[0], init.coeffs)
+        assert np.array_equal(traj.states, simulate(cfg, path_index=p).states)
+
+
+def test_blow_up_in_a_block_names_the_path():
+    # at this dt some noise paths drive the explicit step unstable
+    cfg = SimConfig(nu=1e-3, forcing=CANONICAL, radius=3.0, dt=0.1,
+                    t_final=6.0, seed=5)
+    paths = range(3, 10)
+    blown = []             # (step, message) of each serial blow-up
+    for p in paths:
+        try:
+            simulate(cfg, path_index=p)
+        except BlowUpError as err:
+            blown.append((int(str(err).split("at step ")[1].split()[0]),
+                          str(err)))
+    # the block mixes paths that blow up with paths that do not
+    assert 0 < len(blown) < len(paths)
+    with pytest.raises(BlowUpError) as err:
+        list(simulate_paths(cfg, paths))
+    assert str(err.value) == min(blown)[1]
 
 
 def test_grid_index_rejects_off_grid_times():
