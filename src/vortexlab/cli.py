@@ -96,9 +96,9 @@ def _check_modes_in_ball(value, path, radius):
 def _check_grid_time(value, path, cfg: SimConfig, positive=False):
     """A time on cfg's step grid inside [0, t_final]."""
     t = _check_number(value, path, positive)
-    i = round(t / cfg.dt)
-    if (not 0 <= i <= cfg.n_steps()
-            or abs(i * cfg.dt - t) > 1e-9 * max(1.0, abs(t))):
+    try:
+        cfg.grid_index(t)
+    except ValueError:
         _fail(path, f"must be a multiple of sim.dt in [0, {cfg.t_final}]")
     return t
 
@@ -139,20 +139,16 @@ def parse_config(raw: dict) -> dict:
     initial = sim.get("initial", {})
     if not isinstance(initial, dict):
         _fail("sim.initial", "expected an object of 'kx,ky' -> coefficient")
-    init_items = []
+    init_field = SpectralField(Basis.build(radius)) if initial else None
     for key, val in initial.items():
         try:
             kx, ky = (int(part) for part in key.split(","))
         except ValueError:
             _fail(f"sim.initial.{key}", "key must look like 'kx,ky'")
-        init_items.append(((kx, ky), _check_number(val, f"sim.initial.{key}")))
-    init_field = None
-    if init_items:
-        init_field = SpectralField(Basis.build(radius))
-        for (kx, ky), coeff in init_items:
-            if (kx, ky) not in init_field.basis.index:
-                _fail(f"sim.initial.{kx},{ky}", "mode outside the basis radius")
-            init_field.coeffs[init_field.basis.index[(kx, ky)]] = coeff
+        coeff = _check_number(val, f"sim.initial.{key}")
+        if (kx, ky) not in init_field.basis.index:
+            _fail(f"sim.initial.{kx},{ky}", "mode outside the basis radius")
+        init_field.coeffs[init_field.basis.index[(kx, ky)]] = coeff
     try:
         cfg = SimConfig(nu=nu, forcing=ForcingGeometry(frozenset(forcing)),
                         radius=radius, dt=dt, t_final=t_final,
@@ -167,7 +163,6 @@ def parse_config(raw: dict) -> dict:
         _fail("config.out", "expected a path string")
     parsed = dict(raw)
     parsed["_sim"] = cfg
-    parsed["_initial_items"] = init_items
     parsed["_analysis"] = _check_analysis(kind, analysis, cfg)
     return parsed
 
@@ -209,7 +204,7 @@ def _check_analysis(kind, a, cfg: SimConfig) -> dict:
         if not isinstance(target, list) or len(target) != len(projection):
             _fail("analysis.target", "must match the projection length")
         t = _check_grid_time(a["t"], "analysis.t", cfg, positive=True)
-        if round(t / cfg.dt) != cfg.n_steps():
+        if cfg.grid_index(t) != cfg.n_steps():
             _fail("analysis.t", "must equal sim.t_final, the matched endpoint")
         s = _check_grid_time(a.get("s", 0.0), "analysis.s", cfg)
         if s >= t:

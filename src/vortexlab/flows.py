@@ -177,12 +177,6 @@ class ControlResult:
     history: list
 
 
-def _controlled_endpoint(config: SimConfig, control: np.ndarray,
-                         proj_idx: np.ndarray):
-    traj = simulate(config, increments=np.zeros_like(control), control=control)
-    return traj, traj.states[-1][proj_idx]
-
-
 def control_gradient(traj: Trajectory, residual_proj: np.ndarray,
                      proj_idx: np.ndarray) -> np.ndarray:
     """Exact gradient of 0.5*|P w(T) - x|^2 wrt the control rates.
@@ -203,35 +197,36 @@ def control_gradient(traj: Trajectory, residual_proj: np.ndarray,
 
 
 def control_search(config: SimConfig, projection, target, s: float, t: float,
-                   max_iters: int = 200, tol: float = 1e-8,
-                   step0: float = 1.0) -> ControlResult:
+                   max_iters: int = 200, tol: float = 1e-8) -> ControlResult:
     """Gradient descent with backtracking on the endpoint-matching objective.
 
     projection: list of modes spanning the target subspace; target: the
     desired projected coefficient vector at time t, which must be
     config.t_final. Controls are piecewise-constant rates on the forced
-    modes over [s, t]; zero noise.
+    modes over [s, t], s a grid time before t; zero noise.
     """
     if abs(t - config.t_final) > 1e-9 * config.t_final:
         raise ValueError("control matches the endpoint: need t == t_final")
+    n_steps = config.n_steps()
+    i0 = config.grid_index(s)
+    if i0 >= n_steps:
+        raise ValueError("need s < t")
     basis = config.basis()
     proj_idx = np.array([basis.index[tuple(k)] for k in projection], dtype=np.intp)
     target = np.asarray(target, dtype=float)
     if len(target) != len(proj_idx):
         raise ValueError("target length does not match projection")
-    n_steps = config.n_steps()
-    n_forced = len(config.forcing.z_star)
-    i0 = int(round(s / config.dt))
-    control = np.zeros((n_steps, n_forced))
+    control = np.zeros((n_steps, len(config.forcing.z_star)))
 
     def objective(ctrl):
-        traj, end = _controlled_endpoint(config, ctrl, proj_idx)
+        traj = simulate(config, increments=np.zeros_like(ctrl), control=ctrl)
+        end = traj.states[-1][proj_idx]
         r = end - target
         return 0.5 * float(np.dot(r, r)), traj, end, r
 
     J, traj, end, r = objective(control)
     history = [J]
-    step = step0
+    step = 1.0
     it = 0
     converged = np.sqrt(2 * J) <= tol
     while it < max_iters and not converged:

@@ -10,6 +10,7 @@ characterizes when it reaches everything.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -129,29 +130,14 @@ def reachable_modes(geometry: ForcingGeometry, radius: float,
                               saturated=saturated, witness_paths=witness)
 
 
-def _hnf_index(vectors: list[Mode]) -> int:
+def span_index(vectors: list[Mode]) -> int:
     """Index of the integer lattice spanned by vectors inside Z^2.
 
-    Exact Euclidean row reduction into an upper-triangular (Hermite) basis.
-    Returns 0 when the span has rank < 2, else |det| of the reduced basis.
+    The gcd of all 2x2 minors: 0 when the span has rank < 2, 1 exactly when
+    the vectors generate Z^2.
     """
-    pivot = None   # row with nonzero first entry
-    tail = 0       # gcd of second entries of rows with zero first entry
-    for v in vectors:
-        r = [v[0], v[1]]
-        while r[0] != 0:
-            if pivot is None:
-                pivot, r = r, [0, 0]
-                break
-            q = r[0] // pivot[0]
-            r = [r[0] - q * pivot[0], r[1] - q * pivot[1]]
-            if r[0] != 0:
-                pivot, r = r, pivot
-        if r[1] != 0:
-            tail = math.gcd(tail, r[1])
-    if pivot is None or tail == 0:
-        return 0
-    return abs(pivot[0] * tail)
+    return math.gcd(*(a[0] * b[1] - a[1] * b[0]
+                      for a, b in itertools.combinations(vectors, 2)))
 
 
 def is_generating(geometry: ForcingGeometry) -> tuple[bool, str]:
@@ -164,7 +150,7 @@ def is_generating(geometry: ForcingGeometry) -> tuple[bool, str]:
     if not z_zero:
         return False, "empty symmetric part"
     reasons = []
-    index = _hnf_index(z_zero)
+    index = span_index(z_zero)
     if index != 1:
         if index == 0:
             reasons.append("does not generate Z^2_0 (rank-deficient span)")

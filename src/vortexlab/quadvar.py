@@ -188,15 +188,15 @@ def wilson_interval(successes: int, n: int, z: float = 1.96):
 
 
 def event_frequencies(wiener_paths: np.ndarray, scheme: PartitionScheme,
-                      times=None, events: str = "abc") -> EventFrequencies:
+                      events: str = "abc") -> EventFrequencies:
     """Empirical frequencies of the three bad events over an ensemble.
 
-    wiener_paths has shape (n_paths, N, n_times) sampled on `times` (the
-    scheme's node union by default). Event a: some block/process has mean
-    normalized squared increment <= 1/2. Event b: some block and process
-    pair has mean normalized cross product >= delta_cap^(3/14) / (3 N^2).
-    Event c: some process exceeds delta_cap^(-1/28) in the max of sup norm
-    and 1/4-Hoelder constant; the sup norm is checked first, and one batched
+    wiener_paths has shape (n_paths, N, n_times) sampled on the scheme's
+    node union. Event a: some block/process has mean normalized squared
+    increment <= 1/2. Event b: some block and process pair has mean
+    normalized cross product >= delta_cap^(3/14) / (3 N^2). Event c: some
+    process exceeds delta_cap^(-1/28) in the max of sup norm and
+    1/4-Hoelder constant; the sup norm is checked first, and one batched
     Hoelder scan covers the paths it leaves open. `events` selects which
     indicators to evaluate (the Hoelder scan is quadratic in the node
     count); skipped events report frequency 0 with the trivial [0, 1]
@@ -206,18 +206,11 @@ def event_frequencies(wiener_paths: np.ndarray, scheme: PartitionScheme,
     if paths.ndim != 3:
         raise ValueError("expected (n_paths, N, n_times) ensemble")
     n_paths, n_proc, n_times = paths.shape
-    if times is None:
-        times = scheme.all_nodes()
-    times = np.asarray(times, dtype=float)
+    times = scheme.all_nodes()
     if len(times) != n_times:
         raise ValueError("ensemble does not match the node times")
-    # locate each block's nodes inside the sample grid
-    block_idx = []
-    for nodes in scheme.block_nodes:
-        pos = np.searchsorted(times, nodes - GRID_TOL)
-        if np.any(np.abs(times[pos] - nodes) > GRID_TOL):
-            raise ValueError("ensemble resolution does not cover the scheme")
-        block_idx.append(pos)
+    block_idx = [np.searchsorted(times, nodes - GRID_TOL)
+                 for nodes in scheme.block_nodes]
     thresh_b = scheme.delta_cap ** (3.0 / 14.0) / (3.0 * n_proc ** 2)
     thresh_c = scheme.delta_cap ** (-1.0 / 28.0)
     hit_a = np.zeros(n_paths, dtype=bool)
@@ -256,41 +249,36 @@ def event_frequencies(wiener_paths: np.ndarray, scheme: PartitionScheme,
         omega_b_bound(scheme.delta_cap, scheme.horizon, n_proc))
 
 
-def _adaptive_simpson(f, a, b, rtol=1e-10):
-    def simpson(x0, x2, f0, f1, f2):
-        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
-
-    def recurse(x0, x2, f0, f1, f2, whole, depth):
-        xm = 0.5 * (x0 + x2)
-        xl, xr = 0.5 * (x0 + xm), 0.5 * (xm + x2)
-        fl, fr = f(xl), f(xr)
-        left = simpson(x0, xm, f0, fl, f1)
-        right = simpson(xm, x2, f1, fr, f2)
-        if depth > 60:
-            return left + right
-        if abs(left + right - whole) <= 15.0 * rtol * (abs(left + right) + 1e-300):
-            return left + right + (left + right - whole) / 15.0
-        return (recurse(x0, xm, f0, fl, f1, left, depth + 1)
-                + recurse(xm, x2, f1, fr, f2, right, depth + 1))
-
-    fa, fb = f(a), f(b)
-    xm = 0.5 * (a + b)
-    fm = f(xm)
-    return recurse(a, b, fa, fm, fb, simpson(a, b, fa, fm, fb), 0)
+def _log_poisson_term(n: float, y: float) -> float:
+    """log(e^-y y^n / Gamma(n+1)). From n = 40 on, Stirling's series (next
+    term < 4e-15) replaces lgamma, so no large logarithms cancel."""
+    if n < 40.0:
+        return n * math.log(y) - y - math.lgamma(n + 1.0)
+    d = y - n
+    return (n * math.log1p(d / n) - d - 0.5 * math.log(2.0 * math.pi * n)
+            - (1.0 / 12 - (1.0 / 360 - 1.0 / (1260 * n * n)) / (n * n)) / n)
 
 
 def chi_square_cdf(x: float, dof: int) -> float:
-    """P(chi^2_dof <= x) by adaptive Simpson integration of the density."""
+    """P(chi^2_dof <= x) = P(dof/2, x/2) by the series of A&S 6.5.29,
+    P(a, y) = sum_k e^-y y^(a+k) / Gamma(a+k+1), each term carried in logs.
+
+    The sum stops past the peak once a term is below 1e-17 of it. When the
+    Chernoff bound (y/a)^a e^(a-y) on 1 - P is below e^-40, under half an
+    ulp of 1, the result is 1.0.
+    """
     if x <= 0:
         return 0.0
-    log_norm = -0.5 * dof * math.log(2.0) - math.lgamma(0.5 * dof)
-
-    def density(t):
-        if t <= 0.0:
-            return 0.0
-        return math.exp(log_norm + (0.5 * dof - 1.0) * math.log(t) - 0.5 * t)
-
-    return float(_adaptive_simpson(density, 0.0, float(x)))
+    a, y = 0.5 * dof, 0.5 * x
+    if y > a and a * math.log(y / a) + a - y < -40.0:
+        return 1.0
+    total, k = 0.0, 0
+    while True:
+        term = math.exp(_log_poisson_term(a + k, y))
+        total += term
+        if k > y - a and term <= 1e-17 * total:
+            return min(total, 1.0)
+        k += 1
 
 
 def chi_square_small_ball_bound(c: float, m_terms: int):

@@ -17,7 +17,7 @@ import csv
 import json
 import math
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,6 +58,14 @@ class SimConfig:
     def n_steps(self) -> int:
         return int(round(self.t_final / self.dt))
 
+    def grid_index(self, t: float) -> int:
+        """Step index of t in [0, t_final]; rejects off-grid times."""
+        i = int(round(t / self.dt))
+        if (not 0 <= i <= self.n_steps()
+                or abs(i * self.dt - t) > 1e-9 * max(1.0, abs(t))):
+            raise ValueError(f"time {t} is not on the step grid")
+        return i
+
 
 class BlowUpError(RuntimeError):
     """The explicit nonlinearity went unstable; dt is too large."""
@@ -71,25 +79,13 @@ class Trajectory:
     states: np.ndarray           # (n_steps + 1, n_modes)
     increments: np.ndarray       # (n_steps, n_forced) Wiener increments
     forced_modes: tuple          # canonical order of the forced modes
-    forced_indices: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.forced_indices is None:
-            self.forced_indices = np.array(
-                [self.basis.index[k] for k in self.forced_modes], dtype=np.intp)
+    forced_indices: np.ndarray   # their positions in the basis
 
     def n_steps(self) -> int:
         return len(self.times) - 1
 
     def grid_index(self, t: float) -> int:
-        """Index of t on the grid; rejects off-grid times (no interpolation)."""
-        i = int(round(t / self.config.dt))
-        if i < 0 or i > self.n_steps() or abs(self.times[i] - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError(f"time {t} is not on the trajectory grid")
-        return i
-
-    def state(self, t: float) -> SpectralField:
-        return SpectralField(self.basis, self.states[self.grid_index(t)].copy())
+        return self.config.grid_index(t)
 
     def wiener_path(self) -> np.ndarray:
         """Cumulative Wiener values W(t_i) per forced mode, W(0) = 0."""

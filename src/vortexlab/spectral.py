@@ -10,14 +10,12 @@ produced by the product-to-sum expansion of the two trigonometric factors.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .modes import Mode, canonical, check_mode, dot, is_plus, norm2, perp
+from .modes import Mode, check_mode, dot, is_plus, norm2, perp
 
 TWO_PI_SQ = 2.0 * math.pi ** 2
 
@@ -80,34 +78,9 @@ class SpectralField:
         f.coeffs[basis.index[k]] = amplitude
         return f
 
-    def copy(self) -> "SpectralField":
-        return SpectralField(self.basis, self.coeffs.copy())
-
-    def __add__(self, other):
-        _check_same_basis(self, other)
-        return SpectralField(self.basis, self.coeffs + other.coeffs)
-
     def __sub__(self, other):
         _check_same_basis(self, other)
         return SpectralField(self.basis, self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar: float):
-        return SpectralField(self.basis, self.coeffs * scalar)
-
-    __rmul__ = __mul__
-
-    def to_json(self) -> str:
-        entries = [{"mode": list(k), "coeff": float(c)}
-                   for k, c in zip(self.basis.modes, self.coeffs) if c != 0.0]
-        return json.dumps(entries)
-
-    @classmethod
-    def from_json(cls, basis: Basis, text: str) -> "SpectralField":
-        f = cls(basis)
-        for entry in json.loads(text):
-            k = check_mode(entry["mode"])
-            f.coeffs[basis.index[k]] = float(entry["coeff"])
-        return f
 
 
 @dataclass
@@ -263,14 +236,6 @@ class InteractionTable:
         vals = self._lin_coeff * w[self._lin_src]
         return np.bincount(self._lin_flat, weights=vals,
                            minlength=n * n).reshape(n, n)
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["j1", "j2", "k1", "k2", "l1", "l2", "coeff"])
-            modes = self.basis.modes
-            for j, k, l, c in zip(self.j, self.k, self.l, self.coeff):
-                writer.writerow([*modes[j], *modes[k], *modes[l], repr(c)])
 
 
 _TABLE_CACHE: dict[tuple, InteractionTable] = {}

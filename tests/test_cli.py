@@ -55,7 +55,9 @@ def test_parse_config_initial_keys():
     cfg = {"kind": "simulate",
            "sim": dict(BASE_SIM, initial={"1,0": 0.5})}
     parsed = parse_config(cfg)
-    assert parsed["_initial_items"] == [((1, 0), 0.5)]
+    initial = parsed["_sim"].initial
+    assert initial.coeffs[initial.basis.index[(1, 0)]] == 0.5
+    assert np.count_nonzero(initial.coeffs) == 1
     with pytest.raises(ConfigError):
         parse_config({"kind": "simulate",
                       "sim": dict(BASE_SIM, initial={"oops": 0.5})})

@@ -250,6 +250,14 @@ def test_control_search_rejects_t_before_t_final():
         control_search(cfg, [(1, 0), (1, 1)], [0.1, -0.05], 0.0, 0.02)
 
 
+def test_control_search_rejects_bad_start():
+    cfg = SimConfig(nu=1.0, forcing=CANONICAL, radius=2.0, dt=1e-2,
+                    t_final=0.05)
+    for s in (0.013, -0.2, 0.05, 0.5):   # off grid, negative, s >= t
+        with pytest.raises(ValueError):
+            control_search(cfg, [(1, 0), (1, 1)], [0.1, -0.05], s, 0.05)
+
+
 def test_control_search_reaches_forced_target():
     cfg = SimConfig(nu=1.0, forcing=CANONICAL, radius=2.0, dt=2e-3,
                     t_final=0.1)

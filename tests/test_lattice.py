@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from vortexlab.lattice import (ForcingGeometry, admissible, is_generating,
-                               next_shell, reachable_modes, symmetric_part)
+                               next_shell, reachable_modes, span_index,
+                               symmetric_part)
 
 from conftest import Z_STAR
 
@@ -161,3 +162,26 @@ def test_generation_agrees_with_brute_force_reachability():
         assert res.saturated
         brute = all(k in res.reached for k in ball(2.0))
         assert flag == brute, (sorted(z), flag, brute)
+
+
+def test_span_index_pinned_cases():
+    assert span_index([(2, 0), (0, 2)]) == 4
+    assert span_index([(1, 2), (3, 4)]) == 2
+    assert span_index([(1, 1), (2, 2)]) == 0
+    assert span_index([(5, 7)]) == 0
+    assert span_index([]) == 0
+    assert span_index(sorted(ForcingGeometry(frozenset(Z_STAR)).z_zero)) == 1
+
+
+def test_span_index_is_det_and_ignores_combinations():
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        a, b = (tuple(int(c) for c in rng.integers(-9, 10, size=2))
+                for _ in range(2))
+        index = span_index([a, b])
+        assert index == abs(a[0] * b[1] - a[1] * b[0])
+        # an integer combination of the two adds nothing to their span
+        m, n = (int(c) for c in rng.integers(-5, 6, size=2))
+        c = (m * a[0] + n * b[0], m * a[1] + n * b[1])
+        assert span_index([a, b, c]) == index
+        assert span_index([c, b, a]) == index

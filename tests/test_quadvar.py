@@ -260,6 +260,21 @@ def test_chi_square_cdf_against_scipy():
                 float(scipy_stats.chi2.cdf(x, dof)), abs=1e-8)
 
 
+def test_chi_square_cdf_series_to_rel_1e12():
+    scipy_stats = pytest.importorskip("scipy.stats")
+    smallest = 1.0
+    for dof in (1, 2, 3, 5, 50, 200, 1000):
+        for ratio in (0.05, 0.3, 1.0, 2.0, 5.0):
+            x = ratio * dof
+            want = float(scipy_stats.chi2.cdf(x, dof))
+            got = chi_square_cdf(x, dof)
+            assert abs(got - want) <= 1e-12 * want, (dof, x, got, want)
+            if want > 0.0:
+                smallest = min(smallest, want)
+    assert smallest < 1e-40     # the relative bound holds deep in the tail
+    assert chi_square_cdf(1e5, 2) == 1.0
+
+
 def test_small_ball_bound_pinned_values():
     # c = 0.5, M = 100: gamma = c - 1 - ln c, bound = e^{-gamma M/2}/sqrt(pi M)
     small, cross = chi_square_small_ball_bound(0.5, 100)

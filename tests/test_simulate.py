@@ -137,6 +137,17 @@ def test_grid_index_rejects_off_grid_times():
         traj.grid_index(0.2)
 
 
+def test_config_grid_index_matches_trajectory():
+    cfg = SimConfig(nu=1.0, forcing=CANONICAL, radius=2.0,
+                    dt=1e-2, t_final=0.1)
+    traj = simulate(cfg)
+    for i, t in enumerate(traj.times):
+        assert cfg.grid_index(float(t)) == traj.grid_index(float(t)) == i
+    for bad in (0.0512, -0.01, 0.11, 0.2):
+        with pytest.raises(ValueError):
+            cfg.grid_index(bad)
+
+
 def test_wiener_path_is_cumulative_sum():
     cfg = SimConfig(nu=1.0, forcing=CANONICAL, radius=2.0,
                     dt=1e-2, t_final=0.2, seed=7)
