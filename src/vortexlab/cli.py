@@ -246,11 +246,12 @@ def _run_lattice(parsed, out_dir: Path):
     radius = parsed["_sim"].radius
     result = reachable_modes(geometry, radius)
     generating, reason = is_generating(geometry)
-    rows = []
-    for n, shell in enumerate(result.shells):
-        for mode in sorted(shell):
-            rows.append([mode[0], mode[1], n])
-    _write_csv(out_dir / "reachability.csv", ["kx", "ky", "shell"], rows)
+    # shells overlap: each reached mode is written once, with the first
+    # shell that holds it (-1 for a forced mode that no shell holds)
+    rows = sorted((next((n for n, shell in enumerate(result.shells)
+                         if m in shell), -1), m) for m in result.reached)
+    _write_csv(out_dir / "reachability.csv", ["kx", "ky", "shell"],
+               [[m[0], m[1], n] for n, m in rows])
     summary = {
         "is_generating": generating,
         "reason": reason,

@@ -155,10 +155,10 @@ def simulate_paths(config: SimConfig, paths) -> Iterator[Trajectory]:
     simulate(config, path_index=p).
 
     Paths advance side by side in blocks whose size follows from the
-    config: per-step temporaries stay within 2**16 triad terms (512 KiB)
-    and a block's state history within 2**23 values (64 MiB). Every bin of
-    the block's drift sums the same terms in the same order as a lone
-    path's, so the block size shows in no output.
+    config: at most 2**16 ordered triads (per-step temporaries of 256 KiB)
+    and 2**23 history values (64 MiB) per block. Every bin of the block's
+    drift sums the same terms in the same order as a lone path's, so the
+    block size shows in no output.
     """
     paths = list(paths)
     basis = config.basis()
@@ -209,11 +209,11 @@ def _advance(config: SimConfig, basis: Basis, paths, increments=None,
     dW = incs.reshape(n_steps, -1)    # row i: step i's increments, path-major
 
     # hit: the forced entries of the flat state
-    j, k, l, coeff, hit = table.j, table.k, table.l, table.coeff, forced
+    j, k, l, sym, hit = table.j, table.k, table.l, table.sym, forced
     if P > 1:
         off = n * np.arange(P)[:, None]
         j, k, l, hit = ((off + a).ravel() for a in (j, k, l, forced))
-        coeff, decay, gain = (np.tile(a, P) for a in (coeff, decay, gain))
+        sym, decay, gain = (np.tile(a, P) for a in (sym, decay, gain))
 
     states = np.zeros((n_steps + 1, P * n))
     if config.initial is not None:
@@ -221,7 +221,7 @@ def _advance(config: SimConfig, basis: Basis, paths, increments=None,
 
     w = states[0].copy()
     for i in range(n_steps):
-        drift = -np.bincount(l, weights=coeff * w[j] * w[k], minlength=P * n)
+        drift = -np.bincount(l, weights=sym * w[j] * w[k], minlength=P * n)
         if control is not None:
             drift[hit] += control[i]
         w = decay * (w + config.dt * drift)

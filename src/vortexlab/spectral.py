@@ -4,12 +4,13 @@ Basis functions are unnormalized sines and cosines on the 2-pi torus, so
 every basis function has squared L2 norm 2*pi^2 and the inner product of two
 fields is 2*pi^2 times the coefficient dot product. The advective bilinear
 term B(w, v) = (K(w) . grad) v is evaluated through a precomputed table of
-admissible triples (j, k -> l), each carrying the exact signed coefficient
-produced by the product-to-sum expansion of the two trigonometric factors.
+admissible triples (j, k -> l), one row per unordered pair j < k carrying
+the product-to-sum coefficients of both orders.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -22,13 +23,15 @@ TWO_PI_SQ = 2.0 * math.pi ** 2
 
 @dataclass(frozen=True)
 class Basis:
-    """All canonical modes with |k| <= radius, in lexicographic order."""
+    """All canonical modes with |k| <= radius, in lexicographic order; one
+    shared instance per radius (4 and 4.0 are kept apart)."""
 
     radius: float
     modes: tuple
     index: dict
 
     @classmethod
+    @functools.lru_cache(maxsize=None, typed=True)
     def build(cls, radius: float) -> "Basis":
         if radius <= 0:
             raise ValueError("radius must be positive")
@@ -142,17 +145,10 @@ def _product_terms(j: Mode, k: Mode):
     f = dot(perp(j), k) / norm2(j)
     if f == 0.0:
         return []
-    # velocity trig factor e_{-j}: sin class gives cos(j.x), cos class -sin(j.x)
-    if is_plus(j):
-        t1_cos, a1 = True, 1.0
-    else:
-        t1_cos, a1 = False, -1.0
-    # gradient trig factor of e_k: sin class gives cos(k.x), cos class -sin(k.x)
-    if is_plus(k):
-        t2_cos, a2 = True, 1.0
-    else:
-        t2_cos, a2 = False, -1.0
-    amp = 0.5 * f * a1 * a2
+    # velocity trig factor e_{-j}: sin class gives cos(j.x), cos class
+    # -sin(j.x); the gradient trig factor of e_k likewise in k.x
+    t1_cos, t2_cos = is_plus(j), is_plus(k)
+    amp = 0.5 * f if t1_cos == t2_cos else -0.5 * f
     plus = (j[0] + k[0], j[1] + k[1])
     minus = (j[0] - k[0], j[1] - k[1])
     # product-to-sum on arguments (j.x) and (k.x)
@@ -178,56 +174,57 @@ def _product_terms(j: Mode, k: Mode):
 
 
 class InteractionTable:
-    """All admissible triples (j, k -> l) within a basis, with coefficients.
+    """All admissible triples (j, k -> l) within a basis, one row per j < k.
 
-    Entry arrays are parallel: B(w, v) sums coeff * w[j] * v[k] into l.
-    The table is the single source of truth for the nonlinearity, its
-    adjoint, and the tangent linearization.
+    B(w, v) sums cjk * w[j] * v[k] + ckj * w[k] * v[j] into l; B(w, w) and
+    L(w) see only sym = cjk + ckj. The table is the single source of truth
+    for the nonlinearity, its adjoint, and the tangent linearization.
     """
 
     def __init__(self, basis: Basis):
         self.basis = basis
-        j_idx, k_idx, l_idx, coeff = [], [], [], []
-        for j in basis.modes:
-            for k in basis.modes:
-                for l, a in _product_terms(j, k):
-                    if l not in basis.index:
-                        continue  # Galerkin projection discards out-of-band output
-                    j_idx.append(basis.index[j])
-                    k_idx.append(basis.index[k])
-                    l_idx.append(basis.index[l])
-                    coeff.append(a)
-        order = np.lexsort((np.array(l_idx), np.array(k_idx), np.array(j_idx)))
-        self.j = np.array(j_idx, dtype=np.intp)[order]
-        self.k = np.array(k_idx, dtype=np.intp)[order]
-        self.l = np.array(l_idx, dtype=np.intp)[order]
-        self.coeff = np.array(coeff, dtype=float)[order]
-        # L(w)[l, k] collects -coeff * w[j] and L(w)[l, j] collects
-        # -coeff * w[k]; flat row-major targets for one bincount
+        modes, index = basis.modes, basis.index
+        rows, cjk = [], []
+        for a, j in enumerate(modes):
+            for b in range(a + 1, len(modes)):
+                for l, c in _product_terms(j, modes[b]):
+                    if l in index:  # Galerkin projection discards the rest
+                        rows.append((a, b, index[l]))
+                        cjk.append(c)
+        self.j, self.k, self.l = (
+            np.array(rows, dtype=np.intp).reshape(-1, 3).T.copy())
+        lam = basis.laplacian_symbol()
+        self.cjk = np.array(cjk, dtype=float)
+        # _product_terms(k, j): (j^perp.k)/|j|^2 becomes -(j^perp.k)/|k|^2
+        self.ckj = -self.cjk * (lam[self.j] / lam[self.k])
+        self.sym = self.cjk + self.ckj
+        # L(w)[l, k] collects -sym * w[j] and L(w)[l, j] collects
+        # -sym * w[k]; flat row-major targets for one bincount
         n = len(basis)
         self._lin_flat = np.concatenate((self.l * n + self.k,
                                          self.l * n + self.j))
         self._lin_src = np.concatenate((self.j, self.k))
-        self._lin_coeff = -np.concatenate((self.coeff, self.coeff))
+        self._lin_coeff = -np.concatenate((self.sym, self.sym))
 
     def __len__(self) -> int:
-        return len(self.coeff)
+        return 2 * len(self.cjk)  # ordered triples (j, k -> l), two per row
 
     def apply(self, w: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Coefficients of B(w, v)."""
         n = len(self.basis)
-        vals = self.coeff * w[self.j] * v[self.k]
+        vals = (self.cjk * w[self.j] * v[self.k]
+                + self.ckj * w[self.k] * v[self.j])
         return np.bincount(self.l, weights=vals, minlength=n)
 
     def adjoint_apply(self, v: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Coefficients of C(v, w), the first-slot adjoint of B(., w).
 
-        Direct triadic contraction: the same table summed into the j slot,
+        Direct triadic contraction: each order summed into its first slot,
         so that <B(u,w), v> = <C(v,w), u> for every u on the basis.
         """
-        n = len(self.basis)
-        vals = self.coeff * w[self.k] * v[self.l]
-        return np.bincount(self.j, weights=vals, minlength=n)
+        n, vl = len(self.basis), v[self.l]
+        return (np.bincount(self.j, self.cjk * w[self.k] * vl, n)
+                + np.bincount(self.k, self.ckj * w[self.j] * vl, n))
 
     def linearization(self, w: np.ndarray) -> np.ndarray:
         """Dense matrix L(w) of v -> -B(w, v) - B(v, w), the tangent

@@ -79,6 +79,10 @@ def test_lattice_subcommand(tmp_path, capsys):
     rows = (out / "reachability.csv").read_text().strip().splitlines()
     assert rows[0] == "kx,ky,shell"
     assert len(rows) > 10
+    # shells overlap; each reached mode is written once
+    assert len(rows) - 1 == summary["n_reached"]
+    labels = [tuple(row.split(",")[:2]) for row in rows[1:]]
+    assert len(set(labels)) == len(labels)
 
 
 def test_simulate_subcommand_heat_decay(tmp_path):

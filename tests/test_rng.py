@@ -1,5 +1,7 @@
 """Noise streams: one module draws every number, streams never overlap."""
+import ast
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +22,24 @@ def test_only_rng_module_uses_numpy_random():
     users = sorted(p.name for p in src.glob("*.py")
                    if "np.random" in p.read_text())
     assert users == ["rng.py"]
+
+
+def test_package_imports_only_stdlib_and_numpy():
+    # numpy is pyproject.toml's only runtime dependency; scipy is a test extra
+    src = Path(vortexlab.__file__).parent
+    outside = set()
+    for p in src.glob("*.py"):
+        for node in ast.walk(ast.parse(p.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside |= {f"{p.name}: {name}" for name in names
+                        if name.split(".")[0] not in sys.stdlib_module_names
+                        and name.split(".")[0] not in ("numpy", "vortexlab")}
+    assert outside == set()
 
 
 def test_consecutive_steps_share_no_draw():

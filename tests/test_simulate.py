@@ -32,6 +32,11 @@ def test_config_validation():
     assert SimConfig(nu=1.0, forcing=EMPTY, dt=0.002, t_final=0.05).n_steps() == 25
 
 
+def test_basis_is_built_once_per_radius():
+    assert (SimConfig(nu=1.0, forcing=EMPTY, radius=3.0).basis()
+            is SimConfig(nu=1.0, forcing=EMPTY, radius=3.0).basis())
+
+
 def test_single_mode_heat_decay_is_exact():
     # No forcing, single mode: the integrator reproduces e^{-nu |k|^2 t}
     # exactly on every grid node (the linear part is integrated exactly and

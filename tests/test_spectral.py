@@ -10,12 +10,15 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from vortexlab.spectral import (Basis, SpectralField, TWO_PI_SQ, adjoint_C,
-                                biot_savart, build_interaction_table, inner,
+from vortexlab.lattice import ForcingGeometry
+from vortexlab.simulate import SimConfig, simulate
+from vortexlab.spectral import (Basis, SpectralField, TWO_PI_SQ, _product_terms,
+                                adjoint_C, biot_savart,
+                                build_interaction_table, inner,
                                 interaction_coeff, nonlinearity_B,
                                 sobolev_norm)
 
-from conftest import (eval_basis_mode, field_from_dict, grid_integral,
+from conftest import (Z_STAR, eval_basis_mode, field_from_dict, grid_integral,
                       project_on_basis, random_fields, torus_grid)
 
 
@@ -283,6 +286,52 @@ def test_table_cache_is_keyed_on_modes():
     # equal mode sets share one table even when each Basis is built afresh
     assert (build_interaction_table(Basis.build(3.0))
             is build_interaction_table(Basis.build(3.0)))
+
+
+def test_table_rows_are_unordered_pairs(basis4):
+    table = build_interaction_table(basis4)
+    assert np.all(table.j < table.k)
+    triples = set(zip(table.j.tolist(), table.k.tolist(), table.l.tolist()))
+    assert len(triples) == len(table.l)
+
+
+def test_table_rows_and_swaps_are_the_ordered_triples(basis4):
+    # brute force over every ordered pair, as B(e_j, e_k) expands
+    want = {}
+    for j in basis4.modes:
+        for k in basis4.modes:
+            for l, a in _product_terms(j, k):
+                if l in basis4:
+                    key = (basis4.index[j], basis4.index[k], basis4.index[l])
+                    want[key] = a
+    table = build_interaction_table(basis4)
+    got = {}
+    for j, k, l, cjk, ckj in zip(table.j.tolist(), table.k.tolist(),
+                                 table.l.tolist(), table.cjk, table.ckj):
+        got[(j, k, l)] = cjk
+        got[(k, j, l)] = ckj
+    assert got.keys() == want.keys()
+    for key, a in want.items():
+        assert got[key] == pytest.approx(a, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("radius, ordered", [(3.0, 720), (4.0, 2352),
+                                             (8.1, 50784)])
+def test_table_length_counts_ordered_triples(radius, ordered):
+    table = build_interaction_table(Basis.build(radius))
+    assert len(table) == ordered == 2 * len(table.l)
+
+
+def test_simulate_drift_is_minus_self_advection(basis8):
+    # one step with no noise and decay ~ 1 gives back the explicit drift
+    w0 = np.random.default_rng(8).uniform(-1.0, 1.0, len(basis8))
+    cfg = SimConfig(nu=1e-9, forcing=ForcingGeometry(Z_STAR), radius=8.1,
+                    dt=0.5, t_final=1.0, initial=SpectralField(basis8, w0))
+    traj = simulate(cfg, increments=np.zeros((2, len(Z_STAR))))
+    decay = np.exp(-cfg.nu * basis8.laplacian_symbol() * cfg.dt)
+    drift = (traj.states[1] / decay - w0) / cfg.dt
+    want = -build_interaction_table(basis8).apply(w0, w0)
+    assert np.linalg.norm(drift - want) <= 1e-13 * np.linalg.norm(want)
 
 
 def test_known_triad_value(basis4):
