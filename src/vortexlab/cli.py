@@ -26,11 +26,15 @@ from .malliavin import (DEFAULT_EPSILONS, PAIRING_PREFACTOR,
                         bracket_decomposition, min_eigenvalue_tail,
                         pairing_rhs)
 from .modes import is_plus
-from .quadvar import (event_frequencies, partition_scheme,
-                      sample_wiener_ensemble)
+from .quadvar import (event_frequencies, partition_node_count,
+                      partition_scheme, sample_wiener_ensemble)
 from .simulate import (SimConfig, enstrophy_residual, simulate,
                        simulate_paths)
 from .spectral import Basis, SpectralField
+
+
+QUADVAR_BUDGET_BYTES = 2 ** 30
+"""Largest quadvar Wiener ensemble, n_paths x n_processes x nodes x 8 B."""
 
 
 class ConfigError(Exception):
@@ -190,12 +194,21 @@ def _check_analysis(kind, a, cfg: SimConfig) -> dict:
                                 positive=True)
         if delta_cap > horizon:
             _fail("analysis.delta_cap", "must not exceed the horizon")
+        n_processes = _check_int(a.get("n_processes", 2),
+                                 "analysis.n_processes", 1)
+        n_paths = _check_int(a.get("n_paths", 100), "analysis.n_paths", 1)
+        nbytes = (n_paths * n_processes
+                  * partition_node_count(delta_cap, horizon) * 8)
+        if nbytes > QUADVAR_BUDGET_BYTES:
+            _fail("analysis", f"the Wiener ensemble needs "
+                  f"{nbytes / 2 ** 30:.3g} GiB, over the "
+                  f"{QUADVAR_BUDGET_BYTES / 2 ** 30:g} GiB budget; raise "
+                  "delta_cap or lower n_paths or n_processes")
         return {
             "delta_cap": delta_cap,
             "horizon": horizon,
-            "n_processes": _check_int(a.get("n_processes", 2),
-                                      "analysis.n_processes", 1),
-            "n_paths": _check_int(a.get("n_paths", 100), "analysis.n_paths", 1),
+            "n_processes": n_processes,
+            "n_paths": n_paths,
         }
     if kind == "control":
         projection = _check_modes_in_ball(a["projection"], "analysis.projection",

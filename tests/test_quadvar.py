@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from vortexlab import quadvar
 from vortexlab.quadvar import (BLOCK_EXPONENT, CASCADE_RATIO, SampledProcess,
@@ -12,8 +14,8 @@ from vortexlab.quadvar import (BLOCK_EXPONENT, CASCADE_RATIO, SampledProcess,
                                chi_square_small_ball_bound_corrected,
                                cross_qv, event_frequencies, holder_constant,
                                holder_transfer, omega_a_bound, omega_b_bound,
-                               partition_scheme, qv_estimate,
-                               sample_wiener_ensemble)
+                               partition_node_count, partition_scheme,
+                               qv_estimate, sample_wiener_ensemble)
 
 
 # ----------------------------------------------------- sampled processes
@@ -98,6 +100,18 @@ def test_partition_scheme_single_block_and_validation():
         partition_scheme(0.0, 1.0)
 
 
+def test_partition_node_count_matches_scheme():
+    for dc, horizon in [(0.02, 1.0), (0.0085, 1.0), (0.2, 1.0), (0.3, 1.0),
+                        (1.0, 1.0), (0.07, 2.0), (0.5, 1.0), (0.03, 2.5),
+                        (0.004, 1.0), (0.25, 0.7)]:
+        want = len(partition_scheme(dc, horizon).all_nodes())
+        assert partition_node_count(dc, horizon) == want, (dc, horizon)
+    # the CLI's quadvar default grid at delta_cap = 1e-4, never built
+    assert partition_node_count(1e-4, 1.0) == 4_650_001
+    with pytest.raises(ValueError):
+        partition_node_count(2.0, 1.0)
+
+
 def test_partition_block_count_bound():
     for dc, T in [(0.03, 1.0), (0.07, 2.0), (0.5, 1.0)]:
         s = partition_scheme(dc, T)
@@ -158,6 +172,111 @@ def test_holder_constant_block_scan_matches_dense(t, v, alpha):
         assert np.asarray(got)[idx] == want
 
 
+def _dense_holder(t, series, alpha):
+    """Every pair at once, as in the block-scan oracle test above."""
+    dtmat = np.abs(t[:, None] - t[None, :])
+    mask = (dtmat > 0.0) & (dtmat <= 1.0 + quadvar.GRID_TOL)
+    dv = np.abs(series[:, None] - series[None, :])
+    return np.max(np.where(mask, dv / np.where(mask, dtmat, 1.0) ** alpha,
+                           0.0))
+
+
+@st.composite
+def holder_inputs(draw):
+    """Unsorted times with duplicates over spans up to 3, shaped series."""
+    n = draw(st.integers(2, 70))
+    grid = draw(st.lists(st.floats(0.0, 3.0), min_size=1, max_size=n))
+    t = np.array(draw(st.lists(st.sampled_from(grid), min_size=n,
+                               max_size=n)))
+    lead = draw(st.sampled_from([(), (3,), (2, 2)]))
+    kind = draw(st.sampled_from(["constant", "ramp", "spike", "noise"]))
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    if kind == "constant":
+        v = np.full(lead + (n,), gen.standard_normal())
+    elif kind == "ramp":
+        v = gen.standard_normal(lead + (1,)) * t
+    elif kind == "spike":
+        v = np.zeros(lead + (n,))
+        v[..., gen.integers(n)] = gen.standard_normal()
+    else:
+        v = gen.standard_normal(lead + (n,))
+    return t, v, draw(st.sampled_from([0.25, 0.5, 1.0]))
+
+
+@given(holder_inputs())
+def test_holder_constant_equals_dense_oracle(case):
+    t, v, alpha = case
+    got = holder_constant(t, v, alpha)
+    assert np.shape(got) == v.shape[:-1]
+    for idx in np.ndindex(v.shape[:-1]):
+        assert np.asarray(got)[idx] == _dense_holder(t, v[idx], alpha)
+
+
+def test_holder_constant_keeps_a_max_that_beats_the_seed_by_an_ulp():
+    # The max is (15, 16), across two blocks, and the seed misses it: block
+    # 0's argmin is node 0. The seed's best, (40, 41), has a gap one ulp
+    # wider, so the (0, 1) bound beats it only by rounding and must not be
+    # pruned.
+    t = np.arange(48) / 47.0
+    assert t[41] - t[40] > t[16] - t[15]
+    v = np.full(48, 0.5)
+    v[[0, 15, 40]] = 0.0
+    v[[16, 41]] = 1.0
+    got = holder_constant(t, v, 0.25)
+    assert got == 1.0 / (t[16] - t[15]) ** 0.25 == _dense_holder(t, v, 0.25)
+    assert got > 1.0 / (t[41] - t[40]) ** 0.25
+
+
+def test_holder_constant_trivial_inputs():
+    t = np.linspace(0.0, 1.0, 701)
+    for n in (701, 1, 2):
+        got = holder_constant(t[:n], np.zeros((0, 2, n)), 0.25)
+        assert got.shape == (0, 2) and got.dtype == np.float64
+    one = holder_constant(t[:1], np.ones((3, 2, 1)), 0.25)
+    assert one.shape == (3, 2) and one.dtype == np.float64
+    assert not one.any()
+    assert holder_constant(t[:1], np.ones(1), 0.25) == 0.0
+    assert isinstance(holder_constant(t[:1], np.ones(1), 0.25), float)
+    two = holder_constant(t[:2], np.array([0.0, 1.0]), 0.5)
+    assert two == 1.0 / t[1] ** 0.5
+    with pytest.raises(ValueError):
+        holder_constant(t, np.zeros(701), -0.25)
+    with pytest.raises(ValueError):
+        holder_constant(t[:2], np.zeros((0, 2, 701)), 0.25)
+
+
+def _lag_holder(t, v, alpha):
+    """The dense scan lag by lag in O(N) memory: each pair's float as above."""
+    best = np.zeros(v.shape[:-1])
+    for d in range(1, len(t)):
+        dt = t[d:] - t[:-d]
+        mask = (dt > 0.0) & (dt <= 1.0 + quadvar.GRID_TOL)
+        dv = np.abs(v[..., d:] - v[..., :-d])
+        ratios = np.where(mask, dv / np.where(mask, dt, 1.0) ** alpha, 0.0)
+        np.maximum(best, ratios.max(axis=-1), out=best)
+    return best
+
+
+def test_holder_constant_chunked_scan_matches_lag_scan():
+    # 2942 sorted nodes split the seed, the block rows and the scored tiles
+    # into many chunks each
+    t = partition_scheme(0.0085, 1.0).all_nodes()
+    v = np.stack([sample_wiener_ensemble(t, 3, 1, seed=8)[0],
+                  np.random.default_rng(8).standard_normal((3, len(t)))])
+    assert np.array_equal(holder_constant(t, v, 0.25), _lag_holder(t, v, 0.25))
+    # one spike per series, in every block row in turn: its max pairs lie
+    # off the seed, and only pairs with the spike are nonzero
+    spikes = np.arange(5, len(t), quadvar.HOLDER_BLOCK)
+    v = np.zeros((len(spikes), len(t)))
+    v[np.arange(len(spikes)), spikes] = np.linspace(1.0, 2.0, len(spikes))
+    dt = np.abs(t[None, :] - t[spikes, None])   # the dense rows of the spikes
+    mask = (dt > 0.0) & (dt <= 1.0 + quadvar.GRID_TOL)
+    dv = np.abs(v - v[np.arange(len(spikes)), spikes, None])
+    want = np.where(mask, dv / np.where(mask, dt, 1.0) ** 0.25,
+                    0.0).max(axis=1)
+    assert np.array_equal(holder_constant(t, v, 0.25), want)
+
+
 def test_holder_constant_memory_is_bounded():
     t = partition_scheme(0.0085, 1.0).all_nodes()
     assert len(t) == 2942
@@ -181,6 +300,19 @@ def test_holder_constant_batched_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * paths.nbytes     # O(N) per series, not per pair
+
+
+def test_holder_constant_iid_noise_memory_is_bounded():
+    # iid values give every block a wide range, so the fewest pairs prune
+    t = partition_scheme(0.0085, 1.0).all_nodes()
+    paths = np.random.default_rng(3).standard_normal((50, 2, len(t)))
+    tracemalloc.start()
+    try:
+        holder_constant(t, paths, 0.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * paths.nbytes
 
 
 # ------------------------------------------------------------ bad events
