@@ -161,8 +161,10 @@ def holder_constant(times, values, alpha: float) -> float | np.ndarray:
     A block pair I <= J is bounded by its value spread over its smallest gap
     (the smallest positive step inside a block when I = J) and is scored
     densely only if that bound, widened for pow rounding, beats the running
-    max, or skipped whole when its smallest gap exceeds 1. The bounds and
-    tiles are chunked so memory stays O(N) per series. Every scored pair is
+    max, or skipped whole when its smallest gap exceeds 1. The seed, the
+    bounds and the tiles run over chunks of block rows and of tiles, each
+    temporary at most max(S*N/4, 4096) elements for S series, so memory
+    stays O(N) per series whatever the number of blocks. Every scored pair is
     the dense expression on the same floats and max is exact in any order,
     so the result is the dense N x N scan's, bit for bit.
     """
@@ -193,28 +195,36 @@ def _block_scan(times, values, alpha, best):
     vmin, vmax = v.min(axis=2), v.max(axis=2)
     blocks = np.arange(nb)
     t_lo, t_hi = t[blocks, lo], t[blocks, hi]
-    # the seed pairs every block's argmin with every block's argmax
-    step = max(1, chunk // (nb * nb))
-    for s0 in range(0, len(v), step):
-        c = slice(s0, s0 + step)
-        best[c] = _ratios(np.abs(vmax[c, None, :] - vmin[c, :, None]),
-                          np.abs(t_hi[c, None, :] - t_lo[c, :, None]),
-                          alpha).max(axis=(1, 2))
     first, last = t[:, 0], t[:, -1]
     steps = np.diff(t, axis=1)
     inner = np.where(steps > 0.0, steps, np.inf).min(axis=1)
     rows = max(1, chunk // (len(v) * nb))
     tiles = max(1, chunk // (b * b))
+    # row blocks i0:i1 and their window i0:stop; gaps only grow down a
+    # column, so later blocks are out of the window
+    windows = []
     for i0 in range(0, nb, rows):
         i1 = min(i0 + rows, nb)
-        # gaps only grow down a column, so later blocks are out of the window
         stop = np.searchsorted(first - last[i1 - 1], 1.0 + GRID_TOL, "right")
-        row, col = blocks[i0:i1, None], blocks[None, i0:stop]
+        windows.append((i0, i1, stop))
+    # the seed pairs each block's argmin and argmax with its window's
+    for i0, i1, stop in windows:
+        r, c = slice(i0, i1), slice(i0, stop)
+        seed = np.maximum(
+            _ratios(np.abs(vmax[:, None, c] - vmin[:, r, None]),
+                    np.abs(t_hi[:, None, c] - t_lo[:, r, None]), alpha),
+            _ratios(np.abs(vmax[:, r, None] - vmin[:, None, c]),
+                    np.abs(t_hi[:, r, None] - t_lo[:, None, c]), alpha))
+        np.maximum(best, seed.max(axis=(1, 2)), out=best)
+    del seed
+    for i0, i1, stop in windows:
+        r, c = slice(i0, i1), slice(i0, stop)
+        row, col = blocks[r, None], blocks[None, c]
         gap = np.where(col > row, first[col] - last[row],
                        np.where(col == row, inner[row], np.inf))
         with np.errstate(divide="ignore", invalid="ignore"):
-            ub = np.maximum(vmax[:, None, i0:stop] - vmin[:, i0:i1, None],
-                            vmax[:, i0:i1, None] - vmin[:, None, i0:stop])
+            ub = np.maximum(vmax[:, None, c] - vmin[:, r, None],
+                            vmax[:, r, None] - vmin[:, None, c])
             ub *= np.where(gap <= 1.0 + GRID_TOL, gap ** -alpha, 0.0)
             ub *= _POW_MARGIN
             hits = np.flatnonzero(ub > best[:, None, None])
@@ -224,9 +234,9 @@ def _block_scan(times, values, alpha, best):
                                                           stop - i0))
             i += i0
             j += i0
-            r = _ratios(np.abs(v[s, j][:, None, :] - v[s, i][:, :, None]),
-                        t[j][:, None, :] - t[i][:, :, None], alpha)
-            np.maximum.at(best, s, r.max(axis=(1, 2)))
+            tile = _ratios(np.abs(v[s, j][:, None, :] - v[s, i][:, :, None]),
+                           t[j][:, None, :] - t[i][:, :, None], alpha)
+            np.maximum.at(best, s, tile.max(axis=(1, 2)))
 
 
 @dataclass

@@ -302,10 +302,14 @@ def test_holder_constant_batched_memory_is_bounded():
     assert peak <= 8 * paths.nbytes     # O(N) per series, not per pair
 
 
-def test_holder_constant_iid_noise_memory_is_bounded():
-    # iid values give every block a wide range, so the fewest pairs prune
-    t = partition_scheme(0.0085, 1.0).all_nodes()
-    paths = np.random.default_rng(3).standard_normal((50, 2, len(t)))
+@pytest.mark.parametrize("delta_cap, batch", [(0.0085, (50, 2)), (0.003, ())],
+                         ids=["50x2-paths", "one-long-series"])
+def test_holder_constant_iid_noise_memory_is_bounded(delta_cap, batch):
+    # iid values give every block a wide range, so the fewest pairs prune;
+    # a single series on 16,335 nodes has far more block pairs than nodes,
+    # so no temporary may hold one entry per pair of blocks
+    t = partition_scheme(delta_cap, 1.0).all_nodes()
+    paths = np.random.default_rng(3).standard_normal(batch + (len(t),))
     tracemalloc.start()
     try:
         holder_constant(t, paths, 0.25)
