@@ -26,7 +26,7 @@ from .malliavin import (DEFAULT_EPSILONS, PAIRING_PREFACTOR,
                         bracket_decomposition, min_eigenvalue_tail,
                         pairing_rhs)
 from .modes import is_plus
-from .quadvar import (event_frequencies, partition_node_count,
+from .quadvar import (GRID_TOL, event_frequencies, partition_node_count,
                       partition_scheme, sample_wiener_ensemble)
 from .simulate import (SimConfig, enstrophy_residual, simulate,
                        simulate_paths)
@@ -194,6 +194,8 @@ def _check_analysis(kind, a, cfg: SimConfig) -> dict:
                                 positive=True)
         if delta_cap > horizon:
             _fail("analysis.delta_cap", "must not exceed the horizon")
+        if delta_cap <= GRID_TOL:
+            _fail("analysis.delta_cap", f"must exceed {GRID_TOL:g}")
         n_processes = _check_int(a.get("n_processes", 2),
                                  "analysis.n_processes", 1)
         n_paths = _check_int(a.get("n_paths", 100), "analysis.n_paths", 1)
@@ -313,8 +315,7 @@ def _run_quadvar(parsed, out_dir: Path):
     a = parsed["_analysis"]
     n_paths = a["n_paths"]
     scheme = partition_scheme(a["delta_cap"], a["horizon"])
-    times = scheme.all_nodes()
-    paths = sample_wiener_ensemble(times, a["n_processes"], n_paths,
+    paths = sample_wiener_ensemble(scheme.nodes, a["n_processes"], n_paths,
                                    seed=parsed["_sim"].seed)
     freq = event_frequencies(paths, scheme)
     rows = [
@@ -374,8 +375,7 @@ def _run_bracket(parsed, out_dir: Path):
         for l in plus:
             li = basis.index[l]
             lhs_series = PAIRING_PREFACTOR * bd.Y[a, :, li]
-            rhs_series = np.array([pairing_rhs(basis, bd.U[i], j, l)
-                                   for i in range(len(bd.times))])
+            rhs_series = pairing_rhs(basis, bd.U, j, l)
             worst = max(worst, float(np.max(np.abs(lhs_series - rhs_series))))
     return {"bracket.csv": {"max_pairing_violation": worst,
                             "pairing_prefactor": float(PAIRING_PREFACTOR)}}

@@ -49,19 +49,6 @@ def admissible(l: Mode, j: Mode) -> bool:
     return dot(perp(l), j) != 0 and norm2(j) != norm2(l)
 
 
-def next_shell(prev: set[Mode], z_zero: set[Mode]) -> set[Mode]:
-    """All admissible sums l+j in Z^2_0 with l in prev and j in z_zero."""
-    out = set()
-    for l in prev:
-        for j in z_zero:
-            s = (l[0] + j[0], l[1] + j[1])
-            if s == (0, 0):
-                continue
-            if admissible(l, j):
-                out.add(s)
-    return out
-
-
 @dataclass
 class ReachabilityResult:
     shells: list  # list[set[Mode]], shell n holds Z_n

@@ -266,21 +266,20 @@ def bracket_pairing(f_coeffs: np.ndarray, g_coeffs: np.ndarray) -> float:
     return float(np.pi ** 2 * np.dot(f_coeffs, g_coeffs))
 
 
-def pairing_rhs(basis, u_coeffs: np.ndarray, j, l) -> float:
+def pairing_rhs(basis, u_coeffs: np.ndarray, j, l) -> np.ndarray:
     """Predicted half pairing (Y_j, e_l) for j, l in the positive class.
 
     PAIRING_PREFACTOR * c(j,l) * [U_{-(l-j)} + U_{-(l+j)}], coefficients
     read at the signed lattice labels (zero when the label leaves the
-    truncated basis).
+    truncated basis). u_coeffs has shape (..., n) and the result (...).
     """
     if not (is_plus(j) and is_plus(l)):
         raise ValueError("pairing formula stated for positive-class modes")
+    u_coeffs = np.asarray(u_coeffs, dtype=float)
 
     def coeff_at(m):
-        if m == (0, 0):
-            return 0.0
-        i = basis.index.get(m)
-        return 0.0 if i is None else float(u_coeffs[i])
+        i = basis.index.get(m)     # None for (0, 0) too
+        return np.zeros(u_coeffs.shape[:-1]) if i is None else u_coeffs[..., i]
 
     diff = (l[0] - j[0], l[1] - j[1])
     sums = (l[0] + j[0], l[1] + j[1])

@@ -40,18 +40,23 @@ class SampledProcess:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("values must be finite")
 
-    def grid_index(self, t: float) -> int:
+    def grid_index(self, t):
+        """Grid index of a time, or an index array for an array of times."""
+        t = np.asarray(t, dtype=float)
         dt = self.times[1] - self.times[0]
-        i = int(round((t - self.times[0]) / dt))
-        if i < 0 or i >= len(self.times) or abs(self.times[i] - t) > GRID_TOL:
-            raise ValueError(f"time {t} is not on the sample grid")
-        return i
+        i = np.rint((t - self.times[0]) / dt).astype(int)
+        off = (i < 0) | (i >= len(self.times))
+        if not off.any():
+            off = np.abs(self.times[i] - t) > GRID_TOL
+        if off.any():
+            raise ValueError(f"time {t[off][0]} is not on the sample grid")
+        return int(i) if i.ndim == 0 else i
 
 
 def qv_estimate(z: SampledProcess, partition) -> float:
     """Sum of squared increments of z over the given partition times."""
-    idx = [z.grid_index(t) for t in partition]
-    if sorted(idx) != idx:
+    idx = z.grid_index(partition)
+    if np.any(np.diff(idx) < 0):
         raise ValueError("partition times must be nondecreasing")
     vals = z.values[idx]
     return float(np.sum(np.diff(vals) ** 2))
@@ -59,8 +64,8 @@ def qv_estimate(z: SampledProcess, partition) -> float:
 
 def cross_qv(z1: SampledProcess, z2: SampledProcess, partition) -> float:
     """Sum of increment products of two processes over a shared partition."""
-    i1 = [z1.grid_index(t) for t in partition]
-    i2 = [z2.grid_index(t) for t in partition]
+    i1 = z1.grid_index(partition)
+    i2 = z2.grid_index(partition)
     return float(np.sum(np.diff(z1.values[i1]) * np.diff(z2.values[i2])))
 
 
@@ -73,49 +78,42 @@ class PartitionScheme:
     horizon: float
     block_times: np.ndarray         # t_0 .. t_m, t_m = horizon
     m: int                          # number of blocks
-    block_nodes: list               # per block k: array s_0(k) .. s_M(k)
+    nodes: np.ndarray               # sorted node union s_0(0) .. s_M(m-1)
+    starts: np.ndarray              # block k is nodes[starts[k]:starts[k+1]+1]
 
     def counts(self) -> np.ndarray:
         """M(k) per block: number of fine increments inside block k."""
-        return np.array([len(nodes) - 1 for nodes in self.block_nodes])
-
-    def all_nodes(self) -> np.ndarray:
-        """Sorted union of every within-block node."""
-        return np.unique(np.concatenate(self.block_nodes))
+        return np.diff(self.starts)
 
 
-def partition_scheme(delta_cap: float, horizon: float) -> PartitionScheme:
-    if not 0 < delta_cap <= horizon:
-        raise ValueError("need 0 < delta_cap <= horizon")
-    delta = delta_cap ** (5.0 / 3.0)
-    block_times = [0.0]
-    while block_times[-1] < horizon - GRID_TOL:
-        block_times.append(min(len(block_times) * delta_cap, horizon))
-    block_times = np.asarray(block_times)
-    m = len(block_times) - 1
-    block_nodes = []
-    for k in range(m):
-        t0, t1 = block_times[k], block_times[k + 1]
-        nodes = [t0]
-        ell = 1
-        while nodes[-1] < t1 - GRID_TOL:
-            nodes.append(min(t0 + ell * delta, t1))
-            ell += 1
-        block_nodes.append(np.asarray(nodes))
-    return PartitionScheme(delta_cap, delta, horizon, block_times, m,
-                           block_nodes)
-
-
-def partition_node_count(delta_cap: float, horizon: float) -> int:
-    """len(partition_scheme(delta_cap, horizon).all_nodes()), in closed form:
-    one shared start plus ceil(width / delta) fine steps per block."""
-    if not 0 < delta_cap <= horizon:
-        raise ValueError("need 0 < delta_cap <= horizon")
+def _block_counts(delta_cap: float, horizon: float):
+    """(delta, m, steps per full block, steps in the last block)."""
+    if not GRID_TOL < delta_cap <= horizon:
+        raise ValueError("need GRID_TOL < delta_cap <= horizon")
     delta = delta_cap ** (5.0 / 3.0)
     m = math.ceil((horizon - GRID_TOL) / delta_cap)
     last = horizon - (m - 1) * delta_cap
-    return (1 + (m - 1) * math.ceil((delta_cap - GRID_TOL) / delta)
-            + math.ceil((last - GRID_TOL) / delta))
+    return (delta, m, math.ceil((delta_cap - GRID_TOL) / delta),
+            math.ceil((last - GRID_TOL) / delta))
+
+
+def partition_scheme(delta_cap: float, horizon: float) -> PartitionScheme:
+    """Block k holds t_k + l delta for l < M(k), then ends on t_(k+1)."""
+    delta, m, full, last = _block_counts(delta_cap, horizon)
+    block_times = np.minimum(np.arange(m + 1) * delta_cap, horizon)
+    nodes = np.concatenate([
+        (block_times[:-2, None] + np.arange(full) * delta).ravel(),
+        block_times[-2] + np.arange(last) * delta, block_times[-1:]])
+    starts = np.append(np.arange(m) * full, (m - 1) * full + last)
+    return PartitionScheme(delta_cap, delta, horizon, block_times, m, nodes,
+                           starts)
+
+
+def partition_node_count(delta_cap: float, horizon: float) -> int:
+    """len(partition_scheme(delta_cap, horizon).nodes), from the same block
+    counts and without building the partition."""
+    _, m, full, last = _block_counts(delta_cap, horizon)
+    return 1 + (m - 1) * full + last
 
 
 def sample_wiener_ensemble(times, n_processes: int, n_paths: int,
@@ -279,32 +277,31 @@ def event_frequencies(wiener_paths: np.ndarray, scheme: PartitionScheme,
                       events: str = "abc") -> EventFrequencies:
     """Empirical frequencies of the three bad events over an ensemble.
 
-    wiener_paths has shape (n_paths, N, n_times) sampled on the scheme's
-    node union. Event a: some block/process has mean normalized squared
-    increment <= 1/2. Event b: some block and process pair has mean
-    normalized cross product >= delta_cap^(3/14) / (3 N^2). Event c: some
-    process exceeds delta_cap^(-1/28) in the max of sup norm and
-    1/4-Hoelder constant; the sup norm is checked first, and one batched
-    Hoelder scan covers the paths it leaves open. `events` selects which
-    indicators to evaluate; skipped events report frequency 0 with the
-    trivial [0, 1] interval.
+    wiener_paths has shape (n_paths, N, n_times) sampled on scheme.nodes,
+    which block k spans from scheme.starts[k] to scheme.starts[k+1]. Event
+    a: some block/process has mean normalized squared increment <= 1/2.
+    Event b: some block and process pair has mean normalized cross product
+    >= delta_cap^(3/14) / (3 N^2). Event c: some process exceeds
+    delta_cap^(-1/28) in the max of sup norm and 1/4-Hoelder constant; the
+    sup norm is checked first, and one batched Hoelder scan covers the paths
+    it leaves open. `events` selects which indicators to evaluate; skipped
+    events report frequency 0 with the trivial [0, 1] interval.
     """
     paths = np.asarray(wiener_paths, dtype=float)
     if paths.ndim != 3:
         raise ValueError("expected (n_paths, N, n_times) ensemble")
     n_paths, n_proc, n_times = paths.shape
-    times = scheme.all_nodes()
+    times = scheme.nodes
     if len(times) != n_times:
         raise ValueError("ensemble does not match the node times")
-    block_idx = [np.searchsorted(times, nodes - GRID_TOL)
-                 for nodes in scheme.block_nodes]
     thresh_b = scheme.delta_cap ** (3.0 / 14.0) / (3.0 * n_proc ** 2)
     thresh_c = scheme.delta_cap ** (-1.0 / 28.0)
     hit_a = np.zeros(n_paths, dtype=bool)
     hit_b = np.zeros(n_paths, dtype=bool)
     iu = np.triu_indices(n_proc, k=1)
     if "a" in events or "b" in events:
-        for pos in block_idx:
+        for k in range(scheme.m):
+            pos = slice(scheme.starts[k], scheme.starts[k + 1] + 1)
             dt = np.diff(times[pos])
             incr = np.diff(paths[:, :, pos], axis=2) / np.sqrt(dt)
             if "a" in events:

@@ -256,8 +256,7 @@ def test_acceptance_08_bracket_formulas(capsys):
         for l in plus:
             li = basis.index[l]
             lhs = PAIRING_PREFACTOR * dec.Y[a, :, li]
-            rhs = np.array([pairing_rhs(basis, dec.U[i], j, l)
-                            for i in range(len(dec.times))])
+            rhs = pairing_rhs(basis, dec.U, j, l)
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
             # fit the single global constant: lhs = C * (rhs / prefactor)
             base = rhs / PAIRING_PREFACTOR
@@ -338,12 +337,10 @@ def test_acceptance_10_gaussian_bounds(capsys):
     # here) is compared as before.
     n_proc = 2
     scheme = partition_scheme(0.04, 1.0)
-    t = scheme.all_nodes()
-    paths = sample_wiener_ensemble(t, n_proc, 10_000, seed=91)
+    paths = sample_wiener_ensemble(scheme.nodes, n_proc, 10_000, seed=91)
     freq = event_frequencies(paths, scheme, events="ab")
     miss = 1.0
-    for nodes in scheme.block_nodes:
-        n_k = len(nodes) - 1
+    for n_k in scheme.counts().tolist():
         miss *= (1.0 - chi_square_cdf(0.5 * n_k, n_k)) ** n_proc
     exact_a = 1.0 - miss
     exact_a_ok = freq.ci_a[0] <= exact_a <= freq.ci_a[1]

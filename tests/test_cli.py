@@ -224,6 +224,8 @@ def test_exit_2_on_schema_error_writes_no_manifest(tmp_path):
     pytest.param("quadvar", {}, {"delta_cap": 0.2, "n_processes": 0},
                  id="n_processes-zero"),
     pytest.param("quadvar", {}, {"delta_cap": 2.0}, id="delta_cap-past-horizon"),
+    pytest.param("quadvar", {}, {"delta_cap": 1e-10},
+                 id="delta_cap-below-grid-tol"),
     pytest.param("quadvar", {}, {"delta_cap": 1e-4},
                  id="quadvar-ensemble-over-budget"),
     pytest.param("control", {}, dict(CONTROL, tol="a"), id="tol-string"),

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from vortexlab.lattice import (ForcingGeometry, admissible, is_generating,
-                               next_shell, reachable_modes, span_index,
-                               symmetric_part)
+                               reachable_modes, span_index, symmetric_part)
 
 from conftest import Z_STAR
 
@@ -47,7 +46,7 @@ def test_admissible_conditions():
 
 
 def test_next_shell_of_canonical_forcing():
-    shell = next_shell(set(Z_STAR), set(Z_STAR))
+    shell = reachable_modes(ForcingGeometry(frozenset(Z_STAR)), 3.0).shells[0]
     # l=(1,0), j=(1,1) -> (2,1); l=(1,1), j=(1,0) -> (2,1); with negatives
     # and l=(1,0)+j=(-1,-1) -> (0,-1) etc.
     assert (2, 1) in shell and (-2, -1) in shell

@@ -238,17 +238,19 @@ def test_bracket_pairing_identity_random_states():
     rng = np.random.default_rng(50)
     plus = [k for k in basis.modes if (k[1] > 0) or (k[1] == 0 and k[0] > 0)]
     worst = 0.0
-    for _ in range(20):
-        u = SpectralField(basis, rng.standard_normal(len(basis)))
-        for j in [(1, 0), (1, 1), (2, 1)]:
-            ej = SpectralField.single_mode(basis, j)
-            y = (adjoint_C(u, ej) - nonlinearity_B(ej, u)).coeffs
-            for l in plus:
-                if l == j:
-                    continue
-                lhs = bracket_pairing(y, SpectralField.single_mode(basis, l).coeffs)
-                rhs = pairing_rhs(basis, u.coeffs, j, l)
-                worst = max(worst, abs(lhs - rhs))
+    us = [SpectralField(basis, rng.standard_normal(len(basis)))
+          for _ in range(20)]
+    states = np.array([u.coeffs for u in us])
+    for j in [(1, 0), (1, 1), (2, 1)]:
+        ej = SpectralField.single_mode(basis, j)
+        ys = [(adjoint_C(u, ej) - nonlinearity_B(ej, u)).coeffs for u in us]
+        for l in plus:
+            if l == j:
+                continue
+            el = SpectralField.single_mode(basis, l).coeffs
+            lhs = np.array([bracket_pairing(y, el) for y in ys])
+            rhs = pairing_rhs(basis, states, j, l)
+            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     assert worst < 1e-12
 
 

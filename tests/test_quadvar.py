@@ -23,9 +23,12 @@ from vortexlab.quadvar import (BLOCK_EXPONENT, CASCADE_RATIO, SampledProcess,
 def test_sampled_process_validates_grid():
     t = np.linspace(0.0, 1.0, 11)
     sp = SampledProcess(t, t ** 2)
-    assert sp.grid_index(0.3) == 3
+    assert sp.grid_index(0.3) == 3 and isinstance(sp.grid_index(0.3), int)
     with pytest.raises(ValueError):
         sp.grid_index(0.35)
+    assert np.array_equal(sp.grid_index(t[::5]), [0, 5, 10])
+    with pytest.raises(ValueError):
+        sp.grid_index(np.array([0.1, 0.2, 0.35, 0.4]))
     with pytest.raises(ValueError):
         SampledProcess(np.array([0.0, 0.1, 0.15]), np.zeros(3))
 
@@ -85,7 +88,8 @@ def test_partition_scheme_example():
     assert np.all(counts >= math.floor(lower))
     assert np.all(counts <= math.ceil(lower) + 1)
     assert s.block_times[0] == 0.0 and s.block_times[-1] == 1.0
-    for k, nodes in enumerate(s.block_nodes):
+    for k in range(s.m):
+        nodes = s.nodes[s.starts[k]:s.starts[k + 1] + 1]
         assert nodes[0] == s.block_times[k]
         assert nodes[-1] == s.block_times[k + 1]
         assert np.all(np.diff(nodes) > 0)
@@ -103,9 +107,16 @@ def test_partition_scheme_single_block_and_validation():
 def test_partition_node_count_matches_scheme():
     for dc, horizon in [(0.02, 1.0), (0.0085, 1.0), (0.2, 1.0), (0.3, 1.0),
                         (1.0, 1.0), (0.07, 2.0), (0.5, 1.0), (0.03, 2.5),
-                        (0.004, 1.0), (0.25, 0.7)]:
-        want = len(partition_scheme(dc, horizon).all_nodes())
+                        (0.004, 1.0), (0.25, 0.7), (0.001, 1.0)]:
+        want = len(partition_scheme(dc, horizon).nodes)
         assert partition_node_count(dc, horizon) == want, (dc, horizon)
+    # at delta_cap = 0.001, t_k + M delta falls 4.3e-19 short of t_(k+1) in
+    # 8 blocks; each block must still end on its block time, with no
+    # sub-GRID_TOL step before it
+    s = partition_scheme(0.001, 1.0)
+    assert len(s.nodes) == 100_001
+    assert np.array_equal(s.nodes[s.starts[1:]], s.block_times[1:])
+    assert np.diff(s.nodes).min() > quadvar.GRID_TOL
     # the CLI's quadvar default grid at delta_cap = 1e-4, never built
     assert partition_node_count(1e-4, 1.0) == 4_650_001
     with pytest.raises(ValueError):
@@ -260,7 +271,7 @@ def _lag_holder(t, v, alpha):
 def test_holder_constant_chunked_scan_matches_lag_scan():
     # 2942 sorted nodes split the seed, the block rows and the scored tiles
     # into many chunks each
-    t = partition_scheme(0.0085, 1.0).all_nodes()
+    t = partition_scheme(0.0085, 1.0).nodes
     v = np.stack([sample_wiener_ensemble(t, 3, 1, seed=8)[0],
                   np.random.default_rng(8).standard_normal((3, len(t)))])
     assert np.array_equal(holder_constant(t, v, 0.25), _lag_holder(t, v, 0.25))
@@ -278,7 +289,7 @@ def test_holder_constant_chunked_scan_matches_lag_scan():
 
 
 def test_holder_constant_memory_is_bounded():
-    t = partition_scheme(0.0085, 1.0).all_nodes()
+    t = partition_scheme(0.0085, 1.0).nodes
     assert len(t) == 2942
     v = sample_wiener_ensemble(t, 1, 1, seed=3)[0, 0]
     tracemalloc.start()
@@ -291,7 +302,7 @@ def test_holder_constant_memory_is_bounded():
 
 
 def test_holder_constant_batched_memory_is_bounded():
-    t = partition_scheme(0.0085, 1.0).all_nodes()
+    t = partition_scheme(0.0085, 1.0).nodes
     paths = sample_wiener_ensemble(t, 2, 50, seed=3)
     tracemalloc.start()
     try:
@@ -308,7 +319,7 @@ def test_holder_constant_iid_noise_memory_is_bounded(delta_cap, batch):
     # iid values give every block a wide range, so the fewest pairs prune;
     # a single series on 16,335 nodes has far more block pairs than nodes,
     # so no temporary may hold one entry per pair of blocks
-    t = partition_scheme(delta_cap, 1.0).all_nodes()
+    t = partition_scheme(delta_cap, 1.0).nodes
     paths = np.random.default_rng(3).standard_normal(batch + (len(t),))
     tracemalloc.start()
     try:
@@ -323,7 +334,7 @@ def test_holder_constant_iid_noise_memory_is_bounded(delta_cap, batch):
 
 def test_event_frequencies_shapes_and_bounds():
     s = partition_scheme(0.2, 1.0)
-    t = s.all_nodes()
+    t = s.nodes
     paths = sample_wiener_ensemble(t, 2, 50, seed=9)
     f = event_frequencies(paths, s)
     assert f.n_paths == 50
@@ -336,7 +347,7 @@ def test_event_frequencies_shapes_and_bounds():
 
 def test_event_b_impossible_with_single_process():
     s = partition_scheme(0.2, 1.0)
-    t = s.all_nodes()
+    t = s.nodes
     paths = sample_wiener_ensemble(t, 1, 30, seed=10)
     f = event_frequencies(paths, s)
     assert f.freq_b == 0.0
@@ -344,7 +355,7 @@ def test_event_b_impossible_with_single_process():
 
 def test_event_c_is_max_of_sup_and_holder():
     s = partition_scheme(0.3, 1.0)
-    t = s.all_nodes()
+    t = s.nodes
     paths = sample_wiener_ensemble(t, 1, 30, seed=12)
     f = event_frequencies(paths, s)
     thresh = 0.3 ** (-1.0 / 28.0)
@@ -358,7 +369,7 @@ def test_event_c_is_max_of_sup_and_holder():
 
 def test_event_selection_skips_work():
     s = partition_scheme(0.2, 1.0)
-    t = s.all_nodes()
+    t = s.nodes
     paths = sample_wiener_ensemble(t, 2, 20, seed=11)
     f = event_frequencies(paths, s, events="ab")
     assert f.freq_c == 0.0 and f.ci_c == (0.0, 1.0)
