@@ -8,6 +8,8 @@ of the forward one-step maps and is what the control-search gradient uses,
 so that adjoint gradients match finite differences of the discrete objective
 to roundoff rather than to O(dt). All three steps are written once, as the
 methods of `Stepper`.
+
+Both column flows return their node history (i1-i0+1, n, m), index 0 at s.
 """
 
 from __future__ import annotations
@@ -66,31 +68,36 @@ class Stepper:
 def tangent_flow(traj: Trajectory, s: float, phi: SpectralField,
                  t: float) -> SpectralField:
     """J_{s,t} phi: forward linearization along the stored states."""
-    V = tangent_flow_columns(traj, s, phi.coeffs[:, None], t)
+    V = tangent_flow_columns(traj, s, phi.coeffs[:, None], t)[-1]
     return SpectralField(traj.basis, V[:, 0])
 
 
 def tangent_flow_columns(traj: Trajectory, s: float, phi_cols: np.ndarray,
                          t: float) -> np.ndarray:
-    """Tangent flow applied to every column of phi_cols at once."""
+    """Tangent flow applied to every column of phi_cols at once.
+
+    Returns the history (i1-i0+1, n, m): index 0 holds phi_cols at s and
+    index k the columns propagated to times[i0+k], so [-1] is J_{s,t}.
+    """
     i0, i1 = _window(traj, s, t)
     stepper = Stepper(traj)
     V = np.column_stack([np.asarray(phi_cols, dtype=float)])
+    hist = np.empty((i1 - i0 + 1,) + V.shape)
+    hist[0] = V
     for i in range(i0, i1):
-        V = stepper.tangent(i, V)
-    return V
+        hist[i + 1 - i0] = stepper.tangent(i, hist[i - i0])
+    return hist
 
 
 def adjoint_flow(traj: Trajectory, t: float, phi: SpectralField,
                  s: float, discrete_transpose: bool = False) -> SpectralField:
     U = adjoint_flow_columns(traj, t, phi.coeffs[:, None], s,
-                             discrete_transpose=discrete_transpose)
+                             discrete_transpose=discrete_transpose)[0]
     return SpectralField(traj.basis, U[:, 0])
 
 
 def adjoint_flow_columns(traj: Trajectory, t: float, phi_cols: np.ndarray,
-                         s: float, discrete_transpose: bool = False,
-                         record: bool = False):
+                         s: float, discrete_transpose: bool = False):
     """Backward adjoint flow U^{t,phi}(s) applied columnwise.
 
     Default stepping integrates the backward equation in reversed time
@@ -98,21 +105,18 @@ def adjoint_flow_columns(traj: Trajectory, t: float, phi_cols: np.ndarray,
     applies the exact transpose of the forward tangent step instead
     (`Stepper.transpose`).
 
-    record=True returns the whole history (i1-i0+1, n, m), index 0 at s.
+    Returns the history (i1-i0+1, n, m): index -1 holds phi_cols at t and
+    index k the columns carried back to times[i0+k], so [0] is U(s).
     """
     i0, i1 = _window(traj, s, t)
     stepper = Stepper(traj)
     step = stepper.transpose if discrete_transpose else stepper.adjoint
     U = np.column_stack([np.asarray(phi_cols, dtype=float)])
-    hist = None
-    if record:
-        hist = np.empty((i1 - i0 + 1, U.shape[0], U.shape[1]))
-        hist[i1 - i0] = U
+    hist = np.empty((i1 - i0 + 1,) + U.shape)
+    hist[-1] = U
     for i in range(i1 - 1, i0 - 1, -1):
-        U = step(i, U)
-        if record:
-            hist[i - i0] = U
-    return (U, hist) if record else U
+        hist[i - i0] = step(i, hist[i + 1 - i0])
+    return hist
 
 
 def duality_drift(traj: Trajectory, k, s: float, t: float,
@@ -126,13 +130,8 @@ def duality_drift(traj: Trajectory, k, s: float, t: float,
     if i0 >= i1:
         raise ValueError("need s < t")
     ek = SpectralField.single_mode(traj.basis, tuple(k))
-    # V history forward from s, U history backward from t
-    stepper = Stepper(traj)
-    v_hist = np.empty((i1 - i0 + 1, len(ek.coeffs), 1))
-    v_hist[0, :, 0] = ek.coeffs
-    for i in range(i0, i1):
-        v_hist[i + 1 - i0] = stepper.tangent(i, v_hist[i - i0])
-    _, u_hist = adjoint_flow_columns(traj, t, phi.coeffs[:, None], s, record=True)
+    v_hist = tangent_flow_columns(traj, s, ek.coeffs[:, None], t)
+    u_hist = adjoint_flow_columns(traj, t, phi.coeffs[:, None], s)
     pairing = TWO_PI_SQ * np.einsum("inm,inm->i", v_hist, u_hist)
     return float(np.max(np.abs(pairing - pairing.mean())))
 
@@ -154,8 +153,8 @@ def second_variation(traj: Trajectory, s1: float, phi1: SpectralField,
         return SpectralField(basis)
     # bring both first variations up to the start of the second-order window
     t_start = traj.times[start]
-    v1 = tangent_flow_columns(traj, s1, phi1.coeffs, t_start)
-    v2 = tangent_flow_columns(traj, s2, phi2.coeffs, t_start)
+    v1 = tangent_flow_columns(traj, s1, phi1.coeffs, t_start)[-1]
+    v2 = tangent_flow_columns(traj, s2, phi2.coeffs, t_start)[-1]
     # columns v1, v2 and psi share each step; psi also takes the source
     stepper = Stepper(traj)
     X = np.hstack((v1, v2, np.zeros_like(v1)))
@@ -184,16 +183,14 @@ def control_gradient(traj: Trajectory, residual_proj: np.ndarray,
     Backpropagates through the discrete forward steps (discrete transpose),
     so the gradient matches central finite differences to roundoff.
     """
-    stepper = Stepper(traj)
     forced = traj.forced_indices
     adj = np.zeros((len(traj.basis), 1))
     adj[proj_idx, 0] = residual_proj
-    grad = np.zeros((traj.n_steps(), len(forced)))
-    for i in range(traj.n_steps() - 1, -1, -1):
-        # w_{i+1} = decay*(w_i + dt*(N(w_i) + Q h_i)): h_i enters as dt*decay
-        grad[i] = stepper.dt * (stepper.decay * adj)[forced, 0]
-        adj = stepper.transpose(i, adj)
-    return grad
+    hist = adjoint_flow_columns(traj, traj.config.t_final, adj, 0.0,
+                                discrete_transpose=True)
+    # h_i enters w_{i+1} = decay*(w_i + dt*(N(w_i) + Q h_i)) as dt*decay
+    stepper = Stepper(traj)
+    return stepper.dt * (stepper.decay[forced, 0] * hist[1:, forced, 0])
 
 
 def control_search(config: SimConfig, projection, target, s: float, t: float,

@@ -94,8 +94,8 @@ def malliavin_forward(traj: Trajectory, t: float, subspace,
     if method == "gram":
         cols = np.zeros((n, len(idx)))
         cols[idx, np.arange(len(idx))] = 1.0
-        _, hist = adjoint_flow_columns(traj, t, cols, 0.0,
-                                       discrete_transpose=True, record=True)
+        hist = adjoint_flow_columns(traj, t, cols, 0.0,
+                                    discrete_transpose=True)
         # hist[i, k, a] = V_{k, s_i}(t)[subspace a]; trapezoid in s, with
         # the square roots of the weights in the factor X, M = X^T X
         weights = np.full(i_t + 1, dt)
@@ -128,9 +128,7 @@ def malliavin_backward_form(traj: Trajectory, t: float,
     backward stepping discretizes the adjoint equation directly, so this is
     an independent realization of the forward Gram value.
     """
-    i_t = traj.grid_index(t)
-    _, hist = adjoint_flow_columns(traj, t, phi.coeffs[:, None], 0.0,
-                                   record=True)
+    hist = adjoint_flow_columns(traj, t, phi.coeffs[:, None], 0.0)
     sq = np.sum(hist[:, traj.forced_indices, 0] ** 2, axis=1)
     return float(TWO_PI_SQ * np.trapezoid(sq, dx=traj.config.dt))
 
@@ -221,8 +219,7 @@ def bracket_decomposition(traj: Trajectory, t0: float, T: float,
     i0, i1 = traj.grid_index(t0), traj.grid_index(T)
     if i0 >= i1:
         raise ValueError("need t0 < T")
-    _, hist = adjoint_flow_columns(traj, T, phi.coeffs[:, None], t0,
-                                   record=True)
+    hist = adjoint_flow_columns(traj, T, phi.coeffs[:, None], t0)
     U = hist[:, :, 0]
     n_nodes = i1 - i0 + 1
     forced = traj.forced_indices

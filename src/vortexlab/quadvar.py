@@ -100,7 +100,7 @@ def _block_counts(delta_cap: float, horizon: float):
 def partition_scheme(delta_cap: float, horizon: float) -> PartitionScheme:
     """Block k holds t_k + l delta for l < M(k), then ends on t_(k+1)."""
     delta, m, full, last = _block_counts(delta_cap, horizon)
-    block_times = np.minimum(np.arange(m + 1) * delta_cap, horizon)
+    block_times = np.append(np.arange(m) * delta_cap, horizon)
     nodes = np.concatenate([
         (block_times[:-2, None] + np.arange(full) * delta).ravel(),
         block_times[-2] + np.arange(last) * delta, block_times[-1:]])

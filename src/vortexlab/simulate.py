@@ -46,8 +46,10 @@ class SimConfig:
         steps = self.t_final / self.dt
         if abs(steps - round(steps)) > 1e-9 * steps:
             raise ValueError("t_final must be a whole number of steps dt")
+        # the radius of basis(), read without building it
+        r = self.radius if self.initial is None else self.initial.basis.radius
         for k in self.forcing.z_star:
-            if k[0] ** 2 + k[1] ** 2 > self.radius ** 2:
+            if k[0] ** 2 + k[1] ** 2 > r ** 2:
                 raise ValueError(f"forced mode {k} outside basis radius")
 
     def basis(self) -> Basis:

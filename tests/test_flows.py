@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from vortexlab.flows import (Stepper, adjoint_flow, control_gradient,
-                             control_search, duality_drift, second_variation,
-                             tangent_flow, tangent_flow_columns)
+from vortexlab.flows import (Stepper, adjoint_flow, adjoint_flow_columns,
+                             control_gradient, control_search, duality_drift,
+                             second_variation, tangent_flow,
+                             tangent_flow_columns)
 from vortexlab.lattice import ForcingGeometry
 from vortexlab.simulate import SimConfig, simulate
 from vortexlab.spectral import SpectralField, inner
@@ -56,6 +57,28 @@ def test_tangent_flow_linearity_and_window():
     # degenerate window is the identity
     same = tangent_flow(traj, 0.05, a, 0.05)
     assert np.array_equal(same.coeffs, a.coeffs)
+
+
+def test_flow_histories_hold_the_shortened_flows_endpoints():
+    # hist[k] is, bit for bit, the endpoint of the same flow over the
+    # window cut short at times[i0 + k]
+    traj = make_traj(t_final=0.02, dt=2e-3)
+    cols = np.random.default_rng(4).standard_normal((len(traj.basis), 2))
+    i0, i1 = 2, 8
+    s, t = traj.times[i0], traj.times[i1]
+    hist = tangent_flow_columns(traj, s, cols, t)
+    assert hist.shape == (i1 - i0 + 1, len(traj.basis), 2)
+    for k in range(i1 - i0 + 1):
+        end = tangent_flow_columns(traj, s, cols, traj.times[i0 + k])[-1]
+        assert np.array_equal(hist[k], end)
+    for discrete in (False, True):
+        hist = adjoint_flow_columns(traj, t, cols, s,
+                                    discrete_transpose=discrete)
+        assert hist.shape == (i1 - i0 + 1, len(traj.basis), 2)
+        for k in range(i1 - i0 + 1):
+            end = adjoint_flow_columns(traj, t, cols, traj.times[i0 + k],
+                                       discrete_transpose=discrete)[0]
+            assert np.array_equal(hist[k], end)
 
 
 def test_adjoint_duality_discrete_transpose_exact():
@@ -226,7 +249,7 @@ def test_control_gradient_agrees_with_gramian_columns():
         cols = np.zeros((len(basis), 4))
         for f_pos, f_idx in enumerate(forced):
             cols[f_idx, f_pos] = cfg.dt * decay[f_idx]
-        prop = tangent_flow_columns(traj, (i + 1) * cfg.dt, cols, cfg.t_final)
+        prop = tangent_flow_columns(traj, (i + 1) * cfg.dt, cols, cfg.t_final)[-1]
         G[:, i, :] = prop[proj_idx, :]
     want = np.einsum("a,aif->if", r, G)
     got = control_gradient(traj, r, proj_idx)

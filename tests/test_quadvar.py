@@ -121,6 +121,10 @@ def test_partition_node_count_matches_scheme():
     assert partition_node_count(1e-4, 1.0) == 4_650_001
     with pytest.raises(ValueError):
         partition_node_count(2.0, 1.0)
+    # 3 * 0.3 rounds one ulp below 0.9; the last block still ends on it
+    s = partition_scheme(0.3, 0.9)
+    assert partition_node_count(0.3, 0.9) == len(s.nodes)
+    assert s.block_times[-1] == s.nodes[-1] == 0.9
 
 
 def test_partition_block_count_bound():

@@ -28,6 +28,12 @@ def test_config_validation():
                   radius=6.0)
     with pytest.raises(ValueError, match="whole number of steps"):
         SimConfig(nu=1.0, forcing=EMPTY, dt=0.3, t_final=1.0)
+    # forced modes are checked against the basis simulated on, which is the
+    # initial field's when one is given (radius 2 lacks (2, 1))
+    wide = ForcingGeometry(frozenset({(2, 1), (-2, -1), (1, 1), (-1, -1)}))
+    with pytest.raises(ValueError, match="outside basis"):
+        SimConfig(nu=0.5, forcing=wide, dt=1e-2, t_final=0.05,
+                  initial=SpectralField(Basis.build(2.0)))
     # representation error in t_final / dt is not a partial step
     assert SimConfig(nu=1.0, forcing=EMPTY, dt=0.002, t_final=0.05).n_steps() == 25
 
