@@ -18,6 +18,7 @@ import numpy as np
 from . import rng
 
 GRID_TOL = 1e-9
+_RUN_VALUES = 2 ** 13    # a/b products per run; 2**14 grew peak RSS
 
 
 @dataclass
@@ -281,10 +282,13 @@ def event_frequencies(wiener_paths: np.ndarray, scheme: PartitionScheme,
     which block k spans from scheme.starts[k] to scheme.starts[k+1]. Event
     a: some block/process has mean normalized squared increment <= 1/2.
     Event b: some block and process pair has mean normalized cross product
-    >= delta_cap^(3/14) / (3 N^2). Event c: some process exceeds
+    >= delta_cap^(3/14) / (3 N^2). Both come from one pass over runs of
+    whole blocks: per run one diff, the products of every process pair and
+    one reduceat at the block starts, each temporary near _RUN_VALUES values
+    (one block's when that is more). Event c: some process exceeds
     delta_cap^(-1/28) in the max of sup norm and 1/4-Hoelder constant; the
     sup norm is checked first, and one batched Hoelder scan covers the paths
-    it leaves open. `events` selects which indicators to evaluate; skipped
+    it leaves open. `events` selects which indicators to report; skipped
     events report frequency 0 with the trivial [0, 1] interval.
     """
     paths = np.asarray(wiener_paths, dtype=float)
@@ -296,39 +300,32 @@ def event_frequencies(wiener_paths: np.ndarray, scheme: PartitionScheme,
         raise ValueError("ensemble does not match the node times")
     thresh_b = scheme.delta_cap ** (3.0 / 14.0) / (3.0 * n_proc ** 2)
     thresh_c = scheme.delta_cap ** (-1.0 / 28.0)
-    hit_a = np.zeros(n_paths, dtype=bool)
-    hit_b = np.zeros(n_paths, dtype=bool)
-    iu = np.triu_indices(n_proc, k=1)
+    hit_a, hit_b, hit_c = np.zeros((3, n_paths), dtype=bool)
     if "a" in events or "b" in events:
-        for k in range(scheme.m):
-            pos = slice(scheme.starts[k], scheme.starts[k + 1] + 1)
+        pa, pb = np.triu_indices(n_proc)            # pa == pb: event a
+        starts, counts = scheme.starts, scheme.counts()
+        run = max(1, _RUN_VALUES // (n_paths * len(pa) * counts.max()))
+        for k0 in range(0, scheme.m, run):
+            k1 = min(k0 + run, scheme.m)
+            pos = slice(starts[k0], starts[k1] + 1)
             dt = np.diff(times[pos])
             incr = np.diff(paths[:, :, pos], axis=2) / np.sqrt(dt)
-            if "a" in events:
-                qa = np.mean(incr ** 2, axis=2)       # (n_paths, N)
-                hit_a |= np.any(qa <= 0.5, axis=1)
-            if "b" in events and n_proc > 1:
-                cross = np.abs(np.einsum("pit,pjt->pij", incr, incr)) / len(dt)
-                hit_b |= np.any(cross[:, iu[0], iu[1]] >= thresh_b, axis=1)
-    hit_c = np.zeros(n_paths, dtype=bool)
+            prod = incr[:, pa]
+            prod *= incr[:, pb]
+            mean = np.add.reduceat(prod, starts[k0:k1] - starts[k0], axis=2)
+            mean /= counts[k0:k1]                   # (n_paths, pairs, blocks)
+            hit_a |= np.any(mean[:, pa == pb] <= 0.5, axis=(1, 2))
+            hit_b |= np.any(np.abs(mean[:, pa < pb]) >= thresh_b, axis=(1, 2))
     if "c" in events:
         hit_c |= np.any(np.max(np.abs(paths), axis=2) > thresh_c, axis=1)
-        open_paths = ~hit_c
-        if open_paths.any():
-            holder = holder_constant(times, paths[open_paths], 0.25)
-            hit_c[open_paths] = np.any(holder > thresh_c, axis=1)
-
-    def interval(hits, wanted):
-        if not wanted:
-            return (0.0, 1.0)
-        return wilson_interval(int(hits.sum()), n_paths)
-
+        holder = holder_constant(times, paths[~hit_c], 0.25)   # open paths
+        hit_c[~hit_c] = np.any(holder > thresh_c, axis=1)
+    wanted = [e in events for e in "abc"]
+    hits = [h & w for h, w in zip((hit_a, hit_b, hit_c), wanted)]
     return EventFrequencies(
-        n_paths,
-        float(hit_a.mean()), float(hit_b.mean()), float(hit_c.mean()),
-        interval(hit_a, "a" in events),
-        interval(hit_b, "b" in events),
-        interval(hit_c, "c" in events),
+        n_paths, *(float(h.mean()) for h in hits),
+        *(wilson_interval(int(h.sum()), n_paths) if w else (0.0, 1.0)
+          for h, w in zip(hits, wanted)),
         omega_a_bound(scheme.delta_cap, scheme.horizon, n_proc),
         omega_b_bound(scheme.delta_cap, scheme.horizon, n_proc))
 

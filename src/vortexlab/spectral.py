@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,6 +29,7 @@ class Basis:
     radius: float
     modes: tuple
     index: dict
+    _laplacian: np.ndarray = field(compare=False, repr=False)
 
     @classmethod
     @functools.lru_cache(maxsize=None, typed=True)
@@ -45,7 +46,9 @@ class Basis:
                 modes.append((k1, k2))
         modes.sort()
         index = {k: i for i, k in enumerate(modes)}
-        return cls(radius=radius, modes=tuple(modes), index=index)
+        lam = np.array([norm2(k) for k in modes], dtype=float)
+        lam.flags.writeable = False         # one array shared by all callers
+        return cls(radius, tuple(modes), index, lam)
 
     def __len__(self) -> int:
         return len(self.modes)
@@ -55,7 +58,7 @@ class Basis:
 
     def laplacian_symbol(self) -> np.ndarray:
         """|k|^2 per mode, the symbol of -Delta on the truncation."""
-        return np.array([norm2(k) for k in self.modes], dtype=float)
+        return self._laplacian
 
 
 class SpectralField:

@@ -381,6 +381,66 @@ def test_event_selection_skips_work():
     assert f.freq_a == full.freq_a and f.freq_b == full.freq_b
 
 
+def _block_loop_hits(paths, scheme, events):
+    """Per-path a and b indicators, one block slice at a time: the reference
+    for the run pass of event_frequencies."""
+    n_paths, n_proc, _ = paths.shape
+    times = scheme.nodes
+    thresh_b = scheme.delta_cap ** (3.0 / 14.0) / (3.0 * n_proc ** 2)
+    hit_a = np.zeros(n_paths, dtype=bool)
+    hit_b = np.zeros(n_paths, dtype=bool)
+    iu = np.triu_indices(n_proc, k=1)
+    for k in range(scheme.m):
+        pos = slice(scheme.starts[k], scheme.starts[k + 1] + 1)
+        dt = np.diff(times[pos])
+        incr = np.diff(paths[:, :, pos], axis=2) / np.sqrt(dt)
+        if "a" in events:
+            qa = np.mean(incr ** 2, axis=2)       # (n_paths, N)
+            hit_a |= np.any(qa <= 0.5, axis=1)
+        if "b" in events and n_proc > 1:
+            cross = np.abs(np.einsum("pit,pjt->pij", incr, incr)) / len(dt)
+            hit_b |= np.any(cross[:, iu[0], iu[1]] >= thresh_b, axis=1)
+    return hit_a, hit_b
+
+
+@pytest.mark.parametrize("events", ["a", "b", "ab"])
+@pytest.mark.parametrize("one_block_runs", [False, True],
+                         ids=["default-runs", "one-block-runs"])
+@pytest.mark.parametrize("delta_cap, horizon, n_proc, n_paths", [
+    (0.5, 0.5, 2, 200), (0.5, 0.5, 1, 200), (0.3, 1.0, 2, 200),
+    (0.5, 1.0, 3, 200), (0.0085, 0.3, 2, 100)])
+def test_event_ab_runs_match_block_loop(delta_cap, horizon, n_proc, n_paths,
+                                        one_block_runs, events, monkeypatch):
+    # on a one-path slice each frequency is that path's indicator
+    if one_block_runs:
+        monkeypatch.setattr(quadvar, "_RUN_VALUES", 1)
+    s = partition_scheme(delta_cap, horizon)
+    paths = sample_wiener_ensemble(s.nodes, n_proc, n_paths, seed=1)
+    want_a, want_b = _block_loop_hits(paths, s, events)
+    assert 0.0 < _block_loop_hits(paths, s, "a")[0].mean() < 1.0
+    got = [event_frequencies(paths[p:p + 1], s, events)
+           for p in range(n_paths)]
+    assert np.array_equal([f.freq_a for f in got], want_a)
+    assert np.array_equal([f.freq_b for f in got], want_b)
+    whole = event_frequencies(paths, s, events)
+    assert (whole.freq_a, whole.freq_b) == (want_a.mean(), want_b.mean())
+
+
+@pytest.mark.parametrize("delta_cap, n_paths, share", [
+    (0.003, 50, 1 / 8),     # 12.8 MB: no temporary spans the ensemble
+    (0.2, 10_000, 2)])      # one block holds more than a run's budget
+def test_event_ab_memory_is_bounded(delta_cap, n_paths, share):
+    s = partition_scheme(delta_cap, 1.0)
+    paths = sample_wiener_ensemble(s.nodes, 2, n_paths, seed=3)
+    tracemalloc.start()
+    try:
+        event_frequencies(paths, s, events="ab")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= share * paths.nbytes
+
+
 def test_omega_bound_values():
     # pinned desk-scale values of the analytic bounds
     assert omega_a_bound(0.04, 1.0, 2) == pytest.approx(12.58, abs=0.01)

@@ -50,6 +50,13 @@ def test_laplacian_symbol(basis4):
         assert lam[i] == k[0] ** 2 + k[1] ** 2
 
 
+def test_laplacian_symbol_is_one_read_only_array(basis4):
+    lam = basis4.laplacian_symbol()
+    assert basis4.laplacian_symbol() is lam
+    with pytest.raises(ValueError):
+        lam[0] = 0.0
+
+
 # ------------------------------------------------------------- pairings
 
 def test_mode_norm_is_two_pi_squared(basis4):
