@@ -261,17 +261,16 @@ def _run_lattice(parsed, out_dir: Path):
     radius = parsed["_sim"].radius
     result = reachable_modes(geometry, radius)
     generating, reason = is_generating(geometry)
-    # shells overlap: each reached mode is written once, with the first
-    # shell that holds it (-1 for a forced mode that no shell holds)
-    rows = sorted((next((n for n, shell in enumerate(result.shells)
-                         if m in shell), -1), m) for m in result.reached)
+    # the shells are disjoint: each reached mode is written with the shell
+    # that holds it (-1 for a forced mode that no shell holds)
+    shell_of = {m: n for n, shell in enumerate(result.shells) for m in shell}
+    rows = sorted((shell_of.get(m, -1), m) for m in result.reached)
     _write_csv(out_dir / "reachability.csv", ["kx", "ky", "shell"],
                [[m[0], m[1], n] for n, m in rows])
     summary = {
         "is_generating": generating,
         "reason": reason,
         "covers_ball": result.covers_ball(radius),
-        "saturated": result.saturated,
         "n_reached": len(result.reached),
     }
     return {"reachability.csv": summary}

@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 from .modes import Mode, check_mode, dot, negate, norm2, perp
 from .spectral import Basis
 
-DEFAULT_MAX_SHELLS = 64
-
 
 def symmetric_part(z_star: set[Mode]) -> set[Mode]:
     """The symmetric part Z* intersected with -Z*."""
@@ -51,22 +49,25 @@ def admissible(l: Mode, j: Mode) -> bool:
 
 @dataclass
 class ReachabilityResult:
-    shells: list  # list[set[Mode]], shell n holds Z_n
+    shells: list  # list[set[Mode]], disjoint: modes first made at step n
     reached: set  # union of shells and z_star
-    saturated: bool
     witness_paths: dict  # mode -> list of (l, j) generation steps
 
     def covers_ball(self, radius: float) -> bool:
         return self.reached.issuperset(Basis.build(radius).modes)
 
 
-def reachable_modes(geometry: ForcingGeometry, radius: float,
-                    max_shells: int = DEFAULT_MAX_SHELLS) -> ReachabilityResult:
-    """Iterate the shell recursion restricted to |k| <= radius until saturation.
+def reachable_modes(geometry: ForcingGeometry,
+                    radius: float) -> ReachabilityResult:
+    """Breadth-first search of the shell recursion restricted to |k| <= radius.
 
-    Modes generated outside the radius are discarded (truncation semantic).
-    Witness paths record the first-found (l, j) generation step under
-    lexicographic iteration, giving a reproducible certificate chain.
+    Shell 0 holds the admissible sums of two modes of Z0 (empty when Z0 is);
+    shell n+1 holds the admissible sums l+j, l in shell n but not in Z0 and
+    j in Z0, that no earlier shell holds. The shells are disjoint and each
+    mode is expanded once, so the finite ball ends the search; there is no
+    cap. Modes generated outside the radius are discarded (truncation
+    semantic). Witness paths record the first-found (l, j) generation step
+    under lexicographic iteration, giving a reproducible certificate chain.
     """
     if geometry.z_star and radius < geometry.max_norm():
         raise ValueError("radius must cover the forcing set")
@@ -74,34 +75,25 @@ def reachable_modes(geometry: ForcingGeometry, radius: float,
     z_zero = sorted(geometry.z_zero)
     shells: list[set[Mode]] = []
     parent: dict[Mode, tuple[Mode, Mode]] = {}
-    seen: set[Mode] = set(geometry.z_zero)
-    prev: set[Mode] = set(geometry.z_zero)
-    saturated = False
-    for _ in range(max_shells):
+    frontier = z_zero
+    generated: set[Mode] = set()
+    while frontier or not shells:
         shell = set()
-        for l in sorted(prev):
+        for l in frontier:
             for j in z_zero:
                 s = (l[0] + j[0], l[1] + j[1])
-                if s == (0, 0) or norm2(s) > r2:
-                    continue
-                if not admissible(l, j):
+                if (s == (0, 0) or norm2(s) > r2 or s in generated
+                        or not admissible(l, j)):
                     continue
                 shell.add(s)
                 if s not in parent and s not in geometry.z_zero:
                     parent[s] = (l, j)
         shells.append(shell)
-        new = shell - seen
-        seen |= shell
-        if not new:
-            saturated = True
-            # the recursion has hit a fixed point within the radius; any
-            # further shell is a subset of what was already generated
-            break
-        prev = shell
+        generated |= shell
+        # a mode of Z0 makes only sums that shell 0 already holds
+        frontier = sorted(shell - geometry.z_zero)
 
-    reached = set(geometry.z_star)
-    for shell in shells:
-        reached |= shell
+    reached = set(geometry.z_star) | generated
 
     witness: dict[Mode, list[tuple[Mode, Mode]]] = {}
     for mode in reached:
@@ -114,7 +106,7 @@ def reachable_modes(geometry: ForcingGeometry, radius: float,
         chain.reverse()
         witness[mode] = chain
     return ReachabilityResult(shells=shells, reached=reached,
-                              saturated=saturated, witness_paths=witness)
+                              witness_paths=witness)
 
 
 def span_index(vectors: list[Mode]) -> int:

@@ -27,7 +27,6 @@ from .spectral import (TWO_PI_SQ, SpectralField, build_interaction_table,
 class MalliavinForm:
     subspace: tuple            # ordered modes spanning the projection
     matrix: np.ndarray         # symmetric, unit-normalized convention
-    provenance: str            # "forward-gram" | "backward-form" | "lyapunov"
     t: float
     trajectory: Trajectory = field(repr=False, default=None)
     factor: np.ndarray = field(repr=False, default=None)  # matrix = X.T @ X
@@ -103,8 +102,7 @@ def malliavin_forward(traj: Trajectory, t: float, subspace,
         weights[0] = weights[-1] = 0.5 * dt if i_t else 0.0
         X = np.sqrt(weights)[:, None, None] * hist[:, forced, :]
         X = X.reshape(-1, len(idx))
-        return MalliavinForm(tuple(subspace), X.T @ X, "forward-gram", t,
-                             traj, X)
+        return MalliavinForm(tuple(subspace), X.T @ X, t, traj, X)
     if method == "lyapunov":
         stepper = Stepper(traj)
         S = np.zeros((n, n))
@@ -116,7 +114,7 @@ def malliavin_forward(traj: Trajectory, t: float, subspace,
             M = Phi @ M @ Phi.T + dt * S
         M = M - 0.5 * dt * S
         M = 0.5 * (M[np.ix_(idx, idx)] + M[np.ix_(idx, idx)].T)
-        return MalliavinForm(tuple(subspace), M, "lyapunov", t, traj)
+        return MalliavinForm(tuple(subspace), M, t, traj)
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -174,7 +174,7 @@ def test_acceptance_05_lattice_theorems(capsys):
             z.add(k); z.add((-k[0], -k[1]))
         g = ForcingGeometry(frozenset(z))
         flag, _ = is_generating(g)
-        res = reachable_modes(g, g.max_norm() + 8.0, max_shells=256)
+        res = reachable_modes(g, g.max_norm() + 8.0)
         brute = res.covers_ball(2.0)
         if flag != brute:
             agree = False

@@ -79,10 +79,18 @@ def test_lattice_subcommand(tmp_path, capsys):
     rows = (out / "reachability.csv").read_text().strip().splitlines()
     assert rows[0] == "kx,ky,shell"
     assert len(rows) > 10
-    # shells overlap; each reached mode is written once
+    # each reached mode is written once, with the one shell that holds it
     assert len(rows) - 1 == summary["n_reached"]
     labels = [tuple(row.split(",")[:2]) for row in rows[1:]]
     assert len(set(labels)) == len(labels)
+    # past 64 shells the search still runs to its fixed point
+    path = write_config(tmp_path, "c30.json",
+                        {"sim": dict(BASE_SIM, radius=30.0)})
+    out = tmp_path / "out30"
+    assert main(["lattice", "--config", path, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    summary = manifest["artifacts"]["reachability.csv"]
+    assert summary["covers_ball"] is True and summary["n_reached"] == 2820
 
 
 def test_simulate_subcommand_heat_decay(tmp_path):

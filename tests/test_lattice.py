@@ -6,6 +6,7 @@ import pytest
 
 from vortexlab.lattice import (ForcingGeometry, admissible, is_generating,
                                reachable_modes, span_index, symmetric_part)
+from vortexlab.modes import negate
 
 from conftest import Z_STAR
 
@@ -17,6 +18,61 @@ def ball(radius):
             for a in range(-rmax, rmax + 1)
             for b in range(-rmax, rmax + 1)
             if (a, b) != (0, 0) and a * a + b * b <= r2}
+
+
+def assert_closed(g, res, radius):
+    """Every admissible sum l + j inside the radius, l in Z0 or a shell and
+    j in Z0, is reached: the search stopped at a fixed point."""
+    r2 = radius * radius
+    for l in set(g.z_zero).union(*res.shells):
+        for j in g.z_zero:
+            s = (l[0] + j[0], l[1] + j[1])
+            if s != (0, 0) and s[0] ** 2 + s[1] ** 2 <= r2 and admissible(l, j):
+                assert s in res.reached, (l, j, s)
+
+
+def reference_reachability(g, radius):
+    """The shell-to-shell recursion, uncapped: shell n+1 re-expands every mode
+    of shell n, so shells overlap. Returns (shells, reached, witness_paths)."""
+    r2 = radius * radius
+    z_zero = sorted(g.z_zero)
+    shells, parent = [], {}
+    seen, prev = set(g.z_zero), set(g.z_zero)
+    while True:
+        shell = set()
+        for l in sorted(prev):
+            for j in z_zero:
+                s = (l[0] + j[0], l[1] + j[1])
+                if s == (0, 0) or s[0] ** 2 + s[1] ** 2 > r2:
+                    continue
+                if not admissible(l, j):
+                    continue
+                shell.add(s)
+                if s not in parent and s not in g.z_zero:
+                    parent[s] = (l, j)
+        shells.append(shell)
+        new = shell - seen
+        seen |= shell
+        if not new:
+            break
+        prev = shell
+    reached = set(g.z_star).union(*shells)
+    witness = {}
+    for mode in reached:
+        chain, cur = [], mode
+        while cur in parent:
+            chain.append(parent[cur])
+            cur = parent[cur][0]
+        witness[mode] = chain[::-1]
+    return shells, reached, witness
+
+
+def first_shells(shells):
+    first = {}
+    for n, shell in enumerate(shells):
+        for m in shell:
+            first.setdefault(m, n)
+    return first
 
 
 # ------------------------------------------------------------ basic sets
@@ -59,17 +115,20 @@ def test_next_shell_of_canonical_forcing():
 
 def test_canonical_forcing_reaches_large_ball():
     g = ForcingGeometry(frozenset(Z_STAR))
-    res = reachable_modes(g, radius=10.0)
-    assert res.saturated
-    assert res.covers_ball(10.0)
-    assert res.reached == ball(10.0)
+    # the ball of radius 30 fills shells 0 to 65: a cap of 64 shells
+    # stopped short at 2,808 of its 2,820 modes
+    for radius in (10.0, 30.0):
+        res = reachable_modes(g, radius=radius)
+        assert_closed(g, res, radius)
+        assert res.covers_ball(radius)
+        assert res.reached == ball(radius)
 
 
 def test_equal_norm_forcing_goes_nowhere():
     # {+-(1,0), +-(0,1)}: all norms equal, first shell is empty.
     g = ForcingGeometry(frozenset({(1, 0), (-1, 0), (0, 1), (0, -1)}))
     res = reachable_modes(g, radius=8.0)
-    assert res.saturated
+    assert_closed(g, res, 8.0)
     assert res.shells[0] == set()
     assert res.reached == set(g.z_star)
 
@@ -77,7 +136,7 @@ def test_equal_norm_forcing_goes_nowhere():
 def test_sublattice_forcing_stays_on_sublattice():
     g = ForcingGeometry(frozenset({(2, 0), (-2, 0), (2, 2), (-2, -2)}))
     res = reachable_modes(g, radius=10.0)
-    assert res.saturated
+    assert_closed(g, res, 10.0)
     for k in res.reached:
         assert k[0] % 2 == 0 and k[1] % 2 == 0
     assert not res.covers_ball(2.0)
@@ -100,6 +159,38 @@ def test_witness_paths_are_valid_certificates():
         assert cur == mode
 
 
+def test_search_matches_shell_recursion():
+    # The search against the uncapped recursion it replaced, on symmetric,
+    # asymmetric, empty-Z0 and sublattice forcings.
+    rng = np.random.default_rng(14)
+    candidates = [(a, b) for a in range(-4, 5) for b in range(-4, 5)
+                  if (a, b) != (0, 0)]
+    geometries = [{(1, 0), (2, 1)}, set(Z_STAR) | {(0, 2)},
+                  {(2, 0), (-2, 0), (2, 2), (-2, -2), (1, 3)}]
+    for _ in range(60):
+        z = set()
+        for p in rng.choice(len(candidates), size=rng.integers(1, 5),
+                            replace=False):
+            z |= {candidates[p], negate(candidates[p])}
+        z |= {candidates[p] for p in rng.choice(len(candidates),
+                                                size=rng.integers(0, 3))}
+        scale = 2 if rng.random() < 0.2 else 1
+        geometries.append({(scale * a, scale * b) for a, b in z})
+    for i, z in enumerate(geometries):
+        g = ForcingGeometry(frozenset(z))
+        radius = g.max_norm() + (0.5, 4.0, 8.0)[i % 3]
+        res = reachable_modes(g, radius)
+        shells, reached, witness = reference_reachability(g, radius)
+        assert res.reached == reached, sorted(z)
+        assert res.shells[0] == shells[0]
+        assert first_shells(res.shells) == first_shells(shells)
+        assert res.witness_paths == witness
+        # the shells are pairwise disjoint
+        assert sum(map(len, res.shells)) == len(set().union(*res.shells))
+    assert reachable_modes(ForcingGeometry(frozenset({(1, 0), (2, 1)})),
+                           4.0).shells == [set()]
+
+
 def test_radius_must_cover_forcing():
     g = ForcingGeometry(frozenset(Z_STAR))
     with pytest.raises(ValueError):
@@ -114,7 +205,7 @@ def test_wide_gap_forcing_with_buffered_radius():
     flag, reason = is_generating(g)
     assert flag, reason
     res = reachable_modes(g, radius=15.0)
-    assert res.saturated
+    assert_closed(g, res, 15.0)
     assert res.covers_ball(12.0)
 
 
@@ -157,8 +248,8 @@ def test_generation_agrees_with_brute_force_reachability():
         # brute force: saturate with generous working room, then ask whether
         # a small ball is fully generated
         room = g.max_norm() + 8.0
-        res = reachable_modes(g, radius=room, max_shells=256)
-        assert res.saturated
+        res = reachable_modes(g, radius=room)
+        assert_closed(g, res, room)
         brute = all(k in res.reached for k in ball(2.0))
         assert flag == brute, (sorted(z), flag, brute)
 

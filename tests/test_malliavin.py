@@ -93,15 +93,14 @@ def test_malliavin_invalid_method_and_bad_subspace():
 
 def test_form_validation_rejects_asymmetric_and_indefinite():
     with pytest.raises(ValueError):
-        MalliavinForm(FORCED, np.array([[1.0, 0.5], [0.1, 1.0]]),
-                      "forward-gram", 0.1, None)
+        MalliavinForm(FORCED, np.array([[1.0, 0.5], [0.1, 1.0]]), 0.1, None)
     with pytest.raises(ValueError):
         MalliavinForm(((1, 0), (0, 1)), np.array([[1.0, 0.0], [0.0, -0.3]]),
-                      "forward-gram", 0.1, None)
+                      0.1, None)
     # the symmetry tolerance scales with the entries
     with pytest.raises(ValueError):
         MalliavinForm(((1, 0), (0, 1)), 1e-20 * np.array([[1.0, 0.5], [0.1, 1.0]]),
-                      "forward-gram", 0.1, None)
+                      0.1, None)
 
 
 def test_quadratic_form_monotone_in_time():
