@@ -349,6 +349,7 @@ def _run_control(parsed, out_dir: Path):
         "iterations": result.iterations,
         "converged": result.converged,
         "achieved": [float(v) for v in result.achieved],
+        "history": [float(v) for v in result.history],
     }}
 
 

@@ -10,6 +10,7 @@ to roundoff rather than to O(dt). All three steps are written once, as the
 methods of `Stepper`.
 
 Both column flows return their node history (i1-i0+1, n, m), index 0 at s.
+The adjoint flow sweeps states stacked (nodes, P, n) into (i1-i0+1, P, n, m).
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ class Stepper:
         """DU + dt L_i^T (DU): the exact transpose of `tangent(i, .)`."""
         L = self.table.linearization(self.states[i])
         DU = self.decay * U
-        return DU + self.dt * (L.T @ DU)
+        return DU + self.dt * (L.mT @ DU)
 
     def adjoint(self, i: int, U: np.ndarray) -> np.ndarray:
         """D(U + dt L_i^T U): the backward adjoint equation stepped i+1 -> i.
@@ -62,7 +63,7 @@ class Stepper:
         explicit and the viscous factor exact, as in the forward template.
         """
         L = self.table.linearization(self.states[i])
-        return self.decay * (U + self.dt * (L.T @ U))
+        return self.decay * (U + self.dt * (L.mT @ U))
 
 
 def tangent_flow(traj: Trajectory, s: float, phi: SpectralField,
@@ -112,7 +113,7 @@ def adjoint_flow_columns(traj: Trajectory, t: float, phi_cols: np.ndarray,
     stepper = Stepper(traj)
     step = stepper.transpose if discrete_transpose else stepper.adjoint
     U = np.column_stack([np.asarray(phi_cols, dtype=float)])
-    hist = np.empty((i1 - i0 + 1,) + U.shape)
+    hist = np.empty((i1 - i0 + 1,) + traj.states.shape[1:-1] + U.shape)
     hist[-1] = U
     for i in range(i1 - 1, i0 - 1, -1):
         hist[i - i0] = step(i, hist[i + 1 - i0])

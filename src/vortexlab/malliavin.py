@@ -10,7 +10,7 @@ heat-kernel integral (1 - exp(-2 nu |k|^2 t)) / (2 nu |k|^2) ~ t.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from .flows import Stepper, adjoint_flow_columns
 from .lattice import reachable_modes
 from .modes import canonical, is_plus, negate, norm2
 from .quadvar import wilson_interval
-from .simulate import SimConfig, Trajectory, simulate_paths
+from .simulate import SimConfig, Trajectory, block_size, simulate_paths
 from .spectral import (TWO_PI_SQ, SpectralField, build_interaction_table,
                        interaction_coeff)
 
@@ -72,14 +72,22 @@ def _subspace_indices(traj: Trajectory, subspace):
         raise ValueError(f"subspace mode {bad.args[0]} outside basis") from None
 
 
+def _gram_history(traj: Trajectory, t: float, idx: np.ndarray) -> np.ndarray:
+    """The discrete transpose sweep of the subspace's unit columns, t -> 0."""
+    cols = np.zeros((len(traj.basis), len(idx)))
+    cols[idx, np.arange(len(idx))] = 1.0
+    return adjoint_flow_columns(traj, t, cols, 0.0, discrete_transpose=True)
+
+
 def malliavin_forward(traj: Trajectory, t: float, subspace,
-                      method: str = "gram") -> MalliavinForm:
+                      method: str = "gram", hist=None) -> MalliavinForm:
     """Projected noise covariance at time t by a forward representation.
 
     method="gram": Gram assembly of the propagated noise columns
     V_{k,s}(t) with trapezoid quadrature in s; the columns are obtained
     from the exact transposes of the one-step tangent maps, so the result
-    is identical to propagating each column forward individually.
+    is identical to propagating each column forward individually; hist is
+    this path's (nodes, n, m) slice of a block's sweep, if one was made.
 
     method="lyapunov": forward recursion of the covariance through the
     one-step tangent maps, M <- Phi M Phi^T + dt*S with S the identity on
@@ -91,10 +99,8 @@ def malliavin_forward(traj: Trajectory, t: float, subspace,
     dt = traj.config.dt
     n = len(traj.basis)
     if method == "gram":
-        cols = np.zeros((n, len(idx)))
-        cols[idx, np.arange(len(idx))] = 1.0
-        hist = adjoint_flow_columns(traj, t, cols, 0.0,
-                                    discrete_transpose=True)
+        if hist is None:
+            hist = _gram_history(traj, t, idx)
         # hist[i, k, a] = V_{k, s_i}(t)[subspace a]; trapezoid in s, with
         # the square roots of the weights in the factor X, M = X^T X
         weights = np.full(i_t + 1, dt)
@@ -155,7 +161,8 @@ def min_eigenvalue_tail(config: SimConfig, t: float, subspace,
     frequencies with Wilson intervals and the log-log slope across the
     epsilons where the frequency is strictly between 0 and 1.
     """
-    reach = reachable_modes(config.forcing, config.radius)
+    basis = config.basis()
+    reach = reachable_modes(config.forcing, basis.radius)
     missing = [tuple(k) for k in subspace if tuple(k) not in reach.reached]
     if missing:
         warnings.warn(
@@ -166,12 +173,23 @@ def min_eigenvalue_tail(config: SimConfig, t: float, subspace,
     lam_min_h1 = np.empty(n_paths)
     lam_max = np.empty(n_paths)
     trace = np.empty(n_paths)
-    for p, traj in enumerate(simulate_paths(config, range(n_paths))):
-        form = malliavin_forward(traj, t, subspace)
-        vals = form.eigenvalues()
-        lam_min[p], lam_max[p] = vals[0], vals[-1]
-        trace[p] = float(np.trace(form.matrix))
-        lam_min_h1[p] = form.h1_eigenvalues()[0]
+    paths = simulate_paths(config, range(n_paths))
+    nodes = config.grid_index(t) + 1
+    size = block_size(basis, nodes * len(basis) * len(subspace), n_paths)
+    for start in range(0, n_paths, size):
+        group = [next(paths) for _ in range(min(size, n_paths - start))]
+        # the sweep reads only the states, stacked (nodes, P, n) for P > 1
+        block = group[0] if len(group) == 1 else replace(
+            group[0], states=np.stack([tr.states for tr in group], axis=1))
+        hist = _gram_history(block, t, _subspace_indices(block, subspace))
+        hist = hist.reshape((nodes, len(group)) + hist.shape[-2:])
+        for p, traj in enumerate(group, start):
+            form = malliavin_forward(traj, t, subspace, hist=hist[:, p - start])
+            vals = form.eigenvalues()
+            lam_min[p], lam_max[p] = vals[0], vals[-1]
+            trace[p] = float(np.trace(form.matrix))
+            lam_min_h1[p] = form.h1_eigenvalues()[0]
+        del group, block, hist  # freed before the next block is simulated
     freq = np.array([(lam_min < eps).mean() for eps in epsilons])
     ivals = np.array([wilson_interval(int(round(f * n_paths)), n_paths)
                       for f in freq])

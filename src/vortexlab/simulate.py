@@ -157,21 +157,24 @@ def simulate_paths(config: SimConfig, paths) -> Iterator[Trajectory]:
     simulate(config, path_index=p).
 
     Paths advance side by side in blocks whose size follows from the
-    config: at most 2**16 ordered triads (per-step temporaries of 256 KiB)
-    and 2**23 history values (64 MiB) per block. Every bin of the block's
+    config (`block_size` over the states' values). Every bin of the block's
     drift sums the same terms in the same order as a lone path's, so the
     block size shows in no output.
     """
     paths = list(paths)
     basis = config.basis()
-    n_table = max(len(build_interaction_table(basis)), 1)
-    size = max(1, min(2 ** 16 // n_table,
-                      2 ** 23 // ((config.n_steps() + 1) * len(basis)),
-                      len(paths)))
+    size = block_size(basis, (config.n_steps() + 1) * len(basis), len(paths))
     for start in range(0, len(paths), size):
         block = paths[start:start + size]
         trajectory = _advance(config, basis, block)
         yield from map(trajectory, range(len(block)))
+
+
+def block_size(basis: Basis, per_path: int, n_paths: int) -> int:
+    """Paths per block, at least one: at most 2**16 ordered triads per step
+    (temporaries of 256 KiB) and 2**23 stored values (64 MiB) per block."""
+    n_table = max(len(build_interaction_table(basis)), 1)
+    return max(1, min(2 ** 16 // n_table, 2 ** 23 // max(per_path, 1), n_paths))
 
 
 def _advance(config: SimConfig, basis: Basis, paths, increments=None,

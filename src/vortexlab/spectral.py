@@ -208,6 +208,7 @@ class InteractionTable:
                                          self.l * n + self.j))
         self._lin_src = np.concatenate((self.j, self.k))
         self._lin_coeff = -np.concatenate((self.sym, self.sym))
+        self._lin_stack = self._lin_flat  # grown to the largest stack seen
 
     def __len__(self) -> int:
         return 2 * len(self.cjk)  # ordered triples (j, k -> l), two per row
@@ -231,11 +232,17 @@ class InteractionTable:
 
     def linearization(self, w: np.ndarray) -> np.ndarray:
         """Dense matrix L(w) of v -> -B(w, v) - B(v, w), the tangent
-        operator's non-diagonal part."""
+        operator's non-diagonal part; w of shape (..., n) gives (..., n, n)
+        from one bincount, each matrix bit-identical to its own call."""
         n = len(self.basis)
-        vals = self._lin_coeff * w[self._lin_src]
-        return np.bincount(self._lin_flat, weights=vals,
-                           minlength=n * n).reshape(n, n)
+        vals = self._lin_coeff * w.take(self._lin_src, axis=-1)
+        if w.ndim == 1:
+            return np.bincount(self._lin_flat, vals, n * n).reshape(n, n)
+        if len(self._lin_stack) < vals.size:  # matrix p's targets + p * n^2
+            self._lin_stack = (n * n * np.arange(w.size // n)[:, None]
+                               + self._lin_flat).ravel()
+        return np.bincount(self._lin_stack[:vals.size], vals.ravel(),
+                           w.size * n).reshape(w.shape + (n,))
 
 
 _TABLE_CACHE: dict[tuple, InteractionTable] = {}

@@ -159,6 +159,11 @@ def test_control_subcommand(tmp_path):
     info = manifest["artifacts"]["control.csv"]
     assert info["converged"] is True
     assert info["residual"] < 1e-3
+    # the search's objective history: the start plus one value per iteration
+    assert len(info["history"]) == info["iterations"] + 1
+    assert info["history"][-1] == pytest.approx(info["residual"] ** 2 / 2,
+                                                rel=1e-12)
+    assert all(isinstance(v, float) for v in info["history"])
     rows = (out / "control.csv").read_text().strip().splitlines()
     assert rows[0] == "step,h_-1_-1,h_-1_0,h_1_0,h_1_1"
 

@@ -1,18 +1,20 @@
 """Noise covariance: forward/backward agreement, spectra, bracket identities."""
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from vortexlab import malliavin
 from vortexlab.lattice import ForcingGeometry
 from vortexlab.malliavin import (DEFAULT_EPSILONS, MalliavinForm,
                                  PAIRING_PREFACTOR, bracket_decomposition,
                                  bracket_pairing, malliavin_backward_form,
                                  malliavin_forward, min_eigenvalue_tail,
                                  pairing_rhs, wilson_interval)
-from vortexlab.simulate import SimConfig, simulate
-from vortexlab.spectral import (SpectralField, TWO_PI_SQ, adjoint_C,
+from vortexlab.simulate import SimConfig, block_size, simulate
+from vortexlab.spectral import (Basis, SpectralField, TWO_PI_SQ, adjoint_C,
                                 nonlinearity_B)
 
 from conftest import Z_STAR, field_from_dict
@@ -190,6 +192,86 @@ def test_min_eigenvalue_tail_warns_on_unreachable_subspace():
     with pytest.warns(UserWarning, match="not reachable"):
         table = min_eigenvalue_tail(cfg, 0.05, [(0, 1)], n_paths=4)
     assert np.all(table.lambda_min <= 1e-10)
+
+
+def test_min_eigenvalue_tail_checks_reachability_on_the_simulated_basis():
+    # the initial field pins the basis to radius 3: (2, 0) is reachable in
+    # the radius-6 ball of config.radius but not in the radius-3 ball
+    initial = SpectralField(Basis.build(3.0))
+    cfg = SimConfig(nu=1.0, forcing=CANONICAL, dt=2e-3, t_final=0.01,
+                    initial=initial, seed=3)
+    assert cfg.radius == 6.0
+    with pytest.warns(UserWarning, match="not reachable"):
+        min_eigenvalue_tail(cfg, 0.01, [(2, 0)], n_paths=1)
+
+
+def spy_forward(monkeypatch):
+    """Record (traj, returned form) of every malliavin_forward call made
+    through the module attribute, as the benchmark's check captures it."""
+    calls = []
+
+    def spy(traj, t, subspace, *args, **kwargs):
+        form = malliavin_forward(traj, t, subspace, *args, **kwargs)
+        calls.append((traj, form))
+        return form
+
+    monkeypatch.setattr(malliavin, "malliavin_forward", spy)
+    return calls
+
+
+def test_min_eigenvalue_tail_calls_malliavin_forward_once_per_path(
+        monkeypatch):
+    cfg = SimConfig(nu=0.5, forcing=CANONICAL, radius=3.0, dt=1e-3,
+                    t_final=0.02, seed=11)
+    calls = spy_forward(monkeypatch)
+    min_eigenvalue_tail(cfg, 0.02, [(0, 1), (2, 1)], n_paths=5)
+    assert len(calls) == 5
+    for p, (traj, form) in enumerate(calls):
+        assert isinstance(form, MalliavinForm)
+        assert form.trajectory is traj
+        assert np.array_equal(traj.states, simulate(cfg, path_index=p).states)
+
+
+@pytest.mark.filterwarnings("ignore:subspace modes")
+@pytest.mark.parametrize("radius, modes, n_paths, t", [
+    (3.0, 1, 3, 0.02), (3.0, 4, 3, 0.03), (3.0, None, 3, 0.02),
+    (5.0, 1, 10, 0.01), (5.0, None, 10, 0.008)])
+def test_block_swept_forms_equal_lone_forms_bitwise(monkeypatch, radius,
+                                                    modes, n_paths, t):
+    cfg = SimConfig(nu=0.5, forcing=CANONICAL, radius=radius, dt=1e-3,
+                    t_final=0.03 if radius == 3.0 else 0.01, seed=12)
+    basis = cfg.basis()
+    sub = list(basis.modes)[:modes] if modes else list(basis.modes)
+    size = block_size(basis, (cfg.grid_index(t) + 1) * len(basis) * len(sub),
+                      n_paths)
+    assert (size < n_paths) == (radius == 5.0)  # radius 5 crosses a block
+    calls = spy_forward(monkeypatch)
+    table = min_eigenvalue_tail(cfg, t, sub, n_paths)
+    assert len(calls) == n_paths
+    for p, (traj, form) in enumerate(calls):
+        lone = malliavin_forward(traj, t, sub)
+        assert np.array_equal(form.factor, lone.factor)
+        assert np.array_equal(form.matrix, lone.matrix)
+        assert table.lambda_min[p] == lone.eigenvalues()[0]
+
+
+def test_min_eigenvalue_tail_memory_is_one_block():
+    # many paths: the peak is that of one full block, whatever n_paths is
+    cfg = SimConfig(nu=0.5, forcing=CANONICAL, radius=3.0, dt=1e-3,
+                    t_final=0.02, seed=13)
+    sub = [(0, 1), (2, 1), (0, -1), (-2, -1)]
+    basis = cfg.basis()
+    per_path = (cfg.grid_index(0.02) + 1) * len(basis) * len(sub)
+    size = block_size(basis, per_path, 10 ** 6)
+    peaks = []
+    for n_paths in (size, size, 3 * size + 1):  # the first run warms caches
+        tracemalloc.start()
+        min_eigenvalue_tail(cfg, 0.02, sub, n_paths)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    history = 8 * size * per_path
+    assert peaks[1] <= 3 * history
+    assert peaks[2] <= 1.25 * peaks[1]
 
 
 # -------------------------------------------------- bracket decomposition

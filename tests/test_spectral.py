@@ -289,6 +289,23 @@ def test_table_matrix_forms_agree_with_apply(basis4):
     assert np.allclose(L @ v, want, atol=1e-12)
 
 
+def test_stacked_linearization_is_bitwise_the_per_row_calls(basis4):
+    # one bincount over shifted targets sums each bin's terms in the same
+    # order as the lone call, so every matrix of the stack is bit-identical
+    table = build_interaction_table(basis4)
+    rng = np.random.default_rng(24)
+    for shape in ((1,), (5,), (3, 2)):
+        w = rng.standard_normal(shape + (len(basis4),))
+        L = table.linearization(w)
+        assert L.shape == shape + (len(basis4), len(basis4))
+        for at in np.ndindex(*shape):
+            assert np.array_equal(L[at], table.linearization(w[at]))
+    # a smaller stack after a larger one reads the grown targets' prefix
+    w = rng.standard_normal((2, len(basis4)))
+    assert np.array_equal(table.linearization(w)[1],
+                          table.linearization(w[1]))
+
+
 def test_table_cache_is_keyed_on_modes():
     # equal mode sets share one table even when each Basis is built afresh
     assert (build_interaction_table(Basis.build(3.0))
