@@ -10,7 +10,7 @@ heat-kernel integral (1 - exp(-2 nu |k|^2 t)) / (2 nu |k|^2) ~ t.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from .flows import Stepper, adjoint_flow_columns
 from .lattice import reachable_modes
 from .modes import canonical, is_plus, negate, norm2
 from .quadvar import wilson_interval
-from .simulate import SimConfig, Trajectory, block_size, simulate_paths
+from .simulate import SimConfig, Trajectory, block_size, simulate_block
 from .spectral import (TWO_PI_SQ, SpectralField, build_interaction_table,
                        interaction_coeff)
 
@@ -32,12 +32,13 @@ class MalliavinForm:
     factor: np.ndarray = field(repr=False, default=None)  # matrix = X.T @ X
 
     def __post_init__(self):
+        # X.T @ X is exactly symmetric and PSD: only a bare matrix is checked
         M = self.matrix
-        scale = np.max(np.abs(M), initial=0.0)
-        if not np.allclose(M, M.T, rtol=0.0, atol=1e-12 * scale):
+        if self.factor is None and not np.allclose(
+                M, M.T, rtol=0.0, atol=1e-12 * np.max(np.abs(M), initial=0.0)):
             raise ValueError("covariance matrix must be symmetric")
         vals = self._spectrum(1.0)
-        if vals[0] < -1e-10 * max(np.trace(M), 1.0):
+        if self.factor is None and vals[0] < -1e-10 * max(np.trace(M), 1.0):
             raise ValueError("covariance matrix must be positive semidefinite")
         self._eigenvalues = vals
 
@@ -50,7 +51,7 @@ class MalliavinForm:
         return np.concatenate([pad, s[::-1] ** 2])
 
     def eigenvalues(self) -> np.ndarray:
-        """Ascending eigenvalues, kept from the solve of the PSD check.
+        """Ascending eigenvalues, kept from the solve at construction.
 
         With a factor X, the squared singular values of X: nonnegative,
         and values below about (n eps)^2 lambda_max are unresolved. Else
@@ -169,27 +170,23 @@ def min_eigenvalue_tail(config: SimConfig, t: float, subspace,
             f"subspace modes {missing} are not reachable from the forcing; "
             "nondegeneracy is not expected to hold", stacklevel=2)
     epsilons = np.asarray(sorted(epsilons, reverse=True), dtype=float)
-    lam_min = np.empty(n_paths)
-    lam_min_h1 = np.empty(n_paths)
-    lam_max = np.empty(n_paths)
-    trace = np.empty(n_paths)
-    paths = simulate_paths(config, range(n_paths))
+    lam_min, lam_min_h1, lam_max, trace = np.empty((4, n_paths))
     nodes = config.grid_index(t) + 1
-    size = block_size(basis, nodes * len(basis) * len(subspace), n_paths)
+    # a block holds its states and its history: the larger sets its size
+    per_path = max(config.n_steps() + 1, nodes * len(subspace)) * len(basis)
+    size = block_size(basis, per_path, n_paths)
     for start in range(0, n_paths, size):
-        group = [next(paths) for _ in range(min(size, n_paths - start))]
-        # the sweep reads only the states, stacked (nodes, P, n) for P > 1
-        block = group[0] if len(group) == 1 else replace(
-            group[0], states=np.stack([tr.states for tr in group], axis=1))
+        block = simulate_block(config, range(start, min(start + size, n_paths)))
         hist = _gram_history(block, t, _subspace_indices(block, subspace))
-        hist = hist.reshape((nodes, len(group)) + hist.shape[-2:])
-        for p, traj in enumerate(group, start):
-            form = malliavin_forward(traj, t, subspace, hist=hist[:, p - start])
+        hist = hist.reshape((nodes, -1) + hist.shape[-2:])
+        for b in range(hist.shape[1]):
+            form = malliavin_forward(block.path(b), t, subspace, hist=hist[:, b])
             vals = form.eigenvalues()
+            p = start + b
             lam_min[p], lam_max[p] = vals[0], vals[-1]
             trace[p] = float(np.trace(form.matrix))
             lam_min_h1[p] = form.h1_eigenvalues()[0]
-        del group, block, hist  # freed before the next block is simulated
+        del block, hist, form  # freed before the next block is simulated
     freq = np.array([(lam_min < eps).mean() for eps in epsilons])
     ivals = np.array([wilson_interval(int(round(f * n_paths)), n_paths)
                       for f in freq])
@@ -254,9 +251,7 @@ def bracket_decomposition(traj: Trajectory, t0: float, T: float,
     # Y_j and X along the window; both are first-slot transposes of the
     # dense linearization: L(a)^T u = B(a, u) - C(u, a)
     n = len(basis)
-    Y = np.empty((len(forced), n_nodes, n))
-    for a, f in enumerate(forced):
-        Y[a] = -U @ table.linearization(np.eye(n)[f])
+    Y = -U @ table.linearization(np.eye(n)[forced])
     X = np.empty((n_nodes, n))
     for i in range(n_nodes):
         # the drift sees the forced modes through R only, not through W

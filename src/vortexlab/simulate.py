@@ -16,8 +16,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from collections.abc import Callable, Iterator
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -75,6 +75,8 @@ class BlowUpError(RuntimeError):
 
 @dataclass
 class Trajectory:
+    """One path, or a block of P paths (states (n_steps + 1, P, n_modes),
+    increments (n_steps, P, n_forced)) whose per-path methods take path(b)."""
     config: SimConfig
     basis: Basis
     times: np.ndarray            # (n_steps + 1,)
@@ -82,6 +84,12 @@ class Trajectory:
     increments: np.ndarray       # (n_steps, n_forced) Wiener increments
     forced_modes: tuple          # canonical order of the forced modes
     forced_indices: np.ndarray   # their positions in the basis
+
+    def path(self, b: int) -> Trajectory:
+        """Path b of a block, as contiguous copies; a lone path is itself."""
+        return self if self.states.ndim == 2 else replace(
+            self, states=np.ascontiguousarray(self.states[:, b]),
+            increments=np.ascontiguousarray(self.increments[:, b]))
 
     def n_steps(self) -> int:
         return len(self.times) - 1
@@ -148,13 +156,12 @@ def simulate(config: SimConfig, path_index: int = 0,
     control: optional (n_steps, n_forced) deterministic forcing rates added
     to the drift on the forced modes (the controllability probe's knob).
     """
-    return _advance(config, config.basis(), [path_index], increments,
-                    control)(0)
+    return simulate_block(config, [path_index], increments, control)
 
 
 def simulate_paths(config: SimConfig, paths) -> Iterator[Trajectory]:
     """One trajectory per path index, in order, each bit-identical to
-    simulate(config, path_index=p).
+    simulate(config, path_index=p) and a contiguous copy of its own.
 
     Paths advance side by side in blocks whose size follows from the
     config (`block_size` over the states' values). Every bin of the block's
@@ -166,8 +173,7 @@ def simulate_paths(config: SimConfig, paths) -> Iterator[Trajectory]:
     size = block_size(basis, (config.n_steps() + 1) * len(basis), len(paths))
     for start in range(0, len(paths), size):
         block = paths[start:start + size]
-        trajectory = _advance(config, basis, block)
-        yield from map(trajectory, range(len(block)))
+        yield from map(simulate_block(config, block).path, range(len(block)))
 
 
 def block_size(basis: Basis, per_path: int, n_paths: int) -> int:
@@ -177,17 +183,18 @@ def block_size(basis: Basis, per_path: int, n_paths: int) -> int:
     return max(1, min(2 ** 16 // n_table, 2 ** 23 // max(per_path, 1), n_paths))
 
 
-def _advance(config: SimConfig, basis: Basis, paths, increments=None,
-             control=None) -> Callable[[int], Trajectory]:
+def simulate_block(config: SimConfig, paths, increments=None,
+                   control=None) -> Trajectory:
     """Step the paths' states as one flat (P * n,) vector.
 
     Path b occupies entries b*n .. (b+1)*n - 1, so the triad indices are
     shifted by b*n and the per-mode factors are tiled. A lone path runs on
     the table's own arrays: per-call copies of them cost page faults on
-    every step's temporaries at large radii. Returns the function that
-    cuts out the trajectory of block position b, so a caller holds one
-    path's copy at a time.
+    every step's temporaries at large radii. Returns one trajectory, whose
+    block states view the loop's array; replayed increments come in its
+    shape, and control, as in `simulate`, drives a lone path.
     """
+    basis = config.basis()
     table = build_interaction_table(basis)
     lam = basis.laplacian_symbol()
     forced_modes = tuple(sorted(config.forcing.z_star))
@@ -200,17 +207,17 @@ def _advance(config: SimConfig, basis: Basis, paths, increments=None,
     sqrt_dt = math.sqrt(config.dt)
     # per-unit-increment gain; applied to dW so replays are bit-exact
     gain = noise_scale(config.nu, lam[forced], config.dt) / sqrt_dt
-    shape = (n_steps, len(forced))
+    shape = (n_steps, P, len(forced)) if P > 1 else (n_steps, len(forced))
     if increments is None:
         incs = np.empty((n_steps, P, len(forced)))
         for b, p in enumerate(paths):
             incs[:, b] = sqrt_dt * rng.normals(config.seed, rng.SIMULATE, p,
-                                               shape)
+                                               (n_steps, len(forced)))
+        incs = incs.reshape(shape)
     else:
         incs = np.array(increments, dtype=float)
         if incs.shape != shape:
             raise ValueError(f"increments have shape {incs.shape}, need {shape}")
-        incs = incs[:, None]
     dW = incs.reshape(n_steps, -1)    # row i: step i's increments, path-major
 
     # hit: the forced entries of the flat state
@@ -239,12 +246,10 @@ def _advance(config: SimConfig, basis: Basis, paths, increments=None,
                 "reduce dt")
         states[i + 1] = w
 
-    times = config.dt * np.arange(n_steps + 1)
-    return lambda b: Trajectory(
-        config=config, basis=basis, times=times,
-        states=np.ascontiguousarray(states[:, b * n:(b + 1) * n]),
-        increments=np.ascontiguousarray(incs[:, b]),
-        forced_modes=forced_modes, forced_indices=forced)
+    return Trajectory(
+        config=config, basis=basis, times=config.dt * np.arange(n_steps + 1),
+        states=states.reshape(n_steps + 1, P, n) if P > 1 else states,
+        increments=incs, forced_modes=forced_modes, forced_indices=forced)
 
 
 def forcing_energy_rate(traj: Trajectory) -> float:

@@ -1,6 +1,8 @@
 """Experiment runner: config validation, artifacts, reproducibility."""
 import filecmp
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +34,14 @@ def test_parse_config_rejects_unknown_keys():
     with pytest.raises(ConfigError):
         parse_config({"kind": "lattice",
                       "sim": dict(BASE_SIM, extra=2)})
+
+
+def test_readme_json_examples_parse():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
+    assert blocks
+    for block in blocks:
+        parse_config(json.loads(block))
 
 
 def test_parse_config_rejects_bad_values():

@@ -15,7 +15,7 @@ from vortexlab.malliavin import (DEFAULT_EPSILONS, MalliavinForm,
                                  pairing_rhs, wilson_interval)
 from vortexlab.simulate import SimConfig, block_size, simulate
 from vortexlab.spectral import (Basis, SpectralField, TWO_PI_SQ, adjoint_C,
-                                nonlinearity_B)
+                                build_interaction_table, nonlinearity_B)
 
 from conftest import Z_STAR, field_from_dict
 
@@ -242,8 +242,9 @@ def test_block_swept_forms_equal_lone_forms_bitwise(monkeypatch, radius,
                     t_final=0.03 if radius == 3.0 else 0.01, seed=12)
     basis = cfg.basis()
     sub = list(basis.modes)[:modes] if modes else list(basis.modes)
-    size = block_size(basis, (cfg.grid_index(t) + 1) * len(basis) * len(sub),
-                      n_paths)
+    # the tail's rule: the larger of a path's states and its history
+    per_path = max(cfg.n_steps() + 1, (cfg.grid_index(t) + 1) * len(sub))
+    size = block_size(basis, per_path * len(basis), n_paths)
     assert (size < n_paths) == (radius == 5.0)  # radius 5 crosses a block
     calls = spy_forward(monkeypatch)
     table = min_eigenvalue_tail(cfg, t, sub, n_paths)
@@ -274,6 +275,28 @@ def test_min_eigenvalue_tail_memory_is_one_block():
     assert peaks[2] <= 1.25 * peaks[1]
 
 
+def test_min_eigenvalue_tail_peak_is_one_block_of_states():
+    # t << t_final: the block's states, not its short history, set the peak
+    cfg = SimConfig(nu=0.5, forcing=CANONICAL, radius=2.0, dt=1e-3,
+                    t_final=0.2, seed=14)
+    basis = cfg.basis()
+    states = (cfg.n_steps() + 1) * len(basis)
+    size = block_size(basis, states, 682)
+    min_eigenvalue_tail(cfg, 0.001, [(1, 0)], 682)  # warms caches
+    tracemalloc.start()
+    min_eigenvalue_tail(cfg, 0.001, [(1, 0)], 682)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= 2 * 8 * size * states
+
+
+@pytest.mark.parametrize("m", [1, 4, 17, 48])
+def test_gram_forms_are_bitwise_symmetric(m):
+    traj = make_traj(radius=4.0, t_final=0.02, seed=15)
+    form = malliavin_forward(traj, 0.02, list(traj.basis.modes)[:m])
+    assert np.array_equal(form.matrix, form.matrix.T)
+
+
 # -------------------------------------------------- bracket decomposition
 
 def test_bracket_reconstruction_matches_derivative():
@@ -288,6 +311,20 @@ def test_bracket_reconstruction_matches_derivative():
     scale = np.max(np.abs(dU))
     err = np.max(np.abs(dU - rec)[2:-2]) / scale
     assert err < 0.05   # O(dt) + central-difference error on a rough path
+
+
+def test_bracket_y_equals_the_per_forced_mode_loop():
+    traj = make_traj(radius=3.0, dt=1e-3, t_final=0.05, seed=43)
+    basis = traj.basis
+    phi = SpectralField(basis, np.random.default_rng(44).standard_normal(
+        len(basis)))
+    dec = bracket_decomposition(traj, 0.01, 0.05, phi)
+    table = build_interaction_table(basis)
+    n = len(basis)
+    ref = np.empty_like(dec.Y)
+    for a, f in enumerate(traj.forced_indices):
+        ref[a] = -dec.U @ table.linearization(np.eye(n)[f])
+    assert np.array_equal(dec.Y, ref)
 
 
 def test_bracket_r_plus_wiener_tracks_forced_state():

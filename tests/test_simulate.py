@@ -8,7 +8,8 @@ import pytest
 from vortexlab.lattice import ForcingGeometry
 from vortexlab.simulate import (BlowUpError, SimConfig, Trajectory,
                                 enstrophy_residual, forcing_energy_rate,
-                                noise_scale, simulate, simulate_paths)
+                                noise_scale, simulate, simulate_block,
+                                simulate_paths)
 from vortexlab.spectral import (Basis, SpectralField, TWO_PI_SQ,
                                 build_interaction_table)
 
@@ -103,6 +104,37 @@ def test_simulate_paths_is_bit_identical_across_blocks():
         assert np.array_equal(traj.states, ref.states)
         assert np.array_equal(traj.increments, ref.increments)
         assert traj.states.flags.c_contiguous and traj.states.base is None
+
+
+def test_block_paths_equal_lone_paths_bitwise():
+    cfg = SimConfig(nu=0.5, forcing=CANONICAL, radius=3.0, dt=1e-3,
+                    t_final=0.02, seed=9)
+    paths = [7, 2, 30]
+    block = simulate_block(cfg, paths)
+    n = len(cfg.basis())
+    assert block.states.shape == (cfg.n_steps() + 1, len(paths), n)
+    assert block.increments.shape == (cfg.n_steps(), len(paths), len(Z_STAR))
+    for b, p in enumerate(paths):
+        lone, ref = block.path(b), simulate(cfg, path_index=p)
+        assert np.array_equal(lone.states, ref.states)
+        assert np.array_equal(lone.increments, ref.increments)
+        assert lone.states.base is None and lone.increments.base is None
+
+
+def test_one_path_block_keeps_lone_shapes():
+    cfg = SimConfig(nu=0.5, forcing=CANONICAL, radius=3.0, dt=1e-3,
+                    t_final=0.02, seed=9)
+    shape = (cfg.n_steps(), len(Z_STAR))
+    block = simulate_block(cfg, [4])
+    assert block.states.shape == (cfg.n_steps() + 1, len(cfg.basis()))
+    assert block.increments.shape == shape
+    assert block.path(0) is block
+    assert np.array_equal(block.states, simulate(cfg, path_index=4).states)
+    incs = np.random.default_rng(1).normal(0.0, 0.03, shape)
+    replay = simulate_block(cfg, [0], increments=incs)
+    assert replay.states.shape == block.states.shape
+    assert np.array_equal(replay.increments, incs)
+    assert np.array_equal(replay.states, simulate(cfg, increments=incs).states)
 
 
 def test_simulate_paths_starts_every_path_from_the_initial_field():
