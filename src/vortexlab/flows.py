@@ -10,7 +10,7 @@ to roundoff rather than to O(dt). All three steps are written once, as the
 methods of `Stepper`.
 
 Both column flows return their node history (i1-i0+1, n, m), index 0 at s.
-The adjoint flow sweeps states stacked (nodes, P, n) into (i1-i0+1, P, n, m).
+The adjoint flow's one backward loop, `adjoint_sweep`, also sweeps blocks.
 """
 
 from __future__ import annotations
@@ -92,31 +92,37 @@ def tangent_flow_columns(traj: Trajectory, s: float, phi_cols: np.ndarray,
 
 def adjoint_flow(traj: Trajectory, t: float, phi: SpectralField,
                  s: float, discrete_transpose: bool = False) -> SpectralField:
-    U = adjoint_flow_columns(traj, t, phi.coeffs[:, None], s,
-                             discrete_transpose=discrete_transpose)[0]
+    *_, U = adjoint_sweep(traj, t, phi.coeffs[:, None], s, discrete_transpose)
     return SpectralField(traj.basis, U[:, 0])
 
 
-def adjoint_flow_columns(traj: Trajectory, t: float, phi_cols: np.ndarray,
-                         s: float, discrete_transpose: bool = False):
-    """Backward adjoint flow U^{t,phi}(s) applied columnwise.
-
-    Default stepping integrates the backward equation in reversed time
-    tau = t - s (`Stepper.adjoint`). With discrete_transpose=True each step
-    applies the exact transpose of the forward tangent step instead
-    (`Stepper.transpose`).
-
-    Returns the history (i1-i0+1, n, m): index -1 holds phi_cols at t and
-    index k the columns carried back to times[i0+k], so [0] is U(s).
-    """
+def adjoint_sweep(traj: Trajectory, t: float, phi_cols: np.ndarray,
+                  s: float, discrete_transpose: bool = False):
+    """Backward adjoint flow U^{t,phi} columnwise, yielded node by node from
+    t back to s: (n, m), or (P, n, m) on block states (nodes, P, n). Default
+    steps integrate the backward equation in reversed time (`Stepper.adjoint`);
+    discrete_transpose=True steps the exact transpose (`Stepper.transpose`)."""
     i0, i1 = _window(traj, s, t)
     stepper = Stepper(traj)
     step = stepper.transpose if discrete_transpose else stepper.adjoint
     U = np.column_stack([np.asarray(phi_cols, dtype=float)])
-    hist = np.empty((i1 - i0 + 1,) + traj.states.shape[1:-1] + U.shape)
-    hist[-1] = U
+    U = np.broadcast_to(U, traj.states.shape[1:-1] + U.shape).copy()
+    yield U
     for i in range(i1 - 1, i0 - 1, -1):
-        hist[i - i0] = step(i, hist[i + 1 - i0])
+        U = step(i, U)
+        yield U
+
+
+def adjoint_flow_columns(traj: Trajectory, t: float, phi_cols: np.ndarray,
+                         s: float, discrete_transpose: bool = False):
+    """The history of `adjoint_sweep`, (i1-i0+1, n, m) or (i1-i0+1, P, n, m),
+    index k at times[i0+k]: [-1] holds phi_cols at t and [0] is U(s)."""
+    sweep = adjoint_sweep(traj, t, phi_cols, s, discrete_transpose)
+    U = next(sweep)
+    hist = np.empty((traj.grid_index(t) - traj.grid_index(s) + 1,) + U.shape)
+    hist[-1] = U
+    for k, U in enumerate(sweep, 2):
+        hist[-k] = U
     return hist
 
 

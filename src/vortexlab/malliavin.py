@@ -9,12 +9,14 @@ heat-kernel integral (1 - exp(-2 nu |k|^2 t)) / (2 nu |k|^2) ~ t.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .flows import Stepper, adjoint_flow_columns
+from .flows import Stepper, adjoint_flow_columns, adjoint_sweep
 from .lattice import reachable_modes
 from .modes import canonical, is_plus, negate, norm2
 from .quadvar import wilson_interval
@@ -23,93 +25,90 @@ from .spectral import (TWO_PI_SQ, SpectralField, build_interaction_table,
                        interaction_coeff)
 
 
+GRAM_CHUNK = 64  # nodes of the sweep folded into a Gram's factor per QR
+
+
 @dataclass
 class MalliavinForm:
     subspace: tuple            # ordered modes spanning the projection
-    matrix: np.ndarray         # symmetric, unit-normalized convention
+    matrix: np.ndarray         # symmetric, unit-normalized; (P, m, m) a block
     t: float
     trajectory: Trajectory = field(repr=False, default=None)
-    factor: np.ndarray = field(repr=False, default=None)  # matrix = X.T @ X
+    factor: np.ndarray = field(repr=False, default=None)  # R, matrix = R^T R
 
     def __post_init__(self):
-        # X.T @ X is exactly symmetric and PSD: only a bare matrix is checked
+        # R^T R is exactly symmetric and PSD: only a bare matrix is checked
         M = self.matrix
         if self.factor is None and not np.allclose(
                 M, M.T, rtol=0.0, atol=1e-12 * np.max(np.abs(M), initial=0.0)):
             raise ValueError("covariance matrix must be symmetric")
-        vals = self._spectrum(1.0)
-        if self.factor is None and vals[0] < -1e-10 * max(np.trace(M), 1.0):
+        if (self.factor is None and
+                self.lambda_min() < -1e-10 * max(np.trace(M), 1.0)):
             raise ValueError("covariance matrix must be positive semidefinite")
-        self._eigenvalues = vals
 
-    def _spectrum(self, w) -> np.ndarray:
-        """Ascending eigenvalues of diag(w) M diag(w)."""
+    def lambda_min(self, w=1.0):
+        """Smallest eigenvalue of diag(w) M diag(w), one per form of a block:
+        from the factor R, 1 / sigma_max(inv(R diag w))^2, resolved to about
+        1e-12 relative (Householder QR keeps the columns' grading in R) and
+        exactly 0 where R has a zero on its diagonal; from a bare matrix,
+        eigvalsh, resolved only to about eps lambda_max."""
+        ww = np.outer(w, w)
         if self.factor is None:
-            return np.linalg.eigvalsh(self.matrix * np.outer(w, w))
-        s = np.linalg.svd(self.factor * w, compute_uv=False)
-        pad = np.zeros(len(self.matrix) - len(s))
-        return np.concatenate([pad, s[::-1] ** 2])
+            return np.linalg.eigvalsh(self.matrix * ww)[..., 0]
+        # inv(R diag w) = diag(1/w) inv(R): one inverse serves every w
+        S, zero = self._inverse_gram
+        return np.where(zero, 0.0, 1.0 / np.linalg.eigvalsh(S / ww)[..., -1])
 
-    def eigenvalues(self) -> np.ndarray:
-        """Ascending eigenvalues, kept from the solve at construction.
+    @cached_property
+    def _inverse_gram(self):  # inv(R) inv(R)^T, 1 standing in for a 0 pivot
+        R = self.factor
+        zero = np.diagonal(R, axis1=-2, axis2=-1) == 0.0
+        inv = np.linalg.inv(R + zero[..., None] * np.eye(zero.shape[-1]))
+        return inv @ inv.mT, np.any(zero, axis=-1)
 
-        With a factor X, the squared singular values of X: nonnegative,
-        and values below about (n eps)^2 lambda_max are unresolved. Else
-        eigvalsh of the matrix, resolved only to about eps lambda_max.
-        """
-        return self._eigenvalues.copy()
-
-    def h1_eigenvalues(self) -> np.ndarray:
-        """Ascending spectrum for test vectors from the unit H1 ball, not L2."""
-        w = 1.0 / np.sqrt([float(norm2(k)) for k in self.subspace])
-        return self._spectrum(w)
-
-
-def _subspace_indices(traj: Trajectory, subspace):
-    try:
-        return np.array([traj.basis.index[tuple(k)] for k in subspace],
-                        dtype=np.intp)
-    except KeyError as bad:
-        raise ValueError(f"subspace mode {bad.args[0]} outside basis") from None
-
-
-def _gram_history(traj: Trajectory, t: float, idx: np.ndarray) -> np.ndarray:
-    """The discrete transpose sweep of the subspace's unit columns, t -> 0."""
-    cols = np.zeros((len(traj.basis), len(idx)))
-    cols[idx, np.arange(len(idx))] = 1.0
-    return adjoint_flow_columns(traj, t, cols, 0.0, discrete_transpose=True)
+    def lambda_max(self):
+        """Largest eigenvalue, one per form of a block; eigvalsh resolves it."""
+        return np.linalg.eigvalsh(self.matrix)[..., -1]
 
 
 def malliavin_forward(traj: Trajectory, t: float, subspace,
-                      method: str = "gram", hist=None) -> MalliavinForm:
+                      method: str = "gram") -> MalliavinForm:
     """Projected noise covariance at time t by a forward representation.
 
     method="gram": Gram assembly of the propagated noise columns
     V_{k,s}(t) with trapezoid quadrature in s; the columns are obtained
     from the exact transposes of the one-step tangent maps, so the result
-    is identical to propagating each column forward individually; hist is
-    this path's (nodes, n, m) slice of a block's sweep, if one was made.
+    is identical to propagating each column forward individually; R folds
+    in the sweep chunk by chunk (sequential TSQR), stacked for a block.
 
     method="lyapunov": forward recursion of the covariance through the
     one-step tangent maps, M <- Phi M Phi^T + dt*S with S the identity on
     the forced coordinates, weighted to match the trapezoid rule.
     """
-    idx = _subspace_indices(traj, subspace)
+    try:
+        idx = [traj.basis.index[tuple(k)] for k in subspace]
+    except KeyError as bad:
+        raise ValueError(f"subspace mode {bad.args[0]} outside basis") from None
     forced = traj.forced_indices
     i_t = traj.grid_index(t)
     dt = traj.config.dt
-    n = len(traj.basis)
+    n, m = len(traj.basis), len(idx)
     if method == "gram":
-        if hist is None:
-            hist = _gram_history(traj, t, idx)
-        # hist[i, k, a] = V_{k, s_i}(t)[subspace a]; trapezoid in s, with
-        # the square roots of the weights in the factor X, M = X^T X
-        weights = np.full(i_t + 1, dt)
-        # a one-node grid spans no time, so its single weight is 0
-        weights[0] = weights[-1] = 0.5 * dt if i_t else 0.0
-        X = np.sqrt(weights)[:, None, None] * hist[:, forced, :]
-        X = X.reshape(-1, len(idx))
-        return MalliavinForm(tuple(subspace), X.T @ X, t, traj, X)
+        R = np.zeros(traj.states.shape[1:-1] + (m, m))
+        # each path's forced rows, taken from the (P n, m) view of a node
+        at = (np.arange(0, traj.states[0].size, n)[:, None] + forced).ravel()
+        rows = []
+        for k, U in enumerate(adjoint_sweep(traj, t, np.eye(n)[:, idx], 0.0,
+                                            discrete_transpose=True)):
+            rows.append(U.reshape(-1, m).take(at, axis=0))
+            if k in (0, i_t):  # trapezoid in s: half weights at both ends,
+                rows[-1] *= math.sqrt(0.5) if i_t else 0.0  # 0 on one node
+            if len(rows) == GRAM_CHUNK or k == i_t:
+                X = np.stack(rows, axis=1).reshape(R.shape[:-2] + (-1, m))
+                X = np.concatenate([R, math.sqrt(dt) * X], axis=-2)
+                R = np.linalg.qr(X, mode="r")
+                rows = []
+        return MalliavinForm(tuple(subspace), R.mT @ R, t, traj, R)
     if method == "lyapunov":
         stepper = Stepper(traj)
         S = np.zeros((n, n))
@@ -171,22 +170,16 @@ def min_eigenvalue_tail(config: SimConfig, t: float, subspace,
             "nondegeneracy is not expected to hold", stacklevel=2)
     epsilons = np.asarray(sorted(epsilons, reverse=True), dtype=float)
     lam_min, lam_min_h1, lam_max, trace = np.empty((4, n_paths))
-    nodes = config.grid_index(t) + 1
-    # a block holds its states and its history: the larger sets its size
-    per_path = max(config.n_steps() + 1, nodes * len(subspace)) * len(basis)
-    size = block_size(basis, per_path, n_paths)
+    w = 1.0 / np.sqrt([float(norm2(k)) for k in subspace])  # unit H1 ball
+    size = block_size(config, n_paths)
     for start in range(0, n_paths, size):
-        block = simulate_block(config, range(start, min(start + size, n_paths)))
-        hist = _gram_history(block, t, _subspace_indices(block, subspace))
-        hist = hist.reshape((nodes, -1) + hist.shape[-2:])
-        for b in range(hist.shape[1]):
-            form = malliavin_forward(block.path(b), t, subspace, hist=hist[:, b])
-            vals = form.eigenvalues()
-            p = start + b
-            lam_min[p], lam_max[p] = vals[0], vals[-1]
-            trace[p] = float(np.trace(form.matrix))
-            lam_min_h1[p] = form.h1_eigenvalues()[0]
-        del block, hist, form  # freed before the next block is simulated
+        block = slice(start, min(start + size, n_paths))
+        form = malliavin_forward(
+            simulate_block(config, range(n_paths)[block]), t, subspace)
+        lam_min[block], lam_max[block] = form.lambda_min(), form.lambda_max()
+        lam_min_h1[block] = form.lambda_min(w)
+        trace[block] = np.trace(form.matrix, axis1=-2, axis2=-1)
+        del form  # its block is freed before the next one is simulated
     freq = np.array([(lam_min < eps).mean() for eps in epsilons])
     ivals = np.array([wilson_interval(int(round(f * n_paths)), n_paths)
                       for f in freq])

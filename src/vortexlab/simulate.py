@@ -75,8 +75,8 @@ class BlowUpError(RuntimeError):
 
 @dataclass
 class Trajectory:
-    """One path, or a block of P paths (states (n_steps + 1, P, n_modes),
-    increments (n_steps, P, n_forced)) whose per-path methods take path(b)."""
+    """One path or a block of P paths: states (n_steps + 1, P, n_modes) and
+    increments (n_steps, P, n_forced). Writers take path(b); series do not."""
     config: SimConfig
     basis: Basis
     times: np.ndarray            # (n_steps + 1,)
@@ -99,16 +99,16 @@ class Trajectory:
 
     def wiener_path(self) -> np.ndarray:
         """Cumulative Wiener values W(t_i) per forced mode, W(0) = 0."""
-        out = np.zeros((len(self.times), len(self.forced_modes)))
+        out = np.zeros((len(self.times),) + self.increments.shape[1:])
         np.cumsum(self.increments, axis=0, out=out[1:])
         return out
 
     def enstrophy_series(self) -> np.ndarray:
-        return TWO_PI_SQ * np.sum(self.states ** 2, axis=1)
+        return TWO_PI_SQ * np.sum(self.states ** 2, axis=-1)
 
     def h1_series(self) -> np.ndarray:
         lam = self.basis.laplacian_symbol()
-        return TWO_PI_SQ * np.sum(lam * self.states ** 2, axis=1)
+        return TWO_PI_SQ * np.sum(lam * self.states ** 2, axis=-1)
 
     def to_jsonl(self, path):
         """One record per node: time, coefficients, incoming increments."""
@@ -164,23 +164,24 @@ def simulate_paths(config: SimConfig, paths) -> Iterator[Trajectory]:
     simulate(config, path_index=p) and a contiguous copy of its own.
 
     Paths advance side by side in blocks whose size follows from the
-    config (`block_size` over the states' values). Every bin of the block's
-    drift sums the same terms in the same order as a lone path's, so the
-    block size shows in no output.
+    config (`block_size`). Every bin of the block's drift sums the same
+    terms in the same order as a lone path's, so the block size shows in
+    no output.
     """
     paths = list(paths)
-    basis = config.basis()
-    size = block_size(basis, (config.n_steps() + 1) * len(basis), len(paths))
+    size = block_size(config, len(paths))
     for start in range(0, len(paths), size):
         block = paths[start:start + size]
         yield from map(simulate_block(config, block).path, range(len(block)))
 
 
-def block_size(basis: Basis, per_path: int, n_paths: int) -> int:
+def block_size(config: SimConfig, n_paths: int) -> int:
     """Paths per block, at least one: at most 2**16 ordered triads per step
-    (temporaries of 256 KiB) and 2**23 stored values (64 MiB) per block."""
+    (temporaries of 256 KiB) and 2**23 state values (64 MiB) per block."""
+    basis = config.basis()
+    states = (config.n_steps() + 1) * len(basis)
     n_table = max(len(build_interaction_table(basis)), 1)
-    return max(1, min(2 ** 16 // n_table, 2 ** 23 // max(per_path, 1), n_paths))
+    return max(1, min(2 ** 16 // n_table, 2 ** 23 // max(states, 1), n_paths))
 
 
 def simulate_block(config: SimConfig, paths, increments=None,

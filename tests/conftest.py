@@ -1,6 +1,8 @@
 """Shared fixtures and independent numerical oracles for the test suite."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -64,6 +66,16 @@ def field_from_dict(basis, entries):
     for label, value in entries.items():
         f.coeffs[basis.index[tuple(label)]] = value
     return f
+
+
+def traced_peak(fn, *args):
+    """Peak traced bytes while fn(*args) runs; tracing stops if fn raises."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @st.composite

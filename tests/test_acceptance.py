@@ -195,7 +195,7 @@ def test_acceptance_06_hypoellipticity_signature(capsys):
     n_pos = 0
     min_seen = np.inf
     for traj in simulate_paths(cfg, range(200)):
-        lam_min = malliavin_forward(traj, 0.1, sub).eigenvalues()[0]
+        lam_min = malliavin_forward(traj, 0.1, sub).lambda_min()
         min_seen = min(min_seen, lam_min)
         if lam_min > 0.0:
             n_pos += 1
@@ -206,7 +206,7 @@ def test_acceptance_06_hypoellipticity_signature(capsys):
                       t_final=0.1, initial=init, seed=61)
     degen_ok = True
     for traj in simulate_paths(cfg_d, range(200)):
-        lam_min = malliavin_forward(traj, 0.1, sub).eigenvalues()[0]
+        lam_min = malliavin_forward(traj, 0.1, sub).lambda_min()
         if abs(lam_min) > 1e-10:
             degen_ok = False
             break

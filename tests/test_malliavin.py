@@ -1,6 +1,5 @@
 """Noise covariance: forward/backward agreement, spectra, bracket identities."""
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,16 +7,19 @@ import pytest
 
 from vortexlab import malliavin
 from vortexlab.lattice import ForcingGeometry
-from vortexlab.malliavin import (DEFAULT_EPSILONS, MalliavinForm,
+from vortexlab.flows import adjoint_flow_columns
+from vortexlab.malliavin import (DEFAULT_EPSILONS, GRAM_CHUNK, MalliavinForm,
                                  PAIRING_PREFACTOR, bracket_decomposition,
                                  bracket_pairing, malliavin_backward_form,
                                  malliavin_forward, min_eigenvalue_tail,
                                  pairing_rhs, wilson_interval)
-from vortexlab.simulate import SimConfig, block_size, simulate
+from vortexlab.modes import norm2
+from vortexlab.simulate import (SimConfig, block_size, simulate,
+                                simulate_block)
 from vortexlab.spectral import (Basis, SpectralField, TWO_PI_SQ, adjoint_C,
                                 build_interaction_table, nonlinearity_B)
 
-from conftest import Z_STAR, field_from_dict
+from conftest import Z_STAR, field_from_dict, traced_peak
 
 CANONICAL = ForcingGeometry(frozenset(Z_STAR))
 FORCED = tuple(sorted(Z_STAR))
@@ -64,7 +66,8 @@ def test_gram_equals_lyapunov():
         scale = max(1.0, np.max(np.abs(a.matrix)))
         assert np.max(np.abs(a.matrix - b.matrix)) < 1e-12 * scale
     # at t = 0 no noise has entered: the Gram and its spectrum are exactly 0
-    assert not np.any(a.matrix) and not np.any(a.eigenvalues())
+    assert not np.any(a.matrix)
+    assert a.lambda_min() == 0.0 and a.lambda_max() == 0.0
 
 
 def test_forward_quadratic_form_matches_backward():
@@ -145,12 +148,13 @@ def test_gram_spectrum_matches_eigvalsh_and_bounds(t):
     traj = make_traj(radius=3.0, t_final=0.05, seed=78)
     form = malliavin_forward(traj, t, list(traj.basis.modes))
     M = form.matrix
-    vals = form.eigenvalues()
+    lo, hi = form.lambda_min(), form.lambda_max()
+    ref = np.linalg.eigvalsh(M)
     tr = float(np.trace(M))
-    assert np.all(np.diff(vals) >= 0.0)
-    assert np.max(np.abs(vals - np.linalg.eigvalsh(M))) <= 1e-14 * tr
-    assert vals[-1] <= tr * (1.0 + 1e-12)
-    assert vals[0] <= np.min(np.diag(M))   # interlacing
+    assert 0.0 <= lo <= hi
+    assert max(abs(lo - ref[0]), abs(hi - ref[-1])) <= 1e-14 * tr
+    assert hi <= tr * (1.0 + 1e-12)
+    assert lo <= np.min(np.diag(M))   # interlacing
 
 
 def test_graded_spectrum_stays_positive():
@@ -162,6 +166,125 @@ def test_graded_spectrum_stays_positive():
     table = min_eigenvalue_tail(cfg, 0.02, list(cfg.basis().modes), n_paths=2)
     assert np.all(table.lambda_min > 0.0)
     assert np.all(table.lambda_min_h1 > 0.0)
+
+
+def hestenes_singular_values(X, tol=1e-15, max_sweeps=100):
+    """Ascending singular values by one-sided Jacobi (Hestenes).
+
+    Rotates column pairs until every pair is orthogonal to tol; the column
+    norms are then the singular values. Each one is resolved relative to
+    itself on a column-graded X (Demmel & Veselic, SIAM J. Matrix Anal.
+    Appl. 13, 1992), where an SVD resolves only eps * sigma_max.
+    """
+    A = np.array(X, dtype=float)
+    n = A.shape[1]
+    for _ in range(max_sweeps):
+        done = True
+        for i in range(n - 1):
+            for j in range(i + 1, n):
+                a, b = A[:, i] @ A[:, i], A[:, j] @ A[:, j]
+                c = A[:, i] @ A[:, j]
+                if abs(c) <= tol * math.sqrt(a * b):
+                    continue
+                done = False
+                zeta = (b - a) / (2.0 * c)
+                tan = math.copysign(1.0 / (abs(zeta) + math.hypot(1.0, zeta)),
+                                    zeta)
+                cos = 1.0 / math.sqrt(1.0 + tan * tan)
+                A[:, i], A[:, j] = (cos * A[:, i] - cos * tan * A[:, j],
+                                    cos * tan * A[:, i] + cos * A[:, j])
+        if done:
+            return np.sort(np.linalg.norm(A, axis=0))
+    raise RuntimeError("one-sided Jacobi did not converge")
+
+
+def factor_form(X):
+    R = np.linalg.qr(X, mode="r")
+    return MalliavinForm(tuple(range(X.shape[1])), R.T @ R, 0.0, factor=R)
+
+
+def tall_factor(traj, t, sub):
+    """The Gram's tall factor X, M = X^T X, from the swept node history:
+    the forced rows scaled by the square roots of the trapezoid weights."""
+    idx = [traj.basis.index[k] for k in sub]
+    hist = adjoint_flow_columns(traj, t, np.eye(len(traj.basis))[:, idx], 0.0,
+                                discrete_transpose=True)
+    weights = np.full(len(hist), traj.config.dt)
+    weights[[0, -1]] = 0.5 * traj.config.dt
+    X = np.sqrt(weights)[:, None, None] * hist[:, traj.forced_indices]
+    return X.reshape(-1, len(sub))
+
+
+@pytest.mark.parametrize("m", [6, 12, 24])
+def test_lambda_min_resolves_a_graded_factor(m):
+    # X = B diag(d), B Gaussian (not orthonormal: LAPACK's SVD already
+    # resolves Q diag(d)), d from 1 to 1e-20 in shuffled order
+    rng = np.random.default_rng(70 + m)
+    worst = 0.0
+    for _ in range(20):
+        X = rng.standard_normal((4 * m, m)) * rng.permutation(
+            np.logspace(0, -20, m))
+        w = rng.uniform(0.1, 1.0, m)
+        form = factor_form(X)
+        for got, ref in ((form.lambda_min(), hestenes_singular_values(X)),
+                         (form.lambda_min(w), hestenes_singular_values(X * w))):
+            worst = max(worst, abs(got / ref[0] ** 2 - 1.0))
+    assert worst <= 1e-12
+
+
+def test_lambda_min_of_the_operator_matches_one_sided_jacobi():
+    # the gram-r4 config at sim seed 3: a spectrum over 44 decades, where
+    # the squared singular values of the tall factor missed lambda_min 40x
+    cfg = SimConfig(nu=0.5, forcing=CANONICAL, radius=4.0, dt=1e-3,
+                    t_final=0.1, seed=3)
+    traj = simulate(cfg)
+    sub = list(traj.basis.modes)
+    form = malliavin_forward(traj, 0.1, sub)
+    X = tall_factor(traj, 0.1, sub)
+    w = 1.0 / np.sqrt([float(norm2(k)) for k in sub])   # the unit H1 ball
+    for got, ref in ((form.lambda_min(), hestenes_singular_values(X)),
+                     (form.lambda_min(w), hestenes_singular_values(X * w))):
+        assert ref[-1] / ref[0] > 1e20          # graded far past eps
+        assert got == pytest.approx(ref[0] ** 2, rel=1e-10)
+
+
+@pytest.mark.parametrize("nodes", [GRAM_CHUNK - 1, GRAM_CHUNK, GRAM_CHUNK + 1,
+                                   2 * GRAM_CHUNK])
+def test_folded_factor_equals_the_one_shot_gram(nodes):
+    # R^T R, folded a chunk of nodes at a time, against X^T X of the history
+    traj = make_traj(radius=3.0, t_final=0.13, seed=17)
+    t = traj.times[nodes - 1]
+    sub = list(traj.basis.modes)
+    X = tall_factor(traj, t, sub)
+    M = malliavin_forward(traj, t, sub).matrix
+    assert np.max(np.abs(M - X.T @ X)) <= 1e-14 * np.max(np.abs(X.T @ X))
+
+
+def test_block_lambda_min_is_zero_on_a_singular_factor():
+    # a zero on R's diagonal gives exactly 0, per path of a block, with no
+    # LinAlgError from the inverse: at t = 0, and under degenerate forcing,
+    # where (1, 0) is forced and the other two modes are never reached
+    sub = [(1, 0), (0, 1), (2, 1)]
+    cfg = SimConfig(nu=0.5, forcing=CANONICAL, radius=3.0, dt=1e-3,
+                    t_final=0.02, seed=18)
+    geom = ForcingGeometry(frozenset({(1, 0), (-1, 0)}))
+    init = field_from_dict(cfg.basis(), {(1, 0): 0.5, (-1, 0): -0.2})
+    degenerate = SimConfig(nu=0.5, forcing=geom, radius=3.0, dt=1e-3,
+                           t_final=0.02, initial=init, seed=18)
+    w = np.array([1.0, 2.0, 3.0])
+    for c, t in ((cfg, 0.0), (degenerate, 0.02)):
+        form = malliavin_forward(simulate_block(c, range(3)), t, sub)
+        diag = np.diagonal(form.factor, axis1=1, axis2=2)
+        assert np.all(np.any(diag == 0.0, axis=1))
+        assert np.all(form.lambda_min() == 0.0)
+        assert np.all(form.lambda_min(w) == 0.0)
+    assert np.all(diag[:, 0] != 0.0) and np.all(form.lambda_max() > 0.0)
+    # a stack of a regular and a singular factor: 0 only where singular
+    good = malliavin_forward(simulate(cfg), 0.02, sub)
+    R = np.stack([good.factor, np.zeros((3, 3))])
+    form = MalliavinForm(tuple(sub), R.mT @ R, 0.02, factor=R)
+    assert form.lambda_min()[0] == good.lambda_min() > 0.0
+    assert form.lambda_min()[1] == 0.0
 
 
 # ------------------------------------------------------------ tail table
@@ -219,17 +342,32 @@ def spy_forward(monkeypatch):
     return calls
 
 
-def test_min_eigenvalue_tail_calls_malliavin_forward_once_per_path(
+def test_min_eigenvalue_tail_calls_malliavin_forward_once_per_block(
         monkeypatch):
     cfg = SimConfig(nu=0.5, forcing=CANONICAL, radius=3.0, dt=1e-3,
                     t_final=0.02, seed=11)
+    sub = [(0, 1), (2, 1)]
     calls = spy_forward(monkeypatch)
-    min_eigenvalue_tail(cfg, 0.02, [(0, 1), (2, 1)], n_paths=5)
-    assert len(calls) == 5
-    for p, (traj, form) in enumerate(calls):
-        assert isinstance(form, MalliavinForm)
-        assert form.trajectory is traj
-        assert np.array_equal(traj.states, simulate(cfg, path_index=p).states)
+    min_eigenvalue_tail(cfg, 0.02, sub, n_paths=5)
+    assert len(calls) == 1                  # radius 3 takes 91 paths a block
+    traj, form = calls[0]
+    assert form.trajectory is traj and form.matrix.shape == (5, 2, 2)
+    for p in range(5):
+        assert np.array_equal(traj.path(p).states,
+                              simulate(cfg, path_index=p).states)
+    # one path is a lone form, as the benchmark's Gram check reads it
+    calls.clear()
+    table = min_eigenvalue_tail(cfg, 0.02, sub, n_paths=1)
+    assert len(calls) == 1
+    traj, form = calls[0]
+    assert isinstance(form, MalliavinForm) and form.trajectory is traj
+    assert (form.t, form.subspace, form.matrix.shape) == (0.02, tuple(sub),
+                                                          (2, 2))
+    assert np.array_equal(traj.states, simulate(cfg).states)
+    vals = np.linalg.eigvalsh(form.matrix)
+    tol = 1e-10 * float(np.trace(form.matrix))
+    assert abs(vals[0] - table.lambda_min[0]) <= tol
+    assert abs(vals[-1] - table.lambda_max[0]) <= tol
 
 
 @pytest.mark.filterwarnings("ignore:subspace modes")
@@ -242,18 +380,25 @@ def test_block_swept_forms_equal_lone_forms_bitwise(monkeypatch, radius,
                     t_final=0.03 if radius == 3.0 else 0.01, seed=12)
     basis = cfg.basis()
     sub = list(basis.modes)[:modes] if modes else list(basis.modes)
-    # the tail's rule: the larger of a path's states and its history
-    per_path = max(cfg.n_steps() + 1, (cfg.grid_index(t) + 1) * len(sub))
-    size = block_size(basis, per_path * len(basis), n_paths)
+    m = len(sub)
+    size = block_size(cfg, n_paths)            # the tail's blocks
     assert (size < n_paths) == (radius == 5.0)  # radius 5 crosses a block
     calls = spy_forward(monkeypatch)
     table = min_eigenvalue_tail(cfg, t, sub, n_paths)
-    assert len(calls) == n_paths
-    for p, (traj, form) in enumerate(calls):
-        lone = malliavin_forward(traj, t, sub)
-        assert np.array_equal(form.factor, lone.factor)
-        assert np.array_equal(form.matrix, lone.matrix)
-        assert table.lambda_min[p] == lone.eigenvalues()[0]
+    assert len(calls) == -(-n_paths // size)
+    p = 0
+    for block, form in calls:
+        # a block of one path is a lone form
+        factor = form.factor.reshape(-1, m, m)
+        matrix = form.matrix.reshape(-1, m, m)
+        lam = np.reshape(form.lambda_min(), -1)
+        for b in range(len(factor)):
+            lone = malliavin_forward(block.path(b), t, sub)
+            assert np.array_equal(factor[b], lone.factor)
+            assert np.array_equal(matrix[b], lone.matrix)
+            assert lam[b] == lone.lambda_min() == table.lambda_min[p]
+            p += 1
+    assert p == n_paths
 
 
 def test_min_eigenvalue_tail_memory_is_one_block():
@@ -262,16 +407,14 @@ def test_min_eigenvalue_tail_memory_is_one_block():
                     t_final=0.02, seed=13)
     sub = [(0, 1), (2, 1), (0, -1), (-2, -1)]
     basis = cfg.basis()
-    per_path = (cfg.grid_index(0.02) + 1) * len(basis) * len(sub)
-    size = block_size(basis, per_path, 10 ** 6)
-    peaks = []
-    for n_paths in (size, size, 3 * size + 1):  # the first run warms caches
-        tracemalloc.start()
-        min_eigenvalue_tail(cfg, 0.02, sub, n_paths)
-        peaks.append(tracemalloc.get_traced_memory()[1])
-        tracemalloc.stop()
-    history = 8 * size * per_path
-    assert peaks[1] <= 3 * history
+    states = (cfg.n_steps() + 1) * len(basis)
+    size = block_size(cfg, 10 ** 6)            # the tail's blocks
+    peaks = [traced_peak(min_eigenvalue_tail, cfg, 0.02, sub, n_paths)
+             for n_paths in (size, size, 3 * size + 1)]  # the first warms
+    # a block holds its states and, while it steps, the simulator's
+    # per-path triad arrays
+    triads = len(build_interaction_table(basis))
+    assert peaks[1] <= 3 * 8 * size * (states + triads)
     assert peaks[2] <= 1.25 * peaks[1]
 
 
@@ -281,13 +424,20 @@ def test_min_eigenvalue_tail_peak_is_one_block_of_states():
                     t_final=0.2, seed=14)
     basis = cfg.basis()
     states = (cfg.n_steps() + 1) * len(basis)
-    size = block_size(basis, states, 682)
+    size = block_size(cfg, 682)
     min_eigenvalue_tail(cfg, 0.001, [(1, 0)], 682)  # warms caches
-    tracemalloc.start()
-    min_eigenvalue_tail(cfg, 0.001, [(1, 0)], 682)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
+    peak = traced_peak(min_eigenvalue_tail, cfg, 0.001, [(1, 0)], 682)
     assert peak <= 2 * 8 * size * states
+
+
+@pytest.mark.parametrize("steps", [100, 2000])
+def test_gram_memory_does_not_grow_with_the_steps(steps):
+    # the factor is folded as the sweep runs: no node history is kept
+    cfg = SimConfig(nu=0.5, forcing=CANONICAL, radius=4.0, dt=1e-3,
+                    t_final=steps * 1e-3, seed=16)
+    traj = simulate(cfg)
+    sub = list(traj.basis.modes)
+    assert traced_peak(malliavin_forward, traj, cfg.t_final, sub) <= 2 ** 21
 
 
 @pytest.mark.parametrize("m", [1, 4, 17, 48])

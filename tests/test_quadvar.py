@@ -1,6 +1,5 @@
 """Quadratic variation toolkit: partitions, estimators, tail bounds."""
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +15,8 @@ from vortexlab.quadvar import (BLOCK_EXPONENT, CASCADE_RATIO, SampledProcess,
                                holder_transfer, omega_a_bound, omega_b_bound,
                                partition_node_count, partition_scheme,
                                qv_estimate, sample_wiener_ensemble)
+
+from conftest import traced_peak
 
 
 # ----------------------------------------------------- sampled processes
@@ -296,24 +297,14 @@ def test_holder_constant_memory_is_bounded():
     t = partition_scheme(0.0085, 1.0).nodes
     assert len(t) == 2942
     v = sample_wiener_ensemble(t, 1, 1, seed=3)[0, 0]
-    tracemalloc.start()
-    try:
-        holder_constant(t, v, 0.25)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(holder_constant, t, v, 0.25)
     assert peak < 32 * 2 ** 20      # a dense N x N scan peaks near 272 MiB
 
 
 def test_holder_constant_batched_memory_is_bounded():
     t = partition_scheme(0.0085, 1.0).nodes
     paths = sample_wiener_ensemble(t, 2, 50, seed=3)
-    tracemalloc.start()
-    try:
-        holder_constant(t, paths, 0.25)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(holder_constant, t, paths, 0.25)
     assert peak <= 8 * paths.nbytes     # O(N) per series, not per pair
 
 
@@ -325,12 +316,7 @@ def test_holder_constant_iid_noise_memory_is_bounded(delta_cap, batch):
     # so no temporary may hold one entry per pair of blocks
     t = partition_scheme(delta_cap, 1.0).nodes
     paths = np.random.default_rng(3).standard_normal(batch + (len(t),))
-    tracemalloc.start()
-    try:
-        holder_constant(t, paths, 0.25)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(holder_constant, t, paths, 0.25)
     assert peak <= 8 * paths.nbytes
 
 
@@ -432,12 +418,7 @@ def test_event_ab_runs_match_block_loop(delta_cap, horizon, n_proc, n_paths,
 def test_event_ab_memory_is_bounded(delta_cap, n_paths, share):
     s = partition_scheme(delta_cap, 1.0)
     paths = sample_wiener_ensemble(s.nodes, 2, n_paths, seed=3)
-    tracemalloc.start()
-    try:
-        event_frequencies(paths, s, events="ab")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(event_frequencies, paths, s, "ab")
     assert peak <= share * paths.nbytes
 
 

@@ -119,6 +119,10 @@ def test_block_paths_equal_lone_paths_bitwise():
         assert np.array_equal(lone.states, ref.states)
         assert np.array_equal(lone.increments, ref.increments)
         assert lone.states.base is None and lone.increments.base is None
+        # the per-path series of a block are its columns
+        for series in ("enstrophy_series", "h1_series", "wiener_path"):
+            assert np.array_equal(getattr(block, series)()[:, b],
+                                  getattr(lone, series)())
 
 
 def test_one_path_block_keeps_lone_shapes():
