@@ -92,7 +92,9 @@ def tangent_flow_columns(traj: Trajectory, s: float, phi_cols: np.ndarray,
 
 def adjoint_flow(traj: Trajectory, t: float, phi: SpectralField,
                  s: float, discrete_transpose: bool = False) -> SpectralField:
-    *_, U = adjoint_sweep(traj, t, phi.coeffs[:, None], s, discrete_transpose)
+    for U in adjoint_sweep(traj, t, phi.coeffs[:, None], s,
+                           discrete_transpose):
+        pass  # one node at a time: the sweep's last node is U(s)
     return SpectralField(traj.basis, U[:, 0])
 
 

@@ -31,97 +31,88 @@ GRAM_CHUNK = 64  # nodes of the sweep folded into a Gram's factor per QR
 @dataclass
 class MalliavinForm:
     subspace: tuple            # ordered modes spanning the projection
-    matrix: np.ndarray         # symmetric, unit-normalized; (P, m, m) a block
+    factor: np.ndarray         # upper-triangular R; (P, m, m) for a block
     t: float
     trajectory: Trajectory = field(repr=False, default=None)
-    factor: np.ndarray = field(repr=False, default=None)  # R, matrix = R^T R
 
-    def __post_init__(self):
-        # R^T R is exactly symmetric and PSD: only a bare matrix is checked
-        M = self.matrix
-        if self.factor is None and not np.allclose(
-                M, M.T, rtol=0.0, atol=1e-12 * np.max(np.abs(M), initial=0.0)):
-            raise ValueError("covariance matrix must be symmetric")
-        if (self.factor is None and
-                self.lambda_min() < -1e-10 * max(np.trace(M), 1.0)):
-            raise ValueError("covariance matrix must be positive semidefinite")
+    @cached_property
+    def matrix(self):          # unit-normalized, exactly symmetric and PSD
+        return self.factor.mT @ self.factor
 
     def lambda_min(self, w=1.0):
         """Smallest eigenvalue of diag(w) M diag(w), one per form of a block:
-        from the factor R, 1 / sigma_max(inv(R diag w))^2, resolved to about
-        1e-12 relative (Householder QR keeps the columns' grading in R) and
-        exactly 0 where R has a zero on its diagonal; from a bare matrix,
-        eigvalsh, resolved only to about eps lambda_max."""
-        ww = np.outer(w, w)
-        if self.factor is None:
-            return np.linalg.eigvalsh(self.matrix * ww)[..., 0]
+        1 / sigma_max(inv(R diag w))^2, resolved to about 1e-12 relative
+        (Householder QR keeps the columns' grading in R); exactly 0 where R
+        has a zero on its diagonal, and 0 below the double range."""
         # inv(R diag w) = diag(1/w) inv(R): one inverse serves every w
-        S, zero = self._inverse_gram
-        return np.where(zero, 0.0, 1.0 / np.linalg.eigvalsh(S / ww)[..., -1])
+        S, e, zero = self._inverse_gram
+        top = np.linalg.eigvalsh(S / np.outer(w, w))[..., -1]
+        return np.where(zero, 0.0, np.ldexp(1.0 / top, -2 * e))
 
     @cached_property
-    def _inverse_gram(self):  # inv(R) inv(R)^T, 1 standing in for a 0 pivot
+    def _inverse_gram(self):  # inv(R) inv(R)^T / 4^e, 1 for a 0 pivot
         R = self.factor
         zero = np.diagonal(R, axis1=-2, axis2=-1) == 0.0
         inv = np.linalg.inv(R + zero[..., None] * np.eye(zero.shape[-1]))
-        return inv @ inv.mT, np.any(zero, axis=-1)
+        # 2^-e takes the largest entry to [1/2, 1), so the product is finite
+        e = np.frexp(np.max(np.abs(inv), axis=(-2, -1)))[1]
+        inv = np.ldexp(inv, -e[..., None, None])
+        return inv @ inv.mT, e, np.any(zero, axis=-1)
 
     def lambda_max(self):
         """Largest eigenvalue, one per form of a block; eigvalsh resolves it."""
         return np.linalg.eigvalsh(self.matrix)[..., -1]
 
 
-def malliavin_forward(traj: Trajectory, t: float, subspace,
-                      method: str = "gram") -> MalliavinForm:
-    """Projected noise covariance at time t by a forward representation.
+def malliavin_forward(traj: Trajectory, t: float, subspace) -> MalliavinForm:
+    """Projected noise covariance at time t, as the factor R of its Gram.
 
-    method="gram": Gram assembly of the propagated noise columns
-    V_{k,s}(t) with trapezoid quadrature in s; the columns are obtained
-    from the exact transposes of the one-step tangent maps, so the result
-    is identical to propagating each column forward individually; R folds
-    in the sweep chunk by chunk (sequential TSQR), stacked for a block.
-
-    method="lyapunov": forward recursion of the covariance through the
-    one-step tangent maps, M <- Phi M Phi^T + dt*S with S the identity on
-    the forced coordinates, weighted to match the trapezoid rule.
+    The Gram assembles the propagated noise columns V_{k,s}(t) with
+    trapezoid quadrature in s; the columns are obtained from the exact
+    transposes of the one-step tangent maps, so the result is identical to
+    propagating each column forward individually. R folds in the sweep
+    chunk by chunk (sequential TSQR), stacked for a block.
     """
     try:
         idx = [traj.basis.index[tuple(k)] for k in subspace]
     except KeyError as bad:
         raise ValueError(f"subspace mode {bad.args[0]} outside basis") from None
-    forced = traj.forced_indices
     i_t = traj.grid_index(t)
-    dt = traj.config.dt
     n, m = len(traj.basis), len(idx)
-    if method == "gram":
-        R = np.zeros(traj.states.shape[1:-1] + (m, m))
-        # each path's forced rows, taken from the (P n, m) view of a node
-        at = (np.arange(0, traj.states[0].size, n)[:, None] + forced).ravel()
-        rows = []
-        for k, U in enumerate(adjoint_sweep(traj, t, np.eye(n)[:, idx], 0.0,
-                                            discrete_transpose=True)):
-            rows.append(U.reshape(-1, m).take(at, axis=0))
-            if k in (0, i_t):  # trapezoid in s: half weights at both ends,
-                rows[-1] *= math.sqrt(0.5) if i_t else 0.0  # 0 on one node
-            if len(rows) == GRAM_CHUNK or k == i_t:
-                X = np.stack(rows, axis=1).reshape(R.shape[:-2] + (-1, m))
-                X = np.concatenate([R, math.sqrt(dt) * X], axis=-2)
-                R = np.linalg.qr(X, mode="r")
-                rows = []
-        return MalliavinForm(tuple(subspace), R.mT @ R, t, traj, R)
-    if method == "lyapunov":
-        stepper = Stepper(traj)
-        S = np.zeros((n, n))
-        S[forced, forced] = 1.0
-        M = 0.5 * dt * S
-        eye = np.eye(n)
-        for i in range(i_t):
-            Phi = stepper.tangent(i, eye)
-            M = Phi @ M @ Phi.T + dt * S
-        M = M - 0.5 * dt * S
-        M = 0.5 * (M[np.ix_(idx, idx)] + M[np.ix_(idx, idx)].T)
-        return MalliavinForm(tuple(subspace), M, t, traj)
-    raise ValueError(f"unknown method {method!r}")
+    R = np.zeros(traj.states.shape[1:-1] + (m, m))
+    # each path's forced rows, taken from the (P n, m) view of a node
+    at = (np.arange(0, traj.states[0].size, n)[:, None]
+          + traj.forced_indices).ravel()
+    rows = []
+    for k, U in enumerate(adjoint_sweep(traj, t, np.eye(n)[:, idx], 0.0,
+                                        discrete_transpose=True)):
+        rows.append(U.reshape(-1, m).take(at, axis=0))
+        if k in (0, i_t):  # trapezoid in s: half weights at both ends,
+            rows[-1] *= math.sqrt(0.5) if i_t else 0.0  # 0 on one node
+        if len(rows) == GRAM_CHUNK or k == i_t:
+            X = np.stack(rows, axis=1).reshape(R.shape[:-2] + (-1, m))
+            X = np.concatenate([R, math.sqrt(traj.config.dt) * X], axis=-2)
+            R = np.linalg.qr(X, mode="r")
+            rows = []
+    return MalliavinForm(tuple(subspace), R, t, traj)
+
+
+def lyapunov_covariance(traj: Trajectory, t: float) -> np.ndarray:
+    """Plain covariance of every mode at time t, (n, n), or (P, n, n) on
+    block states: the forward recursion M <- Phi M Phi^T + dt S through the
+    one-step tangent maps, S the identity on the forced coordinates,
+    weighted to match the Gram's trapezoid rule. It neither sweeps the
+    transposes nor folds a factor, so it checks the Gram independently."""
+    n, dt = len(traj.basis), traj.config.dt
+    stepper = Stepper(traj)
+    S = np.zeros((n, n))
+    S[traj.forced_indices, traj.forced_indices] = 1.0
+    M = np.broadcast_to(0.5 * dt * S, traj.states.shape[1:-1] + (n, n))
+    eye = np.eye(n)
+    for i in range(traj.grid_index(t)):
+        Phi = stepper.tangent(i, eye)
+        M = Phi @ M @ Phi.mT + dt * S
+    return M - 0.5 * dt * S
 
 
 def malliavin_backward_form(traj: Trajectory, t: float,

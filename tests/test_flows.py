@@ -12,7 +12,7 @@ from vortexlab.lattice import ForcingGeometry
 from vortexlab.simulate import SimConfig, simulate
 from vortexlab.spectral import SpectralField, inner
 
-from conftest import Z_STAR, field_from_dict, random_fields
+from conftest import Z_STAR, field_from_dict, random_fields, traced_peak
 
 CANONICAL = ForcingGeometry(frozenset(Z_STAR))
 
@@ -92,6 +92,16 @@ def test_adjoint_duality_discrete_transpose_exact():
         rhs = inner(phi, adjoint_flow(traj, 0.1, psi, 0.0,
                                       discrete_transpose=True))
         assert lhs == pytest.approx(rhs, abs=1e-12 * max(1.0, abs(lhs)))
+
+
+@pytest.mark.parametrize("steps", [100, 2000])
+def test_adjoint_flow_holds_one_node_at_a_time(steps):
+    # the endpoint alone is kept: the peak does not grow with the steps
+    traj = make_traj(nu=0.5, radius=4.0, t_final=steps * 1e-3, seed=16)
+    phi = SpectralField.single_mode(traj.basis, (2, 1))
+    for transpose in (False, True):
+        assert traced_peak(adjoint_flow, traj, traj.config.t_final, phi, 0.0,
+                           transpose) <= 2 ** 18
 
 
 @given(random_fields(5), st.integers(0, 3))

@@ -10,9 +10,10 @@ from vortexlab.lattice import ForcingGeometry
 from vortexlab.flows import adjoint_flow_columns
 from vortexlab.malliavin import (DEFAULT_EPSILONS, GRAM_CHUNK, MalliavinForm,
                                  PAIRING_PREFACTOR, bracket_decomposition,
-                                 bracket_pairing, malliavin_backward_form,
-                                 malliavin_forward, min_eigenvalue_tail,
-                                 pairing_rhs, wilson_interval)
+                                 bracket_pairing, lyapunov_covariance,
+                                 malliavin_backward_form, malliavin_forward,
+                                 min_eigenvalue_tail, pairing_rhs,
+                                 wilson_interval)
 from vortexlab.modes import norm2
 from vortexlab.simulate import (SimConfig, block_size, simulate,
                                 simulate_block)
@@ -58,13 +59,22 @@ def test_short_time_diagonal_is_approximately_t():
 # ------------------------------------------- representation cross-checks
 
 def test_gram_equals_lyapunov():
+    # a lone path, and a block of three paths checked path by path
     traj = make_traj(radius=2.0, dt=2e-3, t_final=0.1)
+    block = simulate_block(traj.config, range(3))
     sub = [(1, 0), (1, 1), (0, 1), (-1, 0)]
+    idx = (Ellipsis,) + np.ix_(*2 * [[traj.basis.index[k] for k in sub]])
+    n = len(traj.basis)
     for t in (0.1, 0.0):
-        a = malliavin_forward(traj, t, sub, method="gram")
-        b = malliavin_forward(traj, t, sub, method="lyapunov")
-        scale = max(1.0, np.max(np.abs(a.matrix)))
-        assert np.max(np.abs(a.matrix - b.matrix)) < 1e-12 * scale
+        for tr in (block, traj):
+            a = malliavin_forward(tr, t, sub)
+            b = lyapunov_covariance(tr, t)
+            assert b.shape == tr.states.shape[1:-1] + (n, n)  # at t = 0 too
+            scale = max(1.0, np.max(np.abs(a.matrix)))
+            assert np.max(np.abs(a.matrix - b[idx])) < 1e-12 * scale
+        b = lyapunov_covariance(block, t)
+        for p in range(3):
+            assert np.array_equal(b[p], lyapunov_covariance(block.path(p), t))
     # at t = 0 no noise has entered: the Gram and its spectrum are exactly 0
     assert not np.any(a.matrix)
     assert a.lambda_min() == 0.0 and a.lambda_max() == 0.0
@@ -86,27 +96,13 @@ def test_forward_quadratic_form_matches_backward():
         assert got == pytest.approx(want, rel=2e-3)
 
 
-def test_malliavin_invalid_method_and_bad_subspace():
+def test_malliavin_rejects_a_subspace_outside_the_basis():
     traj = make_traj(t_final=0.01)
-    with pytest.raises(ValueError):
-        malliavin_forward(traj, 0.01, FORCED, method="nope")
     with pytest.raises(ValueError):
         malliavin_forward(traj, 0.01, [(9, 9)])
 
 
 # ------------------------------------------------------ structural facts
-
-def test_form_validation_rejects_asymmetric_and_indefinite():
-    with pytest.raises(ValueError):
-        MalliavinForm(FORCED, np.array([[1.0, 0.5], [0.1, 1.0]]), 0.1, None)
-    with pytest.raises(ValueError):
-        MalliavinForm(((1, 0), (0, 1)), np.array([[1.0, 0.0], [0.0, -0.3]]),
-                      0.1, None)
-    # the symmetry tolerance scales with the entries
-    with pytest.raises(ValueError):
-        MalliavinForm(((1, 0), (0, 1)), 1e-20 * np.array([[1.0, 0.5], [0.1, 1.0]]),
-                      0.1, None)
-
 
 def test_quadratic_form_monotone_in_time():
     traj = make_traj(t_final=0.2)
@@ -200,7 +196,7 @@ def hestenes_singular_values(X, tol=1e-15, max_sweeps=100):
 
 def factor_form(X):
     R = np.linalg.qr(X, mode="r")
-    return MalliavinForm(tuple(range(X.shape[1])), R.T @ R, 0.0, factor=R)
+    return MalliavinForm(tuple(range(X.shape[1])), R, 0.0)
 
 
 def tall_factor(traj, t, sub):
@@ -282,9 +278,37 @@ def test_block_lambda_min_is_zero_on_a_singular_factor():
     # a stack of a regular and a singular factor: 0 only where singular
     good = malliavin_forward(simulate(cfg), 0.02, sub)
     R = np.stack([good.factor, np.zeros((3, 3))])
-    form = MalliavinForm(tuple(sub), R.mT @ R, 0.02, factor=R)
+    form = MalliavinForm(tuple(sub), R, 0.02)
     assert form.lambda_min()[0] == good.lambda_min() > 0.0
     assert form.lambda_min()[1] == 0.0
+
+
+def test_lambda_min_below_the_double_range_of_its_inverse():
+    # inv(R) inv(R)^T overflows here; scaled by a power of two it does not,
+    # and the power comes back exactly: lambda_min = 2^-1040, a subnormal
+    R = np.stack([np.diag([1.0, 2.0 ** -520]), np.diag([1.0, 2.0])])
+    form = MalliavinForm(((1, 0), (0, 1)), R, 0.0)
+    assert np.array_equal(form.lambda_min(), [2.0 ** -1040, 1.0])
+    assert np.array_equal(form.lambda_min(np.array([1.0, 2.0])),
+                          [2.0 ** -1038, 1.0])
+    # far below it the value is 0, and never a LinAlgError
+    R[0, 1, 1] = 2.0 ** -600
+    assert np.array_equal(MalliavinForm(((1, 0), (0, 1)), R, 0.0).lambda_min(),
+                          [0.0, 1.0])
+
+
+
+def test_tail_lambda_min_is_zero_where_the_inverse_gram_overflows():
+    # all 212 modes at radius 8.1 after 8 steps: max |inv(R)| ~ 7e170, so
+    # the true lambda_min is below 1e-341, which is 0.0 in double precision
+    cfg = SimConfig(nu=0.5, forcing=CANONICAL, radius=8.1, dt=1e-3,
+                    t_final=0.008, seed=3)
+    sub = list(cfg.basis().modes)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")        # no overflow in the matmul
+        table = min_eigenvalue_tail(cfg, 0.008, sub, n_paths=1)
+    assert table.lambda_min[0] == table.lambda_min_h1[0] == 0.0
+    assert 0.0 < table.lambda_max[0] <= table.trace[0]
 
 
 # ------------------------------------------------------------ tail table
