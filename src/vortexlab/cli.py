@@ -94,6 +94,8 @@ def _check_modes_in_ball(value, path, radius):
     for i, (k1, k2) in enumerate(modes):
         if k1 * k1 + k2 * k2 > radius * radius:
             _fail(f"{path}[{i}]", "mode outside the basis radius")
+        if (k1, k2) in modes[:i]:
+            _fail(f"{path}[{i}]", "repeated mode")
     return modes
 
 

@@ -9,8 +9,8 @@ so that adjoint gradients match finite differences of the discrete objective
 to roundoff rather than to O(dt). All three steps are written once, as the
 methods of `Stepper`.
 
-Both column flows return their node history (i1-i0+1, n, m), index 0 at s.
-The adjoint flow's one backward loop, `adjoint_sweep`, also sweeps blocks.
+`tangent_sweep` (forward from s) and `adjoint_sweep` (backward from t, also
+on blocks) yield the column flows node by node; an endpoint is the last node.
 """
 
 from __future__ import annotations
@@ -69,25 +69,21 @@ class Stepper:
 def tangent_flow(traj: Trajectory, s: float, phi: SpectralField,
                  t: float) -> SpectralField:
     """J_{s,t} phi: forward linearization along the stored states."""
-    V = tangent_flow_columns(traj, s, phi.coeffs[:, None], t)[-1]
+    for V in tangent_sweep(traj, s, phi.coeffs[:, None], t):
+        pass  # one node at a time: the sweep's last node is J_{s,t} phi
     return SpectralField(traj.basis, V[:, 0])
 
 
-def tangent_flow_columns(traj: Trajectory, s: float, phi_cols: np.ndarray,
-                         t: float) -> np.ndarray:
-    """Tangent flow applied to every column of phi_cols at once.
-
-    Returns the history (i1-i0+1, n, m): index 0 holds phi_cols at s and
-    index k the columns propagated to times[i0+k], so [-1] is J_{s,t}.
-    """
+def tangent_sweep(traj: Trajectory, s: float, phi_cols: np.ndarray, t: float):
+    """J_{s,r} phi_cols for r from s to t, yielded node by node as (n, m):
+    phi_cols first, then one `Stepper.tangent` per step."""
     i0, i1 = _window(traj, s, t)
     stepper = Stepper(traj)
     V = np.column_stack([np.asarray(phi_cols, dtype=float)])
-    hist = np.empty((i1 - i0 + 1,) + V.shape)
-    hist[0] = V
+    yield V
     for i in range(i0, i1):
-        hist[i + 1 - i0] = stepper.tangent(i, hist[i - i0])
-    return hist
+        V = stepper.tangent(i, V)
+        yield V
 
 
 def adjoint_flow(traj: Trajectory, t: float, phi: SpectralField,
@@ -138,10 +134,10 @@ def duality_drift(traj: Trajectory, k, s: float, t: float,
     i0, i1 = _window(traj, s, t)
     if i0 >= i1:
         raise ValueError("need s < t")
-    ek = SpectralField.single_mode(traj.basis, tuple(k))
-    v_hist = tangent_flow_columns(traj, s, ek.coeffs[:, None], t)
+    ek = SpectralField.single_mode(traj.basis, tuple(k)).coeffs[:, None]
     u_hist = adjoint_flow_columns(traj, t, phi.coeffs[:, None], s)
-    pairing = TWO_PI_SQ * np.einsum("inm,inm->i", v_hist, u_hist)
+    pairing = TWO_PI_SQ * np.array([np.einsum("nm,nm->", V, U) for V, U in
+                                    zip(tangent_sweep(traj, s, ek, t), u_hist)])
     return float(np.max(np.abs(pairing - pairing.mean())))
 
 
@@ -161,9 +157,10 @@ def second_variation(traj: Trajectory, s1: float, phi1: SpectralField,
     if it <= start:
         return SpectralField(basis)
     # bring both first variations up to the start of the second-order window
-    t_start = traj.times[start]
-    v1 = tangent_flow_columns(traj, s1, phi1.coeffs, t_start)[-1]
-    v2 = tangent_flow_columns(traj, s2, phi2.coeffs, t_start)[-1]
+    for v1 in tangent_sweep(traj, s1, phi1.coeffs, traj.times[start]):
+        pass
+    for v2 in tangent_sweep(traj, s2, phi2.coeffs, traj.times[start]):
+        pass
     # columns v1, v2 and psi share each step; psi also takes the source
     stepper = Stepper(traj)
     X = np.hstack((v1, v2, np.zeros_like(v1)))

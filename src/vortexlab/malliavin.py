@@ -119,13 +119,13 @@ def malliavin_backward_form(traj: Trajectory, t: float,
                             phi: SpectralField) -> float:
     """Quadratic form <M(t) phi, phi> from a single backward adjoint solve.
 
-    Integrates the squared forced components of the backward flow; the
-    backward stepping discretizes the adjoint equation directly, so this is
-    an independent realization of the forward Gram value.
+    Integrates the squared forced components of the backward flow as its
+    sweep yields them, t back to 0; the backward stepping discretizes the
+    adjoint equation directly, an independent realization of the forward Gram.
     """
-    hist = adjoint_flow_columns(traj, t, phi.coeffs[:, None], 0.0)
-    sq = np.sum(hist[:, traj.forced_indices, 0] ** 2, axis=1)
-    return float(TWO_PI_SQ * np.trapezoid(sq, dx=traj.config.dt))
+    sq = np.fromiter((np.sum(U[traj.forced_indices, 0] ** 2) for U in
+                      adjoint_sweep(traj, t, phi.coeffs[:, None], 0.0)), float)
+    return float(TWO_PI_SQ * np.trapezoid(sq[::-1], dx=traj.config.dt))
 
 
 @dataclass

@@ -80,8 +80,8 @@ class Trajectory:
     config: SimConfig
     basis: Basis
     times: np.ndarray            # (n_steps + 1,)
-    states: np.ndarray           # (n_steps + 1, n_modes)
-    increments: np.ndarray       # (n_steps, n_forced) Wiener increments
+    states: np.ndarray           # (n_steps + 1, [P,] n_modes)
+    increments: np.ndarray       # (n_steps, [P,] n_forced) Wiener increments
     forced_modes: tuple          # canonical order of the forced modes
     forced_indices: np.ndarray   # their positions in the basis
 

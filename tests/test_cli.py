@@ -244,6 +244,8 @@ def test_exit_2_on_schema_error_writes_no_manifest(tmp_path):
     pytest.param("malliavin", {}, dict(MALLIAVIN, t=0.06), id="t-past-end"),
     pytest.param("malliavin", {}, dict(MALLIAVIN, subspace=[[3, 0]]),
                  id="subspace-outside-radius"),
+    pytest.param("malliavin", {}, dict(MALLIAVIN, subspace=[[1, 1], [1, 1]]),
+                 id="subspace-repeated-mode"),
     pytest.param("quadvar", {}, {"delta_cap": 0.2, "n_processes": 0},
                  id="n_processes-zero"),
     pytest.param("quadvar", {}, {"delta_cap": 2.0}, id="delta_cap-past-horizon"),
@@ -260,6 +262,8 @@ def test_exit_2_on_schema_error_writes_no_manifest(tmp_path):
                  id="target-length"),
     pytest.param("control", {}, dict(CONTROL, projection=[[2, 2]], target=[0.1]),
                  id="projection-outside-radius"),
+    pytest.param("control", {}, dict(CONTROL, projection=[[1, 0], [1, 0]]),
+                 id="projection-repeated-mode"),
     pytest.param("bracket", {"radius": 3.0}, dict(BRACKET, phi_mode=[3, 1]),
                  id="phi_mode-outside-radius"),
     pytest.param("bracket", {"radius": 3.0}, dict(BRACKET, t0=0.05),
@@ -280,6 +284,25 @@ def test_exit_2_on_invalid_value_writes_no_manifest(tmp_path, monkeypatch,
     out = tmp_path / "out"
     assert main([kind, "--config", path, "--out", str(out)]) == 2
     assert not (out / "manifest.json").exists()
+
+
+def test_repeated_mode_is_named_by_its_path(tmp_path, capsys):
+    # a repeated mode makes the projected matrix singular by construction
+    # (and a control target unreachable): the second copy is named
+    sim = dict(BASE_SIM, radius=3.0, seed=1)
+    cfg = {"sim": sim, "analysis": dict(MALLIAVIN,
+                                        subspace=[[2, 1], [2, 1], [0, 1]])}
+    path = write_config(tmp_path, "c.json", cfg)
+    out = tmp_path / "out"
+    assert main(["malliavin", "--config", path, "--out", str(out)]) == 2
+    assert not (out / "manifest.json").exists()
+    assert "analysis.subspace[1]: repeated mode" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match=r"analysis\.projection\[2\]: repeated"):
+        parse_config({"kind": "control", "sim": BASE_SIM, "analysis": dict(
+            CONTROL, projection=[[1, 0], [0, 1], [1, 0]], target=[1, 2, 3])})
+    # a mode and its negative are distinct basis functions (sine, cosine)
+    parse_config({"kind": "control", "sim": BASE_SIM, "analysis": dict(
+        CONTROL, projection=[[1, 0], [-1, 0]])})
 
 
 def test_exit_1_on_runtime_failure_writes_partial_manifest(tmp_path):

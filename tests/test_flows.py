@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from vortexlab.flows import (Stepper, adjoint_flow, adjoint_flow_columns,
                              control_gradient, control_search, duality_drift,
-                             second_variation, tangent_flow,
-                             tangent_flow_columns)
+                             second_variation, tangent_flow, tangent_sweep)
+from vortexlab.malliavin import malliavin_backward_form
 from vortexlab.lattice import ForcingGeometry
 from vortexlab.simulate import SimConfig, simulate
 from vortexlab.spectral import SpectralField, inner
@@ -66,10 +66,10 @@ def test_flow_histories_hold_the_shortened_flows_endpoints():
     cols = np.random.default_rng(4).standard_normal((len(traj.basis), 2))
     i0, i1 = 2, 8
     s, t = traj.times[i0], traj.times[i1]
-    hist = tangent_flow_columns(traj, s, cols, t)
+    hist = np.stack(list(tangent_sweep(traj, s, cols, t)))
     assert hist.shape == (i1 - i0 + 1, len(traj.basis), 2)
     for k in range(i1 - i0 + 1):
-        end = tangent_flow_columns(traj, s, cols, traj.times[i0 + k])[-1]
+        *_, end = tangent_sweep(traj, s, cols, traj.times[i0 + k])
         assert np.array_equal(hist[k], end)
     for discrete in (False, True):
         hist = adjoint_flow_columns(traj, t, cols, s,
@@ -102,6 +102,20 @@ def test_adjoint_flow_holds_one_node_at_a_time(steps):
     for transpose in (False, True):
         assert traced_peak(adjoint_flow, traj, traj.config.t_final, phi, 0.0,
                            transpose) <= 2 ** 18
+
+
+@pytest.mark.parametrize("steps", [100, 2000])
+def test_one_node_callers_hold_one_node_at_a_time(steps):
+    # the tangent endpoint, the second variation's warm-up flows and the
+    # backward form reduce their sweeps as they run: no history is kept
+    traj = make_traj(nu=0.5, radius=4.0, t_final=steps * 1e-3, seed=16)
+    t = traj.config.t_final
+    phi = SpectralField.single_mode(traj.basis, (2, 1))
+    psi = SpectralField.single_mode(traj.basis, (-1, 2))
+    for fn, args in ((tangent_flow, (0.0, phi, t)),
+                     (second_variation, (0.0, phi, t / 2, psi, t)),
+                     (malliavin_backward_form, (t, phi))):
+        assert traced_peak(fn, traj, *args) <= 2 ** 18, fn.__name__
 
 
 @given(random_fields(5), st.integers(0, 3))
@@ -239,7 +253,7 @@ def test_control_gradient_matches_finite_differences():
 def test_control_gradient_agrees_with_gramian_columns():
     # On any trajectory the gradient is G^T r where G maps control rates to
     # the projected endpoint through the tangent flow; assemble G explicitly
-    # from tangent_flow_columns and compare.
+    # from the last node of tangent_sweep and compare.
     cfg = SimConfig(nu=1.0, forcing=CANONICAL, radius=2.0, dt=1e-2,
                     t_final=0.05)
     basis = cfg.basis()
@@ -259,7 +273,7 @@ def test_control_gradient_agrees_with_gramian_columns():
         cols = np.zeros((len(basis), 4))
         for f_pos, f_idx in enumerate(forced):
             cols[f_idx, f_pos] = cfg.dt * decay[f_idx]
-        prop = tangent_flow_columns(traj, (i + 1) * cfg.dt, cols, cfg.t_final)[-1]
+        *_, prop = tangent_sweep(traj, (i + 1) * cfg.dt, cols, cfg.t_final)
         G[:, i, :] = prop[proj_idx, :]
     want = np.einsum("a,aif->if", r, G)
     got = control_gradient(traj, r, proj_idx)
