@@ -135,7 +135,9 @@ def parse_config(raw: dict) -> dict:
         if sim["forcing"] != [] else []
     if sim["forcing"] == [] and kind != "simulate":
         _fail("sim.forcing", "must be non-empty for this experiment kind")
-    radius = _check_number(sim.get("radius", 6.0), "sim.radius", positive=True)
+    radius = _check_number(sim.get("radius", 6.0), "sim.radius")
+    if radius < 1:
+        _fail("sim.radius", "must be at least 1, or the basis is empty")
     dt = _check_number(sim.get("dt", 1e-3), "sim.dt", positive=True)
     t_final = _check_number(sim.get("t_final", 1.0), "sim.t_final",
                             positive=True)
@@ -152,6 +154,8 @@ def parse_config(raw: dict) -> dict:
         except ValueError:
             _fail(f"sim.initial.{key}", "key must look like 'kx,ky'")
         coeff = _check_number(val, f"sim.initial.{key}")
+        if (kx, ky) == (0, 0):
+            _fail(f"sim.initial.{key}", "the zero mode is excluded")
         if (kx, ky) not in init_field.basis.index:
             _fail(f"sim.initial.{kx},{ky}", "mode outside the basis radius")
         init_field.coeffs[init_field.basis.index[(kx, ky)]] = coeff
@@ -280,15 +284,28 @@ def _run_lattice(parsed, out_dir: Path):
 
 def _run_simulate(parsed, out_dir: Path):
     cfg = parsed["_sim"]
+    header = json.dumps({"header": {
+        "nu": cfg.nu, "dt": cfg.dt, "t_final": cfg.t_final,
+        "radius": cfg.basis().radius, "seed": cfg.seed,
+        "forcing": [list(k) for k in sorted(cfg.forcing.z_star)]}}) + "\n"
     info = {}
     n_paths = parsed["_analysis"]["n_paths"]
     for p, traj in enumerate(simulate_paths(cfg, range(n_paths))):
-        traj.to_jsonl(out_dir / f"trajectory_{p}.jsonl")
-        traj.norms_to_csv(out_dir / f"norms_{p}.csv")
-        res = enstrophy_residual(traj)
+        # one record per node: time, coefficients, incoming increments
+        with open(out_dir / f"trajectory_{p}.jsonl", "w") as fh:
+            fh.write(header)
+            for i, t in enumerate(traj.times.tolist()):
+                fh.write(json.dumps({
+                    "time": t, "coeffs": traj.states[i].tolist(),
+                    "increments": traj.increments[i - 1].tolist() if i else [],
+                }) + "\n")
+        enstrophy = traj.enstrophy_series()
+        _write_csv(out_dir / f"norms_{p}.csv", ["time", "enstrophy", "h1_sq"],
+                   zip(traj.times.tolist(), enstrophy.tolist(),
+                       traj.h1_series().tolist()))
         info[f"trajectory_{p}.jsonl"] = {
-            "final_enstrophy": float(traj.enstrophy_series()[-1]),
-            "final_residual": float(res[-1]),
+            "final_enstrophy": float(enstrophy[-1]),
+            "final_residual": float(enstrophy_residual(traj)[-1]),
         }
     return info
 

@@ -20,7 +20,7 @@ from .flows import Stepper, adjoint_flow_columns, adjoint_sweep
 from .lattice import reachable_modes
 from .modes import canonical, is_plus, negate, norm2
 from .quadvar import wilson_interval
-from .simulate import SimConfig, Trajectory, block_size, simulate_block
+from .simulate import SimConfig, Trajectory, block_size, simulate
 from .spectral import (TWO_PI_SQ, SpectralField, build_interaction_table,
                        interaction_coeff)
 
@@ -165,8 +165,8 @@ def min_eigenvalue_tail(config: SimConfig, t: float, subspace,
     size = block_size(config, n_paths)
     for start in range(0, n_paths, size):
         block = slice(start, min(start + size, n_paths))
-        form = malliavin_forward(
-            simulate_block(config, range(n_paths)[block]), t, subspace)
+        form = malliavin_forward(simulate(config, range(n_paths)[block]), t,
+                                 subspace)
         lam_min[block], lam_max[block] = form.lambda_min(), form.lambda_max()
         lam_min_h1[block] = form.lambda_min(w)
         trace[block] = np.trace(form.matrix, axis1=-2, axis2=-1)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 WIENER = 0      # quadvar.sample_wiener_ensemble
-SIMULATE = 1    # simulate.simulate_block, under every simulator
+SIMULATE = 1    # simulate.simulate, one block per path
 SCHEME = "philox4x64; key (seed, path); counter [0, 0, 0, stream]; standard_normal"
 
 

@@ -13,8 +13,6 @@ recomputation.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
@@ -76,7 +74,7 @@ class BlowUpError(RuntimeError):
 @dataclass
 class Trajectory:
     """One path or a block of P paths: states (n_steps + 1, P, n_modes) and
-    increments (n_steps, P, n_forced). Writers take path(b); series do not."""
+    increments (n_steps, P, n_forced); path(b) cuts out one path."""
     config: SimConfig
     basis: Basis
     times: np.ndarray            # (n_steps + 1,)
@@ -90,9 +88,6 @@ class Trajectory:
         return self if self.states.ndim == 2 else replace(
             self, states=np.ascontiguousarray(self.states[:, b]),
             increments=np.ascontiguousarray(self.increments[:, b]))
-
-    def n_steps(self) -> int:
-        return len(self.times) - 1
 
     def grid_index(self, t: float) -> int:
         return self.config.grid_index(t)
@@ -110,58 +105,15 @@ class Trajectory:
         lam = self.basis.laplacian_symbol()
         return TWO_PI_SQ * np.sum(lam * self.states ** 2, axis=-1)
 
-    def to_jsonl(self, path):
-        """One record per node: time, coefficients, incoming increments."""
-        with open(path, "w") as fh:
-            header = {
-                "nu": self.config.nu,
-                "dt": self.config.dt,
-                "t_final": self.config.t_final,
-                "radius": self.basis.radius,
-                "seed": self.config.seed,
-                "forcing": [list(k) for k in self.forced_modes],
-            }
-            fh.write(json.dumps({"header": header}) + "\n")
-            for i, t in enumerate(self.times):
-                rec = {
-                    "time": float(t),
-                    "coeffs": [float(c) for c in self.states[i]],
-                    "increments": (
-                        [float(c) for c in self.increments[i - 1]] if i > 0 else []),
-                }
-                fh.write(json.dumps(rec) + "\n")
-
-    def norms_to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["time", "enstrophy", "h1_sq"])
-            for t, e, h in zip(self.times, self.enstrophy_series(), self.h1_series()):
-                writer.writerow([repr(float(t)), repr(float(e)), repr(float(h))])
-
 
 def noise_scale(nu: float, lam: np.ndarray, dt: float) -> np.ndarray:
     """Std dev of the one-step Ornstein-Uhlenbeck convolution per mode."""
     return np.sqrt((1.0 - np.exp(-2.0 * nu * lam * dt)) / (2.0 * nu * lam))
 
 
-def simulate(config: SimConfig, path_index: int = 0,
-             increments: np.ndarray | None = None,
-             control: np.ndarray | None = None) -> Trajectory:
-    """Advance the truncated system and record the full trajectory.
-
-    increments: optional (n_steps, n_forced) Wiener increments to replay
-    (pass an all-zero array for a deterministic run); a copy is kept. When
-    omitted they are one rng.SIMULATE block per path, and step i is row i.
-
-    control: optional (n_steps, n_forced) deterministic forcing rates added
-    to the drift on the forced modes (the controllability probe's knob).
-    """
-    return simulate_block(config, [path_index], increments, control)
-
-
 def simulate_paths(config: SimConfig, paths) -> Iterator[Trajectory]:
     """One trajectory per path index, in order, each bit-identical to
-    simulate(config, path_index=p) and a contiguous copy of its own.
+    simulate(config, [p]) and a contiguous copy of its own.
 
     Paths advance side by side in blocks whose size follows from the
     config (`block_size`). Every bin of the block's drift sums the same
@@ -172,7 +124,7 @@ def simulate_paths(config: SimConfig, paths) -> Iterator[Trajectory]:
     size = block_size(config, len(paths))
     for start in range(0, len(paths), size):
         block = paths[start:start + size]
-        yield from map(simulate_block(config, block).path, range(len(block)))
+        yield from map(simulate(config, block).path, range(len(block)))
 
 
 def block_size(config: SimConfig, n_paths: int) -> int:
@@ -184,16 +136,23 @@ def block_size(config: SimConfig, n_paths: int) -> int:
     return max(1, min(2 ** 16 // n_table, 2 ** 23 // max(states, 1), n_paths))
 
 
-def simulate_block(config: SimConfig, paths, increments=None,
-                   control=None) -> Trajectory:
-    """Step the paths' states as one flat (P * n,) vector.
+def simulate(config: SimConfig, paths=(0,), increments=None,
+             control=None) -> Trajectory:
+    """Advance the truncated system on the path indices `paths` and record
+    the full trajectory.
 
-    Path b occupies entries b*n .. (b+1)*n - 1, so the triad indices are
-    shifted by b*n and the per-mode factors are tiled. A lone path runs on
-    the table's own arrays: per-call copies of them cost page faults on
-    every step's temporaries at large radii. Returns one trajectory, whose
-    block states view the loop's array; replayed increments come in its
-    shape, and control, as in `simulate`, drives a lone path.
+    The paths' states step as one flat (P * n,) vector: path b occupies
+    entries b*n .. (b+1)*n - 1, so the triad indices are shifted by b*n and
+    the per-mode factors are tiled. A lone path keeps the 2-D shapes and
+    runs on the table's own arrays, whose per-call copies would cost page
+    faults on every step's temporaries at large radii.
+
+    increments: optional Wiener increments to replay, in the trajectory's
+    shape (all zeros for a deterministic run); a copy is kept. When omitted
+    they are one rng.SIMULATE block per path, and step i is row i.
+
+    control: optional (n_steps, n_forced) deterministic forcing rates added
+    to a lone path's drift on the forced modes (the controllability probe).
     """
     basis = config.basis()
     table = build_interaction_table(basis)

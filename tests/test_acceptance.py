@@ -367,7 +367,7 @@ def test_acceptance_11_enstrophy_balance(capsys):
                        for traj in simulate_paths(cfg, range(500))])
     se = finals.std(ddof=1) / math.sqrt(len(finals))
     mean = finals.mean()
-    traj = simulate(cfg, path_index=0)
+    traj = simulate(cfg, [0])
     e0 = forcing_energy_rate(traj)
     e0_ok = e0 == pytest.approx(len(Z_STAR) * TWO_PI_SQ)
     ok = abs(mean) <= 3.0 * se and e0_ok

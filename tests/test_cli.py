@@ -9,6 +9,7 @@ import pytest
 
 from vortexlab import cli, rng
 from vortexlab.cli import ConfigError, main, parse_config, run_experiment
+from vortexlab.simulate import simulate
 
 BASE_SIM = {
     "nu": 1.0,
@@ -59,6 +60,10 @@ def test_parse_config_rejects_bad_values():
     with pytest.raises(ConfigError):
         parse_config({"kind": "lattice", "sim": dict(BASE_SIM, forcing=[])})
     parse_config({"kind": "simulate", "sim": dict(BASE_SIM, forcing=[])})
+    # with no forced mode to fall outside it, radius 0.5 leaves the basis empty
+    with pytest.raises(ConfigError, match=r"sim\.radius: must be at least 1"):
+        parse_config({"kind": "simulate",
+                      "sim": dict(BASE_SIM, forcing=[], radius=0.5)})
 
 
 def test_parse_config_initial_keys():
@@ -71,6 +76,10 @@ def test_parse_config_initial_keys():
     with pytest.raises(ConfigError):
         parse_config({"kind": "simulate",
                       "sim": dict(BASE_SIM, initial={"oops": 0.5})})
+    with pytest.raises(ConfigError,
+                       match=r"sim\.initial\.0,0: the zero mode is excluded"):
+        parse_config({"kind": "simulate",
+                      "sim": dict(BASE_SIM, initial={"0,0": 0.5})})
 
 
 # ---------------------------------------------------------- subcommands
@@ -125,6 +134,33 @@ def test_simulate_subcommand_heat_decay(tmp_path):
     for rec in recs:
         want = np.exp(-1.0 * 2.0 * rec["time"])
         assert rec["coeffs"][col] == pytest.approx(want, abs=1e-12)
+
+
+def test_simulate_jsonl_roundtrip(tmp_path):
+    raw = {"kind": "simulate", "sim": dict(BASE_SIM, dt=1e-2, seed=3)}
+    run_experiment(raw, out_dir=tmp_path)
+    cfg = parse_config(raw)["_sim"]
+    traj = simulate(cfg)
+    lines = (tmp_path / "trajectory_0.jsonl").read_text().strip().splitlines()
+    header = json.loads(lines[0])["header"]
+    assert header["nu"] == 1.0 and header["seed"] == 3
+    recs = [json.loads(x) for x in lines[1:]]
+    assert len(recs) == cfg.n_steps() + 1
+    states = np.array([r["coeffs"] for r in recs])
+    assert np.array_equal(states, traj.states)
+    incs = np.array([r["increments"] for r in recs[1:]])
+    assert np.array_equal(incs, traj.increments)
+
+
+def test_simulate_norms_csv(tmp_path):
+    raw = {"kind": "simulate", "sim": dict(BASE_SIM, dt=1e-2, seed=3)}
+    run_experiment(raw, out_dir=tmp_path)
+    traj = simulate(parse_config(raw)["_sim"])
+    rows = (tmp_path / "norms_0.csv").read_text().strip().splitlines()
+    assert rows[0] == "time,enstrophy,h1_sq"
+    values = np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
+    assert np.array_equal(values[:, 1], traj.enstrophy_series())
+    assert np.array_equal(values[:, 2], traj.h1_series())
 
 
 def test_malliavin_subcommand(tmp_path):
@@ -272,6 +308,8 @@ def test_exit_2_on_schema_error_writes_no_manifest(tmp_path):
                  id="horizon-not-whole-steps"),
     pytest.param("simulate", {"initial": {"3,0": 1.0}}, {},
                  id="initial-outside-radius"),
+    pytest.param("simulate", {"forcing": [], "radius": 0.5}, {},
+                 id="radius-below-one"),
 ])
 def test_exit_2_on_invalid_value_writes_no_manifest(tmp_path, monkeypatch,
                                                     kind, sim, analysis):

@@ -15,8 +15,7 @@ from vortexlab.malliavin import (DEFAULT_EPSILONS, GRAM_CHUNK, MalliavinForm,
                                  min_eigenvalue_tail, pairing_rhs,
                                  wilson_interval)
 from vortexlab.modes import norm2
-from vortexlab.simulate import (SimConfig, block_size, simulate,
-                                simulate_block)
+from vortexlab.simulate import SimConfig, block_size, simulate
 from vortexlab.spectral import (Basis, SpectralField, TWO_PI_SQ, adjoint_C,
                                 build_interaction_table, nonlinearity_B)
 
@@ -61,7 +60,7 @@ def test_short_time_diagonal_is_approximately_t():
 def test_gram_equals_lyapunov():
     # a lone path, and a block of three paths checked path by path
     traj = make_traj(radius=2.0, dt=2e-3, t_final=0.1)
-    block = simulate_block(traj.config, range(3))
+    block = simulate(traj.config, range(3))
     sub = [(1, 0), (1, 1), (0, 1), (-1, 0)]
     idx = (Ellipsis,) + np.ix_(*2 * [[traj.basis.index[k] for k in sub]])
     n = len(traj.basis)
@@ -124,7 +123,7 @@ def test_degenerate_forcing_kills_unreached_directions():
     init = field_from_dict(cfg.basis(), {(1, 0): 0.5, (-1, 0): -0.2})
     cfg = SimConfig(nu=1.0, forcing=geom, radius=3.0, dt=1e-3, t_final=0.1,
                     initial=init)
-    traj = simulate(cfg, path_index=2)
+    traj = simulate(cfg, [2])
     sub = [(0, 1), (2, 1), (0, -1), (-2, -1)]
     form = malliavin_forward(traj, 0.1, sub)
     assert np.max(np.abs(form.matrix)) == 0.0
@@ -269,7 +268,7 @@ def test_block_lambda_min_is_zero_on_a_singular_factor():
                            t_final=0.02, initial=init, seed=18)
     w = np.array([1.0, 2.0, 3.0])
     for c, t in ((cfg, 0.0), (degenerate, 0.02)):
-        form = malliavin_forward(simulate_block(c, range(3)), t, sub)
+        form = malliavin_forward(simulate(c, range(3)), t, sub)
         diag = np.diagonal(form.factor, axis1=1, axis2=2)
         assert np.all(np.any(diag == 0.0, axis=1))
         assert np.all(form.lambda_min() == 0.0)
@@ -378,7 +377,7 @@ def test_min_eigenvalue_tail_calls_malliavin_forward_once_per_block(
     assert form.trajectory is traj and form.matrix.shape == (5, 2, 2)
     for p in range(5):
         assert np.array_equal(traj.path(p).states,
-                              simulate(cfg, path_index=p).states)
+                              simulate(cfg, [p]).states)
     # one path is a lone form, as the benchmark's Gram check reads it
     calls.clear()
     table = min_eigenvalue_tail(cfg, 0.02, sub, n_paths=1)

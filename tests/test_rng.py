@@ -47,7 +47,7 @@ def test_consecutive_steps_share_no_draw():
     six = ForcingGeometry(frozenset(Z_STAR) | {(0, 1), (0, -1)})
     cfg = SimConfig(nu=0.5, forcing=six, radius=3.0, dt=1e-4, t_final=0.2,
                     seed=5)
-    incs = simulate(cfg, path_index=2).increments
+    incs = simulate(cfg, [2]).increments
     assert incs.shape == (2000, 6)
     shared = [i for i in range(len(incs) - 1)
               if np.intersect1d(incs[i], incs[i + 1]).size]
@@ -59,7 +59,7 @@ def test_simulate_and_wiener_streams_share_no_normal():
     # show as equal increments
     cfg = SimConfig(nu=1.0, forcing=CANONICAL, radius=2.0, dt=0.25,
                     t_final=25.0, seed=9)
-    sim = simulate(cfg, path_index=3).increments              # 100 x 4
+    sim = simulate(cfg, [3]).increments                       # 100 x 4
     wiener = sample_wiener_ensemble([0.0, 0.25], 400, 4, seed=9)[3, :, 1]
     assert sim.size == wiener.size == 400
     assert np.intersect1d(sim, wiener).size == 0
@@ -68,7 +68,7 @@ def test_simulate_and_wiener_streams_share_no_normal():
 def test_simulate_draws_one_block_per_path():
     cfg = SimConfig(nu=0.5, forcing=CANONICAL, radius=3.0, dt=1e-3,
                     t_final=0.05, seed=2 ** 70 + 3)
-    traj = simulate(cfg, path_index=6)
+    traj = simulate(cfg, [6])
     want = math.sqrt(cfg.dt) * rng.normals(cfg.seed, rng.SIMULATE, 6, (50, 4))
     assert np.array_equal(traj.increments, want)
 

@@ -1,5 +1,4 @@
 """Path simulator: exact heat decay, replay, blow-up, energy balance."""
-import json
 import math
 
 import numpy as np
@@ -8,8 +7,7 @@ import pytest
 from vortexlab.lattice import ForcingGeometry
 from vortexlab.simulate import (BlowUpError, SimConfig, Trajectory,
                                 enstrophy_residual, forcing_energy_rate,
-                                noise_scale, simulate, simulate_block,
-                                simulate_paths)
+                                noise_scale, simulate, simulate_paths)
 from vortexlab.spectral import (Basis, SpectralField, TWO_PI_SQ,
                                 build_interaction_table)
 
@@ -62,14 +60,14 @@ def test_single_mode_heat_decay_is_exact():
 def test_replay_is_bit_exact():
     cfg = SimConfig(nu=0.5, forcing=CANONICAL, radius=3.0,
                     dt=1e-3, t_final=0.1, seed=42)
-    a = simulate(cfg, path_index=3)
-    b = simulate(cfg, path_index=3, increments=a.increments)
+    a = simulate(cfg, [3])
+    b = simulate(cfg, [3], increments=a.increments)
     assert np.array_equal(a.states, b.states)
     # fresh draw from the same (seed, path) is also identical
-    c = simulate(cfg, path_index=3)
+    c = simulate(cfg, [3])
     assert np.array_equal(a.states, c.states)
     # different path index decorrelates
-    d = simulate(cfg, path_index=4)
+    d = simulate(cfg, [4])
     assert not np.array_equal(a.increments, d.increments)
 
 
@@ -100,7 +98,7 @@ def test_simulate_paths_is_bit_identical_across_blocks():
     trajs = list(simulate_paths(cfg, paths))
     assert len(trajs) == len(paths)
     for p, traj in zip(paths, trajs):
-        ref = simulate(cfg, path_index=p)
+        ref = simulate(cfg, [p])
         assert np.array_equal(traj.states, ref.states)
         assert np.array_equal(traj.increments, ref.increments)
         assert traj.states.flags.c_contiguous and traj.states.base is None
@@ -110,12 +108,12 @@ def test_block_paths_equal_lone_paths_bitwise():
     cfg = SimConfig(nu=0.5, forcing=CANONICAL, radius=3.0, dt=1e-3,
                     t_final=0.02, seed=9)
     paths = [7, 2, 30]
-    block = simulate_block(cfg, paths)
+    block = simulate(cfg, paths)
     n = len(cfg.basis())
     assert block.states.shape == (cfg.n_steps() + 1, len(paths), n)
     assert block.increments.shape == (cfg.n_steps(), len(paths), len(Z_STAR))
     for b, p in enumerate(paths):
-        lone, ref = block.path(b), simulate(cfg, path_index=p)
+        lone, ref = block.path(b), simulate(cfg, [p])
         assert np.array_equal(lone.states, ref.states)
         assert np.array_equal(lone.increments, ref.increments)
         assert lone.states.base is None and lone.increments.base is None
@@ -129,13 +127,13 @@ def test_one_path_block_keeps_lone_shapes():
     cfg = SimConfig(nu=0.5, forcing=CANONICAL, radius=3.0, dt=1e-3,
                     t_final=0.02, seed=9)
     shape = (cfg.n_steps(), len(Z_STAR))
-    block = simulate_block(cfg, [4])
+    block = simulate(cfg, [4])
     assert block.states.shape == (cfg.n_steps() + 1, len(cfg.basis()))
     assert block.increments.shape == shape
     assert block.path(0) is block
-    assert np.array_equal(block.states, simulate(cfg, path_index=4).states)
+    assert np.array_equal(block.states, simulate(cfg, [4]).states)
     incs = np.random.default_rng(1).normal(0.0, 0.03, shape)
-    replay = simulate_block(cfg, [0], increments=incs)
+    replay = simulate(cfg, [0], increments=incs)
     assert replay.states.shape == block.states.shape
     assert np.array_equal(replay.increments, incs)
     assert np.array_equal(replay.states, simulate(cfg, increments=incs).states)
@@ -149,7 +147,7 @@ def test_simulate_paths_starts_every_path_from_the_initial_field():
                     t_final=0.05, initial=init, seed=2)
     for p, traj in zip(range(5), simulate_paths(cfg, range(5))):
         assert np.array_equal(traj.states[0], init.coeffs)
-        assert np.array_equal(traj.states, simulate(cfg, path_index=p).states)
+        assert np.array_equal(traj.states, simulate(cfg, [p]).states)
 
 
 def test_blow_up_in_a_block_names_the_path():
@@ -160,7 +158,7 @@ def test_blow_up_in_a_block_names_the_path():
     blown = []             # (step, message) of each serial blow-up
     for p in paths:
         try:
-            simulate(cfg, path_index=p)
+            simulate(cfg, [p])
         except BlowUpError as err:
             blown.append((int(str(err).split("at step ")[1].split()[0]),
                           str(err)))
@@ -243,7 +241,7 @@ def test_deterministic_enstrophy_residual_small():
 def test_stochastic_residual_mean_near_zero():
     cfg = SimConfig(nu=0.5, forcing=CANONICAL, radius=3.0,
                     dt=1e-3, t_final=0.3, seed=11)
-    finals = [enstrophy_residual(simulate(cfg, path_index=p))[-1]
+    finals = [enstrophy_residual(simulate(cfg, [p]))[-1]
               for p in range(60)]
     finals = np.array(finals)
     se = finals.std(ddof=1) / math.sqrt(len(finals))
@@ -259,33 +257,3 @@ def test_control_steers_forced_modes():
     traj = simulate(cfg, increments=zero_inc, control=control)
     forced_vals = traj.states[-1][traj.forced_indices]
     assert np.all(forced_vals > 0.0)
-
-
-def test_jsonl_roundtrip(tmp_path):
-    cfg = SimConfig(nu=1.0, forcing=CANONICAL, radius=2.0,
-                    dt=1e-2, t_final=0.05, seed=3)
-    traj = simulate(cfg)
-    path = tmp_path / "traj.jsonl"
-    traj.to_jsonl(path)
-    lines = path.read_text().strip().splitlines()
-    header = json.loads(lines[0])["header"]
-    assert header["nu"] == 1.0 and header["seed"] == 3
-    recs = [json.loads(x) for x in lines[1:]]
-    assert len(recs) == traj.n_steps() + 1
-    states = np.array([r["coeffs"] for r in recs])
-    assert np.array_equal(states, traj.states)
-    incs = np.array([r["increments"] for r in recs[1:]])
-    assert np.array_equal(incs, traj.increments)
-
-
-def test_norms_csv(tmp_path):
-    cfg = SimConfig(nu=1.0, forcing=CANONICAL, radius=2.0,
-                    dt=1e-2, t_final=0.05, seed=3)
-    traj = simulate(cfg)
-    path = tmp_path / "norms.csv"
-    traj.norms_to_csv(path)
-    rows = path.read_text().strip().splitlines()
-    assert rows[0] == "time,enstrophy,h1_sq"
-    values = np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
-    assert np.array_equal(values[:, 1], traj.enstrophy_series())
-    assert np.array_equal(values[:, 2], traj.h1_series())
