@@ -186,6 +186,8 @@ def simulate(config: SimConfig, paths=(0,), increments=None,
         off = n * np.arange(P)[:, None]
         j, k, l, hit = ((off + a).ravel() for a in (j, k, l, forced))
         sym, decay, gain = (np.tile(a, P) for a in (sym, decay, gain))
+    if not len(l):  # no triads: one zero row keeps bincount's drift float
+        (j, k, l), sym = np.zeros((3, 1), dtype=np.intp), np.zeros(1)
 
     states = np.zeros((n_steps + 1, P * n))
     if config.initial is not None:

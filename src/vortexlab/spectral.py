@@ -176,6 +176,41 @@ def _product_terms(j: Mode, k: Mode):
     return out
 
 
+def _table_rows(basis: Basis):
+    """Rows (j, k, l, cjk) of _product_terms over the pairs a < b in
+    np.triu_indices order with l in the basis, bit for bit, in slabs."""
+    n, lam = len(basis), basis.laplacian_symbol()
+    mx, my = np.array(basis.modes, dtype=np.intp).reshape(n, 2).T
+    # mode (x, y) as code y * w + x, > 0 exactly on the plus class; each
+    # j +- k has |x|, |y| < w / 2, so one grid slot (negatives from the end)
+    w = 4 * int(math.floor(basis.radius)) + 1
+    code = my * w + mx
+    grid = np.full(w * w, -1, dtype=np.intp)      # basis index, -1 if none
+    grid[code] = np.arange(n)
+    pairs, slab = np.triu_indices(n, 1), 2 ** 12
+    rows, cjk = [np.empty((0, 3), np.intp)], [np.empty(0)]  # if no pairs
+    for s in range(0, len(pairs[0]), slab):
+        a, b = (p[s:s + slab, None] for p in pairs)
+        same = (code[a] > 0) == (code[b] > 0)
+        # terms (cos minus, cos plus) when the trig classes agree, else (sin
+        # plus, sin minus); sin(m.x) is e_m on the plus class, cos(m.x) e_-m
+        t = code[a] + np.where(same, -1, 1) * np.array([1, -1]) * code[b]
+        l = grid[np.where((t > 0) == same, -t, t)].ravel()
+        cross = mx[a] * my[b] - my[a] * mx[b]                   # j^perp . k
+        keep = np.flatnonzero((l.reshape(-1, 2) >= 0) & (cross != 0))
+        # -0.5 f on unlike classes, -amp on the second term unless k is
+        # plus, and sin(m.x) = -e_{-m} off the plus class
+        neg = (~same & (t > 0)) ^ ((code[b] < 0) & np.array([False, True]))
+        row = keep >> 1
+        rows.append(np.column_stack((a[row, 0], b[row, 0], l[keep])))
+        amp = 0.5 * (cross[row, 0] / lam[a[row, 0]])
+        cjk.append(np.where(neg.ravel()[keep], -amp, amp))
+    # Slab temporaries (64 KiB) stay under glibc's default mmap threshold,
+    # so the (N, 3) rows are mapped, and freeing them lifts it above the
+    # kernels' per-call temporaries, which would fault on every call.
+    return (*np.concatenate(rows).T.copy(), np.concatenate(cjk))
+
+
 class InteractionTable:
     """All admissible triples (j, k -> l) within a basis, one row per j < k.
 
@@ -186,18 +221,8 @@ class InteractionTable:
 
     def __init__(self, basis: Basis):
         self.basis = basis
-        modes, index = basis.modes, basis.index
-        rows, cjk = [], []
-        for a, j in enumerate(modes):
-            for b in range(a + 1, len(modes)):
-                for l, c in _product_terms(j, modes[b]):
-                    if l in index:  # Galerkin projection discards the rest
-                        rows.append((a, b, index[l]))
-                        cjk.append(c)
-        self.j, self.k, self.l = (
-            np.array(rows, dtype=np.intp).reshape(-1, 3).T.copy())
+        self.j, self.k, self.l, self.cjk = _table_rows(basis)
         lam = basis.laplacian_symbol()
-        self.cjk = np.array(cjk, dtype=float)
         # _product_terms(k, j): (j^perp.k)/|j|^2 becomes -(j^perp.k)/|k|^2
         self.ckj = -self.cjk * (lam[self.j] / lam[self.k])
         self.sym = self.cjk + self.ckj
@@ -209,6 +234,9 @@ class InteractionTable:
         self._lin_src = np.concatenate((self.j, self.k))
         self._lin_coeff = -np.concatenate((self.sym, self.sym))
         self._lin_stack = self._lin_flat  # grown to the largest stack seen
+        if not len(self.cjk):  # no triads: bincount would give int zeros
+            self.apply = self.adjoint_apply = lambda v, w: np.zeros(n)
+            self.linearization = lambda w: np.zeros(w.shape + (n,))
 
     def __len__(self) -> int:
         return 2 * len(self.cjk)  # ordered triples (j, k -> l), two per row

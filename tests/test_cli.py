@@ -214,6 +214,22 @@ def test_control_subcommand(tmp_path):
     assert rows[0] == "step,h_-1_-1,h_-1_0,h_1_0,h_1_1"
 
 
+def test_control_runs_on_a_basis_without_triads(tmp_path):
+    # radius 1: four modes and no triads, so the drift is linear
+    cfg = {"sim": {"nu": 0.5, "forcing": [[1, 0], [-1, 0], [0, 1], [0, -1]],
+                   "radius": 1.0, "dt": 0.01, "t_final": 0.1},
+           "analysis": {"projection": [[1, 0]], "target": [0.1], "t": 0.1,
+                        "max_iters": 3}}
+    path = write_config(tmp_path, "c.json", cfg)
+    out = tmp_path / "out"
+    assert main(["control", "--config", path, "--out", str(out)]) == 0
+    info = json.loads((out / "manifest.json").read_text())["artifacts"]
+    assert info["control.csv"]["iterations"] == 3
+    rows = (out / "control.csv").read_text().strip().splitlines()
+    assert rows[0] == "step,h_-1_0,h_0_-1,h_0_1,h_1_0"
+    assert len(rows) == 11
+
+
 def test_bracket_subcommand(tmp_path):
     cfg = {"sim": dict(BASE_SIM, radius=3.0),
            "analysis": {"phi_mode": [2, 1], "t0": 0.01, "t1": 0.05}}

@@ -12,14 +12,15 @@ from hypothesis import given
 
 from vortexlab.lattice import ForcingGeometry
 from vortexlab.simulate import SimConfig, simulate
-from vortexlab.spectral import (Basis, SpectralField, TWO_PI_SQ, _product_terms,
-                                adjoint_C, biot_savart,
-                                build_interaction_table, inner,
+from vortexlab.spectral import (Basis, InteractionTable, SpectralField,
+                                TWO_PI_SQ, _product_terms, adjoint_C,
+                                biot_savart, build_interaction_table, inner,
                                 interaction_coeff, nonlinearity_B,
                                 sobolev_norm)
 
 from conftest import (Z_STAR, eval_basis_mode, field_from_dict, grid_integral,
-                      project_on_basis, random_fields, torus_grid)
+                      project_on_basis, random_fields, torus_grid,
+                      traced_peak)
 
 
 # ---------------------------------------------------------------- basis
@@ -337,6 +338,50 @@ def test_table_rows_and_swaps_are_the_ordered_triples(basis4):
     assert got.keys() == want.keys()
     for key, a in want.items():
         assert got[key] == pytest.approx(a, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("radius", [1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 8.1])
+def test_table_rows_are_the_scalar_expansion_in_order(radius):
+    # row order fixes every bincount's summation order, so the rows must be
+    # the pair loop over _product_terms exactly, down to the sign bits
+    basis = Basis.build(radius)
+    rows, cjk = [], []
+    for a, j in enumerate(basis.modes):
+        for b in range(a + 1, len(basis)):
+            for l, c in _product_terms(j, basis.modes[b]):
+                if l in basis:
+                    rows.append((a, b, basis.index[l]))
+                    cjk.append(c)
+    want = np.array(rows, dtype=np.intp).reshape(-1, 3).T
+    table = build_interaction_table(basis)
+    for got, row in zip((table.j, table.k, table.l), want):
+        assert got.dtype == np.intp and np.array_equal(got, row)
+    assert np.array_equal(table.cjk, cjk)
+    assert np.array_equal(np.signbit(table.cjk), np.signbit(cjk))
+
+
+def test_table_build_memory_is_bounded():
+    # the build's peak, temporaries included, is at most twice the table
+    basis = Basis.build(12.0)
+    peak = traced_peak(InteractionTable, basis)
+    table = InteractionTable(basis)
+    own = sum(getattr(table, name).nbytes for name in (
+        "j", "k", "l", "cjk", "ckj", "sym",
+        "_lin_flat", "_lin_src", "_lin_coeff"))
+    assert peak <= 2.0 * own
+
+
+def test_table_without_triads_returns_float_zeros():
+    # below radius sqrt 2 the basis is (+-1, 0), (0, +-1) and no triad closes
+    table = build_interaction_table(Basis.build(1.0))
+    assert len(table) == 0
+    w = np.arange(1.0, 5.0)
+    for out, shape in ((table.apply(w, w), (4,)),
+                       (table.adjoint_apply(w, w), (4,)),
+                       (table.linearization(w), (4, 4)),
+                       (table.linearization(np.ones((3, 4))), (3, 4, 4))):
+        assert out.dtype == np.float64 and out.shape == shape
+        assert not out.any()
 
 
 @pytest.mark.parametrize("radius, ordered", [(3.0, 720), (4.0, 2352),
