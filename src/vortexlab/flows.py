@@ -35,7 +35,8 @@ class Stepper:
     """The one-step maps linearized along a stored trajectory.
 
     L_i = table.linearization(w_i) is step i's dense operator and D the exact
-    viscous decay over one step; each method maps an (n, m) column block.
+    viscous decay over one step; each method maps an (n, m) column block
+    in place on its matmul's output.
     """
 
     def __init__(self, traj: Trajectory):
@@ -47,14 +48,16 @@ class Stepper:
 
     def tangent(self, i: int, V: np.ndarray) -> np.ndarray:
         """D(V + dt L_i V): the exponential-Euler tangent step i -> i+1."""
-        L = self.table.linearization(self.states[i])
-        return self.decay * (V + self.dt * (L @ V))
+        X = self.table.linearization(self.states[i]) @ V
+        X *= self.dt
+        return np.multiply(np.add(X, V, out=X), self.decay, out=X)
 
     def transpose(self, i: int, U: np.ndarray) -> np.ndarray:
         """DU + dt L_i^T (DU): the exact transpose of `tangent(i, .)`."""
-        L = self.table.linearization(self.states[i])
         DU = self.decay * U
-        return DU + self.dt * (L.mT @ DU)
+        X = self.table.linearization(self.states[i]).mT @ DU
+        X *= self.dt
+        return np.add(X, DU, out=X)
 
     def adjoint(self, i: int, U: np.ndarray) -> np.ndarray:
         """D(U + dt L_i^T U): the backward adjoint equation stepped i+1 -> i.
@@ -62,8 +65,9 @@ class Stepper:
         L_i^T U = B(w_i, U) - C(U, w_i), since B(w, .) is skew; the drift is
         explicit and the viscous factor exact, as in the forward template.
         """
-        L = self.table.linearization(self.states[i])
-        return self.decay * (U + self.dt * (L.mT @ U))
+        X = self.table.linearization(self.states[i]).mT @ U
+        X *= self.dt
+        return np.multiply(np.add(X, U, out=X), self.decay, out=X)
 
 
 def tangent_flow(traj: Trajectory, s: float, phi: SpectralField,

@@ -129,7 +129,7 @@ def simulate_paths(config: SimConfig, paths) -> Iterator[Trajectory]:
 
 def block_size(config: SimConfig, n_paths: int) -> int:
     """Paths per block, at least one: at most 2**16 ordered triads per step
-    (temporaries of 256 KiB) and 2**23 state values (64 MiB) per block."""
+    (drift buffers of 256 KiB) and 2**23 state values (64 MiB) per block."""
     basis = config.basis()
     states = (config.n_steps() + 1) * len(basis)
     n_table = max(len(build_interaction_table(basis)), 1)
@@ -144,8 +144,8 @@ def simulate(config: SimConfig, paths=(0,), increments=None,
     The paths' states step as one flat (P * n,) vector: path b occupies
     entries b*n .. (b+1)*n - 1, so the triad indices are shifted by b*n and
     the per-mode factors are tiled. A lone path keeps the 2-D shapes and
-    runs on the table's own arrays, whose per-call copies would cost page
-    faults on every step's temporaries at large radii.
+    runs on the table's own arrays. A step allocates only bincount's output:
+    the drift's products fill two buffers, and the new state its own node.
 
     increments: optional Wiener increments to replay, in the trajectory's
     shape (all zeros for a deterministic run); a copy is kept. When omitted
@@ -178,14 +178,17 @@ def simulate(config: SimConfig, paths=(0,), increments=None,
         incs = np.array(increments, dtype=float)
         if incs.shape != shape:
             raise ValueError(f"increments have shape {incs.shape}, need {shape}")
-    dW = incs.reshape(n_steps, -1)    # row i: step i's increments, path-major
+    if control is not None and (P > 1 or np.shape(control) != shape):
+        raise ValueError(f"control has shape {np.shape(control)} on {P} "
+                         f"paths, need {(n_steps, len(forced))} on one path")
+    noise = np.tile(gain, P) * incs.reshape(n_steps, -1)  # row i: step i
 
     # hit: the forced entries of the flat state
     j, k, l, sym, hit = table.j, table.k, table.l, table.sym, forced
     if P > 1:
         off = n * np.arange(P)[:, None]
         j, k, l, hit = ((off + a).ravel() for a in (j, k, l, forced))
-        sym, decay, gain = (np.tile(a, P) for a in (sym, decay, gain))
+        sym, decay = np.tile(sym, P), np.tile(decay, P)
     if not len(l):  # no triads: one zero row keeps bincount's drift float
         (j, k, l), sym = np.zeros((3, 1), dtype=np.intp), np.zeros(1)
 
@@ -193,20 +196,26 @@ def simulate(config: SimConfig, paths=(0,), increments=None,
     if config.initial is not None:
         states[0] = np.tile(config.initial.coeffs, P)
 
-    w = states[0].copy()
+    # take's default mode="raise" copies through a temporary; j, k are valid
+    a, b = np.empty(len(l)), np.empty(len(l))
     for i in range(n_steps):
-        drift = -np.bincount(l, weights=sym * w[j] * w[k], minlength=P * n)
+        w = states[i]
+        np.multiply(sym, np.take(w, j, out=a, mode="wrap"), out=a)
+        np.multiply(a, np.take(w, k, out=b, mode="wrap"), out=a)
+        drift = np.bincount(l, weights=a, minlength=P * n)
+        np.negative(drift, out=drift)  # (x - c) * -dt would give -0 for +0
         if control is not None:
             drift[hit] += control[i]
-        w = decay * (w + config.dt * drift)
-        w[hit] += gain * dW[i]
-        if not np.max(np.abs(w)) <= BLOWUP_LIMIT:  # also rejects NaN
+        drift *= config.dt
+        drift += w
+        w = np.multiply(decay, drift, out=states[i + 1])
+        w[hit] += noise[i]
+        if not np.abs(w).max() <= BLOWUP_LIMIT:  # also rejects NaN
             bad = ~np.all(np.abs(w.reshape(P, n)) <= BLOWUP_LIMIT, axis=1)
             raise BlowUpError(
                 f"state magnitude exceeded {BLOWUP_LIMIT:g} or became "
                 f"non-finite at step {i + 1} on path {paths[np.argmax(bad)]}; "
                 "reduce dt")
-        states[i + 1] = w
 
     return Trajectory(
         config=config, basis=basis, times=config.dt * np.arange(n_steps + 1),

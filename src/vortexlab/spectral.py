@@ -227,12 +227,14 @@ class InteractionTable:
         self.ckj = -self.cjk * (lam[self.j] / lam[self.k])
         self.sym = self.cjk + self.ckj
         # L(w)[l, k] collects -sym * w[j] and L(w)[l, j] collects
-        # -sym * w[k]; flat row-major targets for one bincount
-        n = len(basis)
-        self._lin_flat = np.concatenate((self.l * n + self.k,
-                                         self.l * n + self.j))
-        self._lin_src = np.concatenate((self.j, self.k))
-        self._lin_coeff = -np.concatenate((self.sym, self.sym))
+        # -sym * w[k]; flat row-major targets for one bincount. It skips the
+        # rows with sym = 0 (|j| = |k|): bins start at +0 and never hold -0,
+        # so adding +-0 changes no bit. A disk with triads has live rows.
+        n, live = len(basis), np.flatnonzero(self.sym)
+        j, k, l, sym = self.j[live], self.k[live], self.l[live], self.sym[live]
+        self._lin_flat = np.concatenate((l * n + k, l * n + j))
+        self._lin_src = np.concatenate((j, k))
+        self._lin_coeff = -np.concatenate((sym, sym))
         self._lin_stack = self._lin_flat  # grown to the largest stack seen
         if not len(self.cjk):  # no triads: bincount would give int zeros
             self.apply = self.adjoint_apply = lambda v, w: np.zeros(n)

@@ -135,6 +135,25 @@ def test_stepper_transpose_is_exact_property(drawn, i):
     assert np.max(np.abs(lhs - rhs)) <= tol
 
 
+def test_stepper_steps_are_their_formulas_bitwise():
+    # updating the matmul's output in place keeps every operand and its
+    # order, on a lone path and on a block of two
+    cfg = SimConfig(nu=1.0, forcing=CANONICAL, radius=3.0, dt=1e-3,
+                    t_final=0.01, seed=5)
+    X = np.random.default_rng(7).standard_normal((len(cfg.basis()), 3))
+    for traj in (simulate(cfg), simulate(cfg, [0, 3])):
+        stepper = Stepper(traj)
+        D, dt = stepper.decay, stepper.dt
+        for i in (0, 4):
+            L = stepper.table.linearization(traj.states[i])
+            for got, want in ((stepper.tangent(i, X), D * (X + dt * (L @ X))),
+                              (stepper.transpose(i, X),
+                               D * X + dt * (L.mT @ (D * X))),
+                              (stepper.adjoint(i, X),
+                               D * (X + dt * (L.mT @ X)))):
+                assert got.tobytes() == want.tobytes()
+
+
 def deterministic_traj(dt, t_final=0.1):
     cfg = SimConfig(nu=1.0, forcing=CANONICAL, radius=3.0, dt=dt,
                     t_final=t_final)

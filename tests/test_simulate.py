@@ -11,7 +11,7 @@ from vortexlab.simulate import (BlowUpError, SimConfig, Trajectory,
 from vortexlab.spectral import (Basis, SpectralField, TWO_PI_SQ,
                                 build_interaction_table)
 
-from conftest import Z_STAR, field_from_dict
+from conftest import Z_STAR, field_from_dict, traced_peak
 
 EMPTY = ForcingGeometry(frozenset())
 CANONICAL = ForcingGeometry(frozenset(Z_STAR))
@@ -257,3 +257,74 @@ def test_control_steers_forced_modes():
     traj = simulate(cfg, increments=zero_inc, control=control)
     forced_vals = traj.states[-1][traj.forced_indices]
     assert np.all(forced_vals > 0.0)
+
+
+def test_control_shape_is_checked_before_any_step():
+    cfg = SimConfig(nu=1.0, forcing=CANONICAL, radius=3.0, dt=1e-2,
+                    t_final=0.1)
+    n = cfg.n_steps()
+    for control, paths in ((np.ones((n, 1)), [0]),      # would broadcast
+                           (np.ones((n - 1, 4)), [0]),  # one row short
+                           (np.ones((n, 4)), [0, 1])):  # a block of paths
+        with pytest.raises(ValueError, match="control has shape"):
+            simulate(cfg, paths, control=control)
+
+
+def _reference_states(cfg, paths, increments, control=None):
+    """The step loop as first written, one fresh temporary per operation."""
+    basis, P = cfg.basis(), len(paths)
+    table, lam, n = (build_interaction_table(basis), basis.laplacian_symbol(),
+                     len(basis))
+    forced = np.array([basis.index[k] for k in sorted(cfg.forcing.z_star)])
+    off = n * np.arange(P)[:, None]
+    j, k, l, hit = ((off + a).ravel()
+                    for a in (table.j, table.k, table.l, forced))
+    sym, decay, gain = (np.tile(a, P) for a in (
+        table.sym, np.exp(-cfg.nu * lam * cfg.dt),
+        noise_scale(cfg.nu, lam[forced], cfg.dt) / math.sqrt(cfg.dt)))
+    dW = increments.reshape(cfg.n_steps(), -1)
+    states = [np.tile(cfg.initial.coeffs, P)]
+    for i in range(cfg.n_steps()):
+        w = states[-1]
+        drift = -np.bincount(l, weights=sym * w[j] * w[k], minlength=P * n)
+        if control is not None:
+            drift[hit] += control[i]
+        w = decay * (w + cfg.dt * drift)
+        w[hit] += gain * dW[i]
+        states.append(w)
+    return np.array(states)
+
+
+@pytest.mark.parametrize("radius, paths, controlled",
+                         [(8.1, [0], True), (3.0, [5, 1, 8], False)])
+def test_step_loop_is_the_reference_loop_bitwise(radius, paths, controlled):
+    # the drift's products keep the order (sym * w_j) * w_k and the in-place
+    # update keeps every operand, so the states match down to the sign bits
+    rng, basis = np.random.default_rng(22), Basis.build(radius)
+    w0 = rng.uniform(-0.5, 0.5, len(basis))
+    w0[::5] = 0.0
+    cfg = SimConfig(nu=0.5, forcing=CANONICAL, dt=5e-3, t_final=0.1, seed=3,
+                    initial=SpectralField(basis, w0))
+    control = None
+    if controlled:
+        control = rng.standard_normal((cfg.n_steps(), len(Z_STAR)))
+        control[::4] = 0.0
+        traj = simulate(cfg, paths, np.zeros_like(control), control)
+    else:
+        traj = simulate(cfg, paths)
+        assert np.any(traj.increments)
+    want = _reference_states(cfg, paths, traj.increments, control)
+    assert traj.states.tobytes() == want.tobytes()
+
+
+def test_simulate_memory_per_step_is_bounded():
+    # a step allocates only bincount's output: beyond the states, the peak
+    # is the drift's two product buffers and a few small arrays
+    cfg = SimConfig(nu=0.5, forcing=CANONICAL, radius=8.1, dt=5e-3,
+                    t_final=0.1)
+    control = np.full((cfg.n_steps(), len(Z_STAR)), 0.1)
+    zeros = np.zeros_like(control)
+    traj = simulate(cfg, [0], zeros, control)  # warm-up: builds the table
+    table = build_interaction_table(traj.basis)
+    peak = traced_peak(simulate, cfg, [0], zeros, control)
+    assert peak <= traj.states.nbytes + 2.25 * 8 * len(table.l)

@@ -307,6 +307,26 @@ def test_stacked_linearization_is_bitwise_the_per_row_calls(basis4):
                           table.linearization(w[1]))
 
 
+@pytest.mark.parametrize("radius, live", [(1.5, 32), (3.0, 640),
+                                          (4.0, 2144), (8.1, 49408)])
+def test_linearization_skips_zero_rows_exactly(radius, live):
+    # the rows with sym = 0 add +-0 to bins that start at +0, so the full
+    # bincount over every row gives the same bits, sign bits included
+    basis = Basis.build(radius)
+    table, n = build_interaction_table(basis), len(basis)
+    assert len(table._lin_src) == 2 * np.count_nonzero(table.sym) == live
+    flat = np.concatenate((table.l * n + table.k, table.l * n + table.j))
+    src = np.concatenate((table.j, table.k))
+    coeff = -np.concatenate((table.sym, table.sym))
+    w = np.random.default_rng(22).uniform(-1.0, 1.0, (3, n))
+    w[:, ::3], w[1, 1::4] = 0.0, -0.0
+    want = np.stack([np.bincount(flat, coeff * u[src], n * n).reshape(n, n)
+                     for u in w])
+    assert table.linearization(w).tobytes() == want.tobytes()
+    for u, L in zip(w, want):
+        assert table.linearization(u).tobytes() == L.tobytes()
+
+
 def test_table_cache_is_keyed_on_modes():
     # equal mode sets share one table even when each Basis is built afresh
     assert (build_interaction_table(Basis.build(3.0))
