@@ -26,7 +26,7 @@ from .malliavin import (DEFAULT_EPSILONS, PAIRING_PREFACTOR,
                         bracket_decomposition, min_eigenvalue_tail,
                         pairing_rhs)
 from .modes import is_plus
-from .quadvar import (GRID_TOL, event_frequencies, partition_node_count,
+from .quadvar import (GRID_TOL, ensemble_bytes, event_frequencies,
                       partition_scheme, sample_wiener_ensemble)
 from .simulate import (SimConfig, enstrophy_residual, simulate,
                        simulate_paths)
@@ -34,7 +34,7 @@ from .spectral import Basis, SpectralField
 
 
 QUADVAR_BUDGET_BYTES = 2 ** 30
-"""Largest quadvar Wiener ensemble, n_paths x n_processes x nodes x 8 B."""
+"""Largest quadvar ensemble plus its a/b pass, as quadvar.ensemble_bytes."""
 
 
 class ConfigError(Exception):
@@ -205,10 +205,9 @@ def _check_analysis(kind, a, cfg: SimConfig) -> dict:
         n_processes = _check_int(a.get("n_processes", 2),
                                  "analysis.n_processes", 1)
         n_paths = _check_int(a.get("n_paths", 100), "analysis.n_paths", 1)
-        nbytes = (n_paths * n_processes
-                  * partition_node_count(delta_cap, horizon) * 8)
+        nbytes = ensemble_bytes(delta_cap, horizon, n_processes, n_paths)
         if nbytes > QUADVAR_BUDGET_BYTES:
-            _fail("analysis", f"the Wiener ensemble needs "
+            _fail("analysis", f"the Wiener ensemble and its event pass need "
                   f"{nbytes / 2 ** 30:.3g} GiB, over the "
                   f"{QUADVAR_BUDGET_BYTES / 2 ** 30:g} GiB budget; raise "
                   "delta_cap or lower n_paths or n_processes")

@@ -117,6 +117,17 @@ def partition_node_count(delta_cap: float, horizon: float) -> int:
     return 1 + (m - 1) * full + last
 
 
+def ensemble_bytes(delta_cap: float, horizon: float, n_processes: int,
+                   n_paths: int) -> int:
+    """The Wiener ensemble's bytes plus the a/b pass's peak when one block
+    fills a run: 2 increments per process, 2 products and a mean per pair."""
+    full = _block_counts(delta_cap, horizon)[2]
+    nodes = partition_node_count(delta_cap, horizon) + 2 * full
+    pairs = n_processes * (n_processes + 1) // 2    # triu_indices, 2 masks
+    per_path = n_processes * nodes + pairs * (2 * full + 1)
+    return 8 * n_paths * per_path + 18 * pairs
+
+
 def sample_wiener_ensemble(times, n_processes: int, n_paths: int,
                            seed: int = 0) -> np.ndarray:
     """Exact Wiener samples at the given times, shape (n_paths, N, n_times).
@@ -151,8 +162,8 @@ def holder_constant(times, values, alpha: float) -> float | np.ndarray:
     """Grid-level alpha-Hoelder constant over pairs with 0 < |s-r| <= 1.
 
     values has shape (..., N) over the N grid times and the result has shape
-    (...), a float for a single series; alpha must be nonnegative. An empty
-    batch or fewer than two nodes gives zeros without a scan.
+    (...), a float for a single series; alpha must be finite and >= 0. An
+    empty batch or fewer than two nodes gives zeros without a scan.
 
     The scan is an exact branch-and-bound over blocks of HOLDER_BLOCK
     consecutive sorted nodes. Each series' running max starts from the exact
@@ -167,28 +178,36 @@ def holder_constant(times, values, alpha: float) -> float | np.ndarray:
     the dense expression on the same floats and max is exact in any order,
     so the result is the dense N x N scan's, bit for bit.
     """
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    n = values.shape[-1]
-    if times.shape != (n,):
-        raise ValueError("need one time per value along the last axis")
-    best = np.zeros(values.shape[:-1])
-    if n >= 2 and best.size:
-        _block_scan(times, values.reshape(-1, n), alpha, best.reshape(-1))
+    best = _block_scan(times, values, alpha, 0.0)
     return float(best) if best.ndim == 0 else best
 
 
-def _block_scan(times, values, alpha, best):
-    """Raise best (S,) to the Hoelder constants of the series values (S, N)."""
+def holder_exceeds(times, values, alpha: float, level: float):
+    """holder_constant(times, values, alpha) > level per series, from the
+    same scan with its running max started at level; only the series that
+    the seed leaves at or below level go on to the bounds and tiles."""
+    hit = _block_scan(times, values, alpha, max(level, 0.0), level) > level
+    return bool(hit) if hit.ndim == 0 else hit
+
+
+def _block_scan(times, values, alpha, start, level=np.inf):
+    """max(start, Hoelder constant) per series; the seed's once above level."""
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise ValueError("alpha must be finite and nonnegative")
+    times, values = np.asarray(times, float), np.asarray(values, float)
+    if times.shape != values.shape[-1:]:
+        raise ValueError("need one time per value along the last axis")
+    out = np.full(values.shape[:-1], start, dtype=float)
     n, b = len(times), HOLDER_BLOCK
+    if n < 2 or not out.size:
+        return out
+    flat = best = out.reshape(-1)
     nb = -(-n // b)
     # the last block repeats the last node; its zero gaps are masked out
     pick = np.argsort(times, kind="stable")[np.minimum(np.arange(nb * b),
                                                        n - 1)]
     t = times[pick].reshape(nb, b)
-    v = values[:, pick].reshape(len(values), nb, b)
+    v = values.reshape(-1, n)[:, pick].reshape(len(best), nb, b)
     chunk = max(v.size // 4, 2 ** 12)          # elements per temporary
     lo, hi = v.argmin(axis=2), v.argmax(axis=2)
     vmin, vmax = v.min(axis=2), v.max(axis=2)
@@ -216,7 +235,9 @@ def _block_scan(times, values, alpha, best):
                     np.abs(t_hi[:, r, None] - t_lo[:, None, c]), alpha))
         np.maximum(best, seed.max(axis=(1, 2)), out=best)
     del seed
-    for i0, i1, stop in windows:
+    keep = np.flatnonzero(~(best > level))    # the seed decides the rest
+    best, v, vmin, vmax = best[keep], v[keep], vmin[keep], vmax[keep]
+    for i0, i1, stop in windows if len(keep) else ():
         r, c = slice(i0, i1), slice(i0, stop)
         row, col = blocks[r, None], blocks[None, c]
         gap = np.where(col > row, first[col] - last[row],
@@ -236,6 +257,8 @@ def _block_scan(times, values, alpha, best):
             tile = _ratios(np.abs(v[s, j][:, None, :] - v[s, i][:, :, None]),
                            t[j][:, None, :] - t[i][:, :, None], alpha)
             np.maximum.at(best, s, tile.max(axis=(1, 2)))
+    flat[keep] = best
+    return out
 
 
 @dataclass
@@ -285,11 +308,12 @@ def event_frequencies(wiener_paths: np.ndarray, scheme: PartitionScheme,
     >= delta_cap^(3/14) / (3 N^2). Both come from one pass over runs of
     whole blocks: per run one diff, the products of every process pair and
     one reduceat at the block starts, each temporary near _RUN_VALUES values
-    (one block's when that is more). Event c: some process exceeds
-    delta_cap^(-1/28) in the max of sup norm and 1/4-Hoelder constant; the
-    sup norm is checked first, and one batched Hoelder scan covers the paths
-    it leaves open. `events` selects which indicators to report; skipped
-    events report frequency 0 with the trivial [0, 1] interval.
+    (one block's when that is more), stopping once every path has each
+    requested event. Event c: some process exceeds delta_cap^(-1/28) in the
+    max of sup norm and 1/4-Hoelder constant; the sup norm is checked first,
+    and one batched holder_exceeds decides the paths it leaves open. `events`
+    selects which indicators to report; skipped events report frequency 0
+    with the trivial [0, 1] interval.
     """
     paths = np.asarray(wiener_paths, dtype=float)
     if paths.ndim != 3:
@@ -301,6 +325,7 @@ def event_frequencies(wiener_paths: np.ndarray, scheme: PartitionScheme,
     thresh_b = scheme.delta_cap ** (3.0 / 14.0) / (3.0 * n_proc ** 2)
     thresh_c = scheme.delta_cap ** (-1.0 / 28.0)
     hit_a, hit_b, hit_c = np.zeros((3, n_paths), dtype=bool)
+    wanted = [e in events for e in "abc"]
     if "a" in events or "b" in events:
         pa, pb = np.triu_indices(n_proc)            # pa == pb: event a
         starts, counts = scheme.starts, scheme.counts()
@@ -316,11 +341,12 @@ def event_frequencies(wiener_paths: np.ndarray, scheme: PartitionScheme,
             mean /= counts[k0:k1]                   # (n_paths, pairs, blocks)
             hit_a |= np.any(mean[:, pa == pb] <= 0.5, axis=(1, 2))
             hit_b |= np.any(np.abs(mean[:, pa < pb]) >= thresh_b, axis=(1, 2))
+            if all(h.all() for h, w in zip((hit_a, hit_b), wanted) if w):
+                break                               # every path is decided
     if "c" in events:
         hit_c |= np.any(np.max(np.abs(paths), axis=2) > thresh_c, axis=1)
-        holder = holder_constant(times, paths[~hit_c], 0.25)   # open paths
-        hit_c[~hit_c] = np.any(holder > thresh_c, axis=1)
-    wanted = [e in events for e in "abc"]
+        hit_c[~hit_c] = np.any(holder_exceeds(times, paths[~hit_c], 0.25,
+                                              thresh_c), axis=1)
     hits = [h & w for h, w in zip((hit_a, hit_b, hit_c), wanted)]
     return EventFrequencies(
         n_paths, *(float(h.mean()) for h in hits),

@@ -282,6 +282,18 @@ def test_exit_2_on_schema_error_writes_no_manifest(tmp_path):
     assert not (out / "manifest.json").exists()
 
 
+def test_quadvar_budget_counts_the_event_pass():
+    # the ensemble is tiny either way; the pass's pair products grow as
+    # n_processes squared and reject 20,000 processes
+    def parse(n_processes):
+        return parse_config({"kind": "quadvar", "sim": BASE_SIM, "analysis": {
+            "delta_cap": 0.5, "n_processes": n_processes, "n_paths": 1}})
+
+    assert parse(1_000)["_analysis"]["n_processes"] == 1_000
+    with pytest.raises(ConfigError, match="event pass need 10.8 GiB"):
+        parse(20_000)
+
+
 # each is rejected before its runner starts
 @pytest.mark.parametrize("kind, sim, analysis", [
     pytest.param("simulate", {}, {"n_paths": 2.5}, id="n_paths-fraction"),
@@ -305,6 +317,11 @@ def test_exit_2_on_schema_error_writes_no_manifest(tmp_path):
                  id="delta_cap-below-grid-tol"),
     pytest.param("quadvar", {}, {"delta_cap": 1e-4},
                  id="quadvar-ensemble-over-budget"),
+    # an ensemble of 0.8 MB whose a/b pass would hold about 10 GiB of pair
+    # products; never run
+    pytest.param("quadvar", {}, {"delta_cap": 0.5, "n_processes": 20_000,
+                                 "n_paths": 1},
+                 id="quadvar-event-pass-over-budget"),
     pytest.param("control", {}, dict(CONTROL, tol="a"), id="tol-string"),
     pytest.param("control", {}, dict(CONTROL, max_iters=1.5),
                  id="max_iters-fraction"),

@@ -11,7 +11,8 @@ from vortexlab.quadvar import (BLOCK_EXPONENT, CASCADE_RATIO, SampledProcess,
                                cascade_table, chi_square_cdf,
                                chi_square_small_ball_bound,
                                chi_square_small_ball_bound_corrected,
-                               cross_qv, event_frequencies, holder_constant,
+                               cross_qv, ensemble_bytes, event_frequencies,
+                               holder_constant, holder_exceeds,
                                holder_transfer, omega_a_bound, omega_b_bound,
                                partition_node_count, partition_scheme,
                                qv_estimate, sample_wiener_ensemble)
@@ -171,6 +172,17 @@ def _holder_cases():
     return cases
 
 
+def _assert_exceeds_matches(t, v, alpha, constants):
+    """holder_exceeds against constants > level at each series' own
+    constant, the float just below it, 0, a level above every constant and
+    a negative one."""
+    c = np.unique(constants)
+    for level in [*c, *np.nextafter(c, -np.inf), 0.0, c.max() + 1.0, -1.0]:
+        got = holder_exceeds(t, v, alpha, level)
+        assert isinstance(got, bool) if v.ndim == 1 else got.dtype == bool
+        assert np.array_equal(got, constants > level), level
+
+
 @pytest.mark.parametrize("t, v, alpha", _holder_cases())
 def test_holder_constant_block_scan_matches_dense(t, v, alpha):
     got = holder_constant(t, v, alpha)
@@ -186,6 +198,7 @@ def test_holder_constant_block_scan_matches_dense(t, v, alpha):
         want = np.max(np.where(mask, dv / np.where(mask, dtmat, 1.0) ** alpha,
                                0.0))
         assert np.asarray(got)[idx] == want
+    _assert_exceeds_matches(t, v, alpha, got)
 
 
 def _dense_holder(t, series, alpha):
@@ -226,6 +239,7 @@ def test_holder_constant_equals_dense_oracle(case):
     assert np.shape(got) == v.shape[:-1]
     for idx in np.ndindex(v.shape[:-1]):
         assert np.asarray(got)[idx] == _dense_holder(t, v[idx], alpha)
+    _assert_exceeds_matches(t, v, alpha, got)
 
 
 def test_holder_constant_keeps_a_max_that_beats_the_seed_by_an_ulp():
@@ -241,6 +255,9 @@ def test_holder_constant_keeps_a_max_that_beats_the_seed_by_an_ulp():
     got = holder_constant(t, v, 0.25)
     assert got == 1.0 / (t[16] - t[15]) ** 0.25 == _dense_holder(t, v, 0.25)
     assert got > 1.0 / (t[41] - t[40]) ** 0.25
+    # at the seed's level only the bounds and tiles can find (15, 16)
+    assert holder_exceeds(t, v, 0.25, 1.0 / (t[41] - t[40]) ** 0.25)
+    assert not holder_exceeds(t, v, 0.25, got)
 
 
 def test_holder_constant_trivial_inputs():
@@ -259,6 +276,16 @@ def test_holder_constant_trivial_inputs():
         holder_constant(t, np.zeros(701), -0.25)
     with pytest.raises(ValueError):
         holder_constant(t[:2], np.zeros((0, 2, 701)), 0.25)
+    # the decision on the same inputs, at levels below, at and above 0
+    for n in (701, 1, 2):
+        got = holder_exceeds(t[:n], np.zeros((0, 2, n)), 0.25, 1.0)
+        assert got.shape == (0, 2) and got.dtype == bool
+    assert not holder_exceeds(t[:1], np.ones((3, 2, 1)), 0.25, 0.0).any()
+    assert holder_exceeds(t[:1], np.ones((3, 2, 1)), 0.25, -1.0).all()
+    assert holder_exceeds(t[:1], np.ones(1), 0.25, 0.0) is False
+    assert holder_exceeds(t[:2], np.array([0.0, 1.0]), 0.5, 1) is True
+    with pytest.raises(ValueError):
+        holder_exceeds(t[:2], np.zeros((0, 2, 701)), 0.25, 1.0)
 
 
 def _lag_holder(t, v, alpha):
@@ -306,6 +333,15 @@ def test_holder_constant_batched_memory_is_bounded():
     paths = sample_wiener_ensemble(t, 2, 50, seed=3)
     peak = traced_peak(holder_constant, t, paths, 0.25)
     assert peak <= 8 * paths.nbytes     # O(N) per series, not per pair
+    _assert_decision_memory_is_bounded(t, paths)
+
+
+def _assert_decision_memory_is_bounded(t, paths):
+    """At the median constant the seed decides some series and leaves the
+    rest to the bounds and tiles, which copy their values."""
+    level = np.median(holder_constant(t, paths, 0.25))
+    peak = traced_peak(holder_exceeds, t, paths, 0.25, level)
+    assert peak <= 8 * paths.nbytes
 
 
 @pytest.mark.parametrize("delta_cap, batch", [(0.0085, (50, 2)), (0.003, ())],
@@ -318,6 +354,17 @@ def test_holder_constant_iid_noise_memory_is_bounded(delta_cap, batch):
     paths = np.random.default_rng(3).standard_normal(batch + (len(t),))
     peak = traced_peak(holder_constant, t, paths, 0.25)
     assert peak <= 8 * paths.nbytes
+    _assert_decision_memory_is_bounded(t, paths)
+
+
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf, -0.25])
+@pytest.mark.parametrize("scan", [
+    holder_constant, lambda t, v, alpha: holder_exceeds(t, v, alpha, 1.0)],
+    ids=["constant", "exceeds"])
+def test_holder_alpha_must_be_finite_and_nonnegative(scan, alpha):
+    t = np.linspace(0.0, 1.0, 11)
+    with pytest.raises(ValueError, match="alpha"):
+        scan(t, np.cumsum(np.ones((2, 11)), axis=-1), alpha)
 
 
 # ------------------------------------------------------------ bad events
@@ -357,6 +404,25 @@ def test_event_c_is_max_of_sup_and_holder():
     assert f.freq_c == want.mean()
 
 
+def test_event_c_on_two_processes_matches_per_path_reference():
+    # a path has event c when either process does; the scan decides it on
+    # the processes whose sup norm leaves it open
+    s = partition_scheme(0.5, 1.0)
+    t = s.nodes
+    paths = sample_wiener_ensemble(t, 2, 30, seed=13)
+    thresh = 0.5 ** (-1.0 / 28.0)
+    sup = np.array([max(np.max(np.abs(w)) for w in path) > thresh
+                    for path in paths])
+    want = np.array([max(max(np.max(np.abs(w)), holder_constant(t, w, 0.25))
+                         for w in path) > thresh for path in paths])
+    assert 0.0 < want.mean() < 1.0
+    assert np.any(want & ~sup)
+    assert event_frequencies(paths, s, "c").freq_c == want.mean()
+    got = [event_frequencies(paths[p:p + 1], s, "c").freq_c
+           for p in range(len(paths))]
+    assert np.array_equal(got, want)
+
+
 def test_event_selection_skips_work():
     s = partition_scheme(0.2, 1.0)
     t = s.nodes
@@ -367,16 +433,17 @@ def test_event_selection_skips_work():
     assert f.freq_a == full.freq_a and f.freq_b == full.freq_b
 
 
-def _block_loop_hits(paths, scheme, events):
+def _block_loop_hits(paths, scheme, events, blocks=None):
     """Per-path a and b indicators, one block slice at a time: the reference
-    for the run pass of event_frequencies."""
+    for the run pass of event_frequencies, over the first `blocks` blocks
+    (all by default)."""
     n_paths, n_proc, _ = paths.shape
     times = scheme.nodes
     thresh_b = scheme.delta_cap ** (3.0 / 14.0) / (3.0 * n_proc ** 2)
     hit_a = np.zeros(n_paths, dtype=bool)
     hit_b = np.zeros(n_paths, dtype=bool)
     iu = np.triu_indices(n_proc, k=1)
-    for k in range(scheme.m):
+    for k in range(blocks or scheme.m):
         pos = slice(scheme.starts[k], scheme.starts[k + 1] + 1)
         dt = np.diff(times[pos])
         incr = np.diff(paths[:, :, pos], axis=2) / np.sqrt(dt)
@@ -394,7 +461,8 @@ def _block_loop_hits(paths, scheme, events):
                          ids=["default-runs", "one-block-runs"])
 @pytest.mark.parametrize("delta_cap, horizon, n_proc, n_paths", [
     (0.5, 0.5, 2, 200), (0.5, 0.5, 1, 200), (0.3, 1.0, 2, 200),
-    (0.5, 1.0, 3, 200), (0.0085, 0.3, 2, 100)])
+    (0.5, 1.0, 3, 200), (0.0085, 0.3, 2, 100),
+    pytest.param(0.5, 1.0, 20, 50, id="decided-in-the-first-run")])
 def test_event_ab_runs_match_block_loop(delta_cap, horizon, n_proc, n_paths,
                                         one_block_runs, events, monkeypatch):
     # on a one-path slice each frequency is that path's indicator
@@ -403,12 +471,27 @@ def test_event_ab_runs_match_block_loop(delta_cap, horizon, n_proc, n_paths,
     s = partition_scheme(delta_cap, horizon)
     paths = sample_wiener_ensemble(s.nodes, n_proc, n_paths, seed=1)
     want_a, want_b = _block_loop_hits(paths, s, events)
-    assert 0.0 < _block_loop_hits(paths, s, "a")[0].mean() < 1.0
     got = [event_frequencies(paths[p:p + 1], s, events)
            for p in range(n_paths)]
     assert np.array_equal([f.freq_a for f in got], want_a)
     assert np.array_equal([f.freq_b for f in got], want_b)
     whole = event_frequencies(paths, s, events)
+    assert (whole.freq_a, whole.freq_b) == (want_a.mean(), want_b.mean())
+    if n_proc < 20:
+        # some path never has event a, so the pass runs to the last block
+        assert 0.0 < _block_loop_hits(paths, s, "a")[0].mean() < 1.0
+        return
+    # 20 processes: block 0 decides every path, and a run holds fewer than
+    # two blocks' products, so the pass must stop after block 0; inf - inf
+    # past it would raise
+    first_a, first_b = _block_loop_hits(paths, s, events, blocks=1)
+    pairs = n_proc * (n_proc + 1) // 2
+    assert quadvar._RUN_VALUES < 2 * n_paths * pairs * s.counts().max()
+    assert first_a.all() == ("a" in events)
+    assert first_b.all() == ("b" in events)
+    paths[:, :, s.starts[1] + 1:] = np.inf
+    with np.errstate(invalid="raise"):
+        whole = event_frequencies(paths, s, events)
     assert (whole.freq_a, whole.freq_b) == (want_a.mean(), want_b.mean())
 
 
@@ -420,6 +503,23 @@ def test_event_ab_memory_is_bounded(delta_cap, n_paths, share):
     paths = sample_wiener_ensemble(s.nodes, 2, n_paths, seed=3)
     peak = traced_peak(event_frequencies, paths, s, "ab")
     assert peak <= share * paths.nbytes
+
+
+@pytest.mark.parametrize("delta_cap, n_proc, n_paths", [
+    (0.5, 400, 2), (0.2, 150, 3), (0.02, 60, 10)])
+def test_ensemble_bytes_bounds_the_sampling_and_ab_peak(delta_cap, n_proc,
+                                                        n_paths):
+    # when one block's pair products fill a run, the estimate bounds the
+    # traced peak of sampling and the a/b pass from above, within 20%
+    s = partition_scheme(delta_cap, 1.0)
+
+    def sample_and_pass():
+        event_frequencies(sample_wiener_ensemble(s.nodes, n_proc, n_paths),
+                          s, "ab")
+
+    peak = traced_peak(sample_and_pass)
+    want = ensemble_bytes(delta_cap, 1.0, n_proc, n_paths)
+    assert peak <= want <= 1.2 * peak
 
 
 def test_omega_bound_values():
