@@ -29,7 +29,7 @@ from .modes import is_plus
 from .quadvar import (GRID_TOL, ensemble_bytes, event_frequencies,
                       partition_scheme, sample_wiener_ensemble)
 from .simulate import (SimConfig, enstrophy_residual, simulate,
-                       simulate_paths)
+                       simulate_blocks)
 from .spectral import Basis, SpectralField
 
 
@@ -289,23 +289,32 @@ def _run_simulate(parsed, out_dir: Path):
         "forcing": [list(k) for k in sorted(cfg.forcing.z_star)]}}) + "\n"
     info = {}
     n_paths = parsed["_analysis"]["n_paths"]
-    for p, traj in enumerate(simulate_paths(cfg, range(n_paths))):
-        # one record per node: time, coefficients, incoming increments
-        with open(out_dir / f"trajectory_{p}.jsonl", "w") as fh:
-            fh.write(header)
-            for i, t in enumerate(traj.times.tolist()):
-                fh.write(json.dumps({
-                    "time": t, "coeffs": traj.states[i].tolist(),
-                    "increments": traj.increments[i - 1].tolist() if i else [],
-                }) + "\n")
-        enstrophy = traj.enstrophy_series()
-        _write_csv(out_dir / f"norms_{p}.csv", ["time", "enstrophy", "h1_sq"],
-                   zip(traj.times.tolist(), enstrophy.tolist(),
-                       traj.h1_series().tolist()))
-        info[f"trajectory_{p}.jsonl"] = {
-            "final_enstrophy": float(enstrophy[-1]),
-            "final_residual": float(enstrophy_residual(traj)[-1]),
-        }
+    for block, traj in simulate_blocks(cfg, range(n_paths)):
+        # path b is column b of the block; a lone path is a block of one
+        times, P = traj.times.tolist(), len(block)
+        states = traj.states.reshape(len(times), P, -1)
+        incs = traj.increments.reshape(len(times) - 1, P, -1)
+        enstrophy, h1, residual = (a.reshape(len(times), P) for a in (
+            traj.enstrophy_series(), traj.h1_series(),
+            enstrophy_residual(traj)))
+        for b, p in enumerate(block):
+            # one record per node: time, coefficients, incoming increments
+            with open(out_dir / f"trajectory_{p}.jsonl", "w") as fh:
+                fh.write(header)
+                for i, t in enumerate(times):
+                    fh.write(json.dumps({
+                        "time": t, "coeffs": states[i, b].tolist(),
+                        "increments": incs[i - 1, b].tolist() if i else [],
+                    }) + "\n")
+            _write_csv(out_dir / f"norms_{p}.csv",
+                       ["time", "enstrophy", "h1_sq"],
+                       zip(times, enstrophy[:, b].tolist(),
+                           h1[:, b].tolist()))
+            info[f"trajectory_{p}.jsonl"] = {
+                "final_enstrophy": float(enstrophy[-1, b]),
+                "final_residual": float(residual[-1, b]),
+            }
+        del traj, states, incs  # the block is freed before the next one
     return info
 
 

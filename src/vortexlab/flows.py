@@ -115,19 +115,6 @@ def adjoint_sweep(traj: Trajectory, t: float, phi_cols: np.ndarray,
         yield U
 
 
-def adjoint_flow_columns(traj: Trajectory, t: float, phi_cols: np.ndarray,
-                         s: float, discrete_transpose: bool = False):
-    """The history of `adjoint_sweep`, (i1-i0+1, n, m) or (i1-i0+1, P, n, m),
-    index k at times[i0+k]: [-1] holds phi_cols at t and [0] is U(s)."""
-    sweep = adjoint_sweep(traj, t, phi_cols, s, discrete_transpose)
-    U = next(sweep)
-    hist = np.empty((traj.grid_index(t) - traj.grid_index(s) + 1,) + U.shape)
-    hist[-1] = U
-    for k, U in enumerate(sweep, 2):
-        hist[-k] = U
-    return hist
-
-
 def duality_drift(traj: Trajectory, k, s: float, t: float,
                   phi: SpectralField) -> float:
     """Max deviation from the mean of r -> <V_{k,s}(r), U^{t,phi}(r)>.
@@ -139,7 +126,7 @@ def duality_drift(traj: Trajectory, k, s: float, t: float,
     if i0 >= i1:
         raise ValueError("need s < t")
     ek = SpectralField.single_mode(traj.basis, tuple(k)).coeffs[:, None]
-    u_hist = adjoint_flow_columns(traj, t, phi.coeffs[:, None], s)
+    u_hist = reversed(list(adjoint_sweep(traj, t, phi.coeffs[:, None], s)))
     pairing = TWO_PI_SQ * np.array([np.einsum("nm,nm->", V, U) for V, U in
                                     zip(tangent_sweep(traj, s, ek, t), u_hist)])
     return float(np.max(np.abs(pairing - pairing.mean())))
@@ -196,11 +183,13 @@ def control_gradient(traj: Trajectory, residual_proj: np.ndarray,
     forced = traj.forced_indices
     adj = np.zeros((len(traj.basis), 1))
     adj[proj_idx, 0] = residual_proj
-    hist = adjoint_flow_columns(traj, traj.config.t_final, adj, 0.0,
-                                discrete_transpose=True)
+    sweep = adjoint_sweep(traj, traj.config.t_final, adj, 0.0,
+                          discrete_transpose=True)
+    # the forced rows of nodes n..1 as the sweep yields them; never node 0
+    rows = [U[forced, 0] for _, U in zip(range(len(traj.times) - 1), sweep)]
     # h_i enters w_{i+1} = decay*(w_i + dt*(N(w_i) + Q h_i)) as dt*decay
     stepper = Stepper(traj)
-    return stepper.dt * (stepper.decay[forced, 0] * hist[1:, forced, 0])
+    return stepper.dt * (stepper.decay[forced, 0] * np.array(rows[::-1]))
 
 
 def control_search(config: SimConfig, projection, target, s: float, t: float,

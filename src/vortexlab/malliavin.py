@@ -16,11 +16,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .flows import Stepper, adjoint_flow_columns, adjoint_sweep
+from .flows import Stepper, adjoint_sweep
 from .lattice import reachable_modes
 from .modes import canonical, is_plus, negate, norm2
 from .quadvar import wilson_interval
-from .simulate import SimConfig, Trajectory, block_size, simulate
+from .simulate import SimConfig, Trajectory, simulate_blocks
 from .spectral import (TWO_PI_SQ, SpectralField, build_interaction_table,
                        interaction_coeff)
 
@@ -162,15 +162,12 @@ def min_eigenvalue_tail(config: SimConfig, t: float, subspace,
     epsilons = np.asarray(sorted(epsilons, reverse=True), dtype=float)
     lam_min, lam_min_h1, lam_max, trace = np.empty((4, n_paths))
     w = 1.0 / np.sqrt([float(norm2(k)) for k in subspace])  # unit H1 ball
-    size = block_size(config, n_paths)
-    for start in range(0, n_paths, size):
-        block = slice(start, min(start + size, n_paths))
-        form = malliavin_forward(simulate(config, range(n_paths)[block]), t,
-                                 subspace)
+    for block, traj in simulate_blocks(config, range(n_paths)):
+        form = malliavin_forward(traj, t, subspace)
         lam_min[block], lam_max[block] = form.lambda_min(), form.lambda_max()
         lam_min_h1[block] = form.lambda_min(w)
         trace[block] = np.trace(form.matrix, axis1=-2, axis2=-1)
-        del form  # its block is freed before the next one is simulated
+        del form, traj  # the block is freed before the next one is simulated
     freq = np.array([(lam_min < eps).mean() for eps in epsilons])
     ivals = np.array([wilson_interval(int(round(f * n_paths)), n_paths)
                       for f in freq])
@@ -216,8 +213,8 @@ def bracket_decomposition(traj: Trajectory, t0: float, T: float,
     i0, i1 = traj.grid_index(t0), traj.grid_index(T)
     if i0 >= i1:
         raise ValueError("need t0 < T")
-    hist = adjoint_flow_columns(traj, T, phi.coeffs[:, None], t0)
-    U = hist[:, :, 0]
+    U = np.stack(list(adjoint_sweep(traj, T, phi.coeffs[:, None], t0))[::-1])
+    U = U[:, :, 0]
     n_nodes = i1 - i0 + 1
     forced = traj.forced_indices
     wiener = traj.wiener_path()[i0:i1 + 1]

@@ -306,14 +306,15 @@ def event_frequencies(wiener_paths: np.ndarray, scheme: PartitionScheme,
     a: some block/process has mean normalized squared increment <= 1/2.
     Event b: some block and process pair has mean normalized cross product
     >= delta_cap^(3/14) / (3 N^2). Both come from one pass over runs of
-    whole blocks: per run one diff, the products of every process pair and
-    one reduceat at the block starts, each temporary near _RUN_VALUES values
-    (one block's when that is more), stopping once every path has each
-    requested event. Event c: some process exceeds delta_cap^(-1/28) in the
-    max of sup norm and 1/4-Hoelder constant; the sup norm is checked first,
-    and one batched holder_exceeds decides the paths it leaves open. `events`
-    selects which indicators to report; skipped events report frequency 0
-    with the trivial [0, 1] interval.
+    whole blocks: per run one diff, the products of every process pair
+    (only of each process with itself without event b) and one reduceat at
+    the block starts, each temporary near _RUN_VALUES values (one block's
+    when that is more), stopping once every path has each requested event.
+    Event c: some process exceeds delta_cap^(-1/28) in the max of sup norm
+    and 1/4-Hoelder constant; the sup norm is checked first, and one batched
+    holder_exceeds decides the paths it leaves open. `events` selects which
+    indicators to report; skipped events report frequency 0 with the
+    trivial [0, 1] interval.
     """
     paths = np.asarray(wiener_paths, dtype=float)
     if paths.ndim != 3:
@@ -327,7 +328,8 @@ def event_frequencies(wiener_paths: np.ndarray, scheme: PartitionScheme,
     hit_a, hit_b, hit_c = np.zeros((3, n_paths), dtype=bool)
     wanted = [e in events for e in "abc"]
     if "a" in events or "b" in events:
-        pa, pb = np.triu_indices(n_proc)            # pa == pb: event a
+        pa, pb = (np.triu_indices(n_proc) if "b" in events  # pa == pb: a
+                  else 2 * (np.arange(n_proc),))
         starts, counts = scheme.starts, scheme.counts()
         run = max(1, _RUN_VALUES // (n_paths * len(pa) * counts.max()))
         for k0 in range(0, scheme.m, run):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,8 +73,8 @@ class BlowUpError(RuntimeError):
 
 @dataclass
 class Trajectory:
-    """One path or a block of P paths: states (n_steps + 1, P, n_modes) and
-    increments (n_steps, P, n_forced); path(b) cuts out one path."""
+    """One path or a block of P paths: states (n_steps + 1, P, n_modes);
+    a block's increments and series have one column per path."""
     config: SimConfig
     basis: Basis
     times: np.ndarray            # (n_steps + 1,)
@@ -82,12 +82,6 @@ class Trajectory:
     increments: np.ndarray       # (n_steps, [P,] n_forced) Wiener increments
     forced_modes: tuple          # canonical order of the forced modes
     forced_indices: np.ndarray   # their positions in the basis
-
-    def path(self, b: int) -> Trajectory:
-        """Path b of a block, as contiguous copies; a lone path is itself."""
-        return self if self.states.ndim == 2 else replace(
-            self, states=np.ascontiguousarray(self.states[:, b]),
-            increments=np.ascontiguousarray(self.increments[:, b]))
 
     def grid_index(self, t: float) -> int:
         return self.config.grid_index(t)
@@ -99,11 +93,17 @@ class Trajectory:
         return out
 
     def enstrophy_series(self) -> np.ndarray:
-        return TWO_PI_SQ * np.sum(self.states ** 2, axis=-1)
+        return self._mode_sum(1.0)
 
     def h1_series(self) -> np.ndarray:
-        lam = self.basis.laplacian_symbol()
-        return TWO_PI_SQ * np.sum(lam * self.states ** 2, axis=-1)
+        return self._mode_sum(self.basis.laplacian_symbol())
+
+    def _mode_sum(self, lam) -> np.ndarray:
+        # 2 pi^2 sum_k lam_k w_k^2, 64 nodes at a time: no block-size temporary
+        out = np.empty(self.states.shape[:-1])
+        for i in range(0, len(out), 64):
+            out[i:i + 64] = np.sum(lam * self.states[i:i + 64] ** 2, axis=-1)
+        return TWO_PI_SQ * out
 
 
 def noise_scale(nu: float, lam: np.ndarray, dt: float) -> np.ndarray:
@@ -111,20 +111,16 @@ def noise_scale(nu: float, lam: np.ndarray, dt: float) -> np.ndarray:
     return np.sqrt((1.0 - np.exp(-2.0 * nu * lam * dt)) / (2.0 * nu * lam))
 
 
-def simulate_paths(config: SimConfig, paths) -> Iterator[Trajectory]:
-    """One trajectory per path index, in order, each bit-identical to
-    simulate(config, [p]) and a contiguous copy of its own.
-
-    Paths advance side by side in blocks whose size follows from the
-    config (`block_size`). Every bin of the block's drift sums the same
-    terms in the same order as a lone path's, so the block size shows in
-    no output.
-    """
-    paths = list(paths)
+def simulate_blocks(config: SimConfig, paths) -> Iterator[tuple]:
+    """(block, simulate(config, block)) for consecutive blocks of the path
+    index sequence `paths`, in order, of `block_size` paths. Every bin of a
+    block's drift sums a lone path's terms in its order, so the block size
+    shows in no output. A caller drops each block before asking for the
+    next, so one block is alive at a time."""
     size = block_size(config, len(paths))
     for start in range(0, len(paths), size):
         block = paths[start:start + size]
-        yield from map(simulate(config, block).path, range(len(block)))
+        yield block, simulate(config, block)
 
 
 def block_size(config: SimConfig, n_paths: int) -> int:
@@ -232,12 +228,14 @@ def enstrophy_residual(traj: Trajectory) -> np.ndarray:
     """Pathwise Ito enstrophy balance residual on the trajectory grid.
 
     r(t_i) = |w(t_i)|^2 - |w(0)|^2 + 2 nu int_0^{t_i} |w|_1^2 ds - E0 t_i
-    with trapezoid quadrature; a discrete martingale with mean ~ 0.
+    with trapezoid quadrature; a discrete martingale with mean ~ 0. One
+    column per path on a block.
     """
     e = traj.enstrophy_series()
     h1 = traj.h1_series()
     dt = traj.config.dt
     integral = np.zeros_like(e)
-    np.cumsum(0.5 * dt * (h1[1:] + h1[:-1]), out=integral[1:])
+    np.cumsum(0.5 * dt * (h1[1:] + h1[:-1]), axis=0, out=integral[1:])
     e0 = forcing_energy_rate(traj)
-    return e - e[0] + 2.0 * traj.config.nu * integral - e0 * traj.times
+    times = traj.times.reshape((-1,) + (1,) * (e.ndim - 1))
+    return e - e[0] + 2.0 * traj.config.nu * integral - e0 * times

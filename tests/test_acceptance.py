@@ -21,7 +21,7 @@ from vortexlab.quadvar import (SampledProcess, chi_square_cdf,
                                partition_scheme, qv_estimate,
                                sample_wiener_ensemble)
 from vortexlab.simulate import (SimConfig, enstrophy_residual,
-                                forcing_energy_rate, simulate, simulate_paths)
+                                forcing_energy_rate, simulate, simulate_blocks)
 from vortexlab.spectral import (Basis, SpectralField, TWO_PI_SQ,
                                 build_interaction_table, inner,
                                 nonlinearity_B, sobolev_norm)
@@ -46,7 +46,8 @@ def _representation_discrepancies(dt, n_paths, n_phis, t=0.5, seed=101):
                     t_final=t, seed=seed)
     rng = np.random.default_rng(1001)
     rels = []
-    for traj in simulate_paths(cfg, range(n_paths)):
+    for p in range(n_paths):
+        traj = simulate(cfg, [p])
         form = malliavin_forward(traj, t, list(traj.basis.modes))
         for _ in range(n_phis):
             c = rng.standard_normal(len(traj.basis))
@@ -194,20 +195,20 @@ def test_acceptance_06_hypoellipticity_signature(capsys):
                     t_final=0.1, seed=60)
     n_pos = 0
     min_seen = np.inf
-    for traj in simulate_paths(cfg, range(200)):
-        lam_min = malliavin_forward(traj, 0.1, sub).lambda_min()
-        min_seen = min(min_seen, lam_min)
-        if lam_min > 0.0:
-            n_pos += 1
+    # one stacked form per block of paths
+    for _, block in simulate_blocks(cfg, range(200)):
+        lam_min = malliavin_forward(block, 0.1, sub).lambda_min()
+        min_seen = min(min_seen, lam_min.min())
+        n_pos += int(np.sum(lam_min > 0.0))
     geom = ForcingGeometry(frozenset({(1, 0), (-1, 0)}))
     basis = Basis.build(3.0)
     init = field_from_dict(basis, {(1, 0): 0.4, (-1, 0): -0.2})
     cfg_d = SimConfig(nu=0.5, forcing=geom, radius=3.0, dt=1e-3,
                       t_final=0.1, initial=init, seed=61)
     degen_ok = True
-    for traj in simulate_paths(cfg_d, range(200)):
-        lam_min = malliavin_forward(traj, 0.1, sub).lambda_min()
-        if abs(lam_min) > 1e-10:
+    for _, block in simulate_blocks(cfg_d, range(200)):
+        lam_min = malliavin_forward(block, 0.1, sub).lambda_min()
+        if np.any(np.abs(lam_min) > 1e-10):
             degen_ok = False
             break
     ok = n_pos == 200 and degen_ok
@@ -363,8 +364,9 @@ def test_acceptance_10_gaussian_bounds(capsys):
 def test_acceptance_11_enstrophy_balance(capsys):
     cfg = SimConfig(nu=0.5, forcing=CANONICAL, radius=3.0, dt=1e-3,
                     t_final=1.0, seed=110)
-    finals = np.array([enstrophy_residual(traj)[-1]
-                       for traj in simulate_paths(cfg, range(500))])
+    # the residual of a block has one column per path
+    finals = np.concatenate([enstrophy_residual(block)[-1] for _, block
+                             in simulate_blocks(cfg, range(500))])
     se = finals.std(ddof=1) / math.sqrt(len(finals))
     mean = finals.mean()
     traj = simulate(cfg, [0])

@@ -9,7 +9,7 @@ import pytest
 
 from vortexlab import cli, rng
 from vortexlab.cli import ConfigError, main, parse_config, run_experiment
-from vortexlab.simulate import simulate
+from vortexlab.simulate import block_size, enstrophy_residual, simulate
 
 BASE_SIM = {
     "nu": 1.0,
@@ -161,6 +161,36 @@ def test_simulate_norms_csv(tmp_path):
     values = np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
     assert np.array_equal(values[:, 1], traj.enstrophy_series())
     assert np.array_equal(values[:, 2], traj.h1_series())
+
+
+def test_simulate_writes_each_path_of_every_block(tmp_path):
+    # radius 4 takes 27 paths a block, so 30 paths are blocks of 27 and 3
+    raw = {"kind": "simulate",
+           "sim": dict(BASE_SIM, radius=4.0, dt=1e-2, t_final=0.05),
+           "analysis": {"n_paths": 30}}
+    manifest = run_experiment(raw, out_dir=tmp_path)
+    cfg = parse_config(raw)["_sim"]
+    assert block_size(cfg, 30) == 27
+    assert len(manifest["artifacts"]) == 30
+    for p in range(30):
+        traj = simulate(cfg, [p])
+        lines = (tmp_path / f"trajectory_{p}.jsonl").read_text().splitlines()
+        assert json.loads(lines[0])["header"]["radius"] == 4.0
+        recs = [json.loads(x) for x in lines[1:]]
+        assert [r["time"] for r in recs] == traj.times.tolist()
+        assert np.array_equal([r["coeffs"] for r in recs], traj.states)
+        assert np.array_equal([r["increments"] for r in recs[1:]],
+                              traj.increments)
+        assert recs[0]["increments"] == []
+        rows = (tmp_path / f"norms_{p}.csv").read_text().strip().splitlines()
+        values = np.array([[float(v) for v in row.split(",")]
+                           for row in rows[1:]])
+        assert np.array_equal(values, np.column_stack(
+            [traj.times, traj.enstrophy_series(), traj.h1_series()]))
+        info = manifest["artifacts"][f"trajectory_{p}.jsonl"]
+        assert info == {
+            "final_enstrophy": float(traj.enstrophy_series()[-1]),
+            "final_residual": float(enstrophy_residual(traj)[-1])}
 
 
 def test_malliavin_subcommand(tmp_path):

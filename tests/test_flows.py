@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from vortexlab.flows import (Stepper, adjoint_flow, adjoint_flow_columns,
+from vortexlab.flows import (Stepper, adjoint_flow, adjoint_sweep,
                              control_gradient, control_search, duality_drift,
                              second_variation, tangent_flow, tangent_sweep)
 from vortexlab.malliavin import malliavin_backward_form
@@ -72,12 +72,13 @@ def test_flow_histories_hold_the_shortened_flows_endpoints():
         *_, end = tangent_sweep(traj, s, cols, traj.times[i0 + k])
         assert np.array_equal(hist[k], end)
     for discrete in (False, True):
-        hist = adjoint_flow_columns(traj, t, cols, s,
-                                    discrete_transpose=discrete)
+        # the backward sweep, stacked in time order
+        hist = np.stack(list(adjoint_sweep(traj, t, cols, s,
+                                           discrete_transpose=discrete))[::-1])
         assert hist.shape == (i1 - i0 + 1, len(traj.basis), 2)
         for k in range(i1 - i0 + 1):
-            end = adjoint_flow_columns(traj, t, cols, traj.times[i0 + k],
-                                       discrete_transpose=discrete)[0]
+            *_, end = adjoint_sweep(traj, t, cols, traj.times[i0 + k],
+                                    discrete_transpose=discrete)
             assert np.array_equal(hist[k], end)
 
 

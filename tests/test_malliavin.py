@@ -7,7 +7,7 @@ import pytest
 
 from vortexlab import malliavin
 from vortexlab.lattice import ForcingGeometry
-from vortexlab.flows import adjoint_flow_columns
+from vortexlab.flows import adjoint_sweep
 from vortexlab.malliavin import (DEFAULT_EPSILONS, GRAM_CHUNK, MalliavinForm,
                                  PAIRING_PREFACTOR, bracket_decomposition,
                                  bracket_pairing, lyapunov_covariance,
@@ -73,7 +73,8 @@ def test_gram_equals_lyapunov():
             assert np.max(np.abs(a.matrix - b[idx])) < 1e-12 * scale
         b = lyapunov_covariance(block, t)
         for p in range(3):
-            assert np.array_equal(b[p], lyapunov_covariance(block.path(p), t))
+            lone = simulate(traj.config, [p])
+            assert np.array_equal(b[p], lyapunov_covariance(lone, t))
     # at t = 0 no noise has entered: the Gram and its spectrum are exactly 0
     assert not np.any(a.matrix)
     assert a.lambda_min() == 0.0 and a.lambda_max() == 0.0
@@ -199,11 +200,11 @@ def factor_form(X):
 
 
 def tall_factor(traj, t, sub):
-    """The Gram's tall factor X, M = X^T X, from the swept node history:
-    the forced rows scaled by the square roots of the trapezoid weights."""
-    idx = [traj.basis.index[k] for k in sub]
-    hist = adjoint_flow_columns(traj, t, np.eye(len(traj.basis))[:, idx], 0.0,
-                                discrete_transpose=True)
+    """The Gram's tall factor X, M = X^T X, from the stacked sweep: the
+    forced rows scaled by the square roots of the trapezoid weights."""
+    cols = np.eye(len(traj.basis))[:, [traj.basis.index[k] for k in sub]]
+    hist = np.stack(list(adjoint_sweep(traj, t, cols, 0.0,
+                                       discrete_transpose=True))[::-1])
     weights = np.full(len(hist), traj.config.dt)
     weights[[0, -1]] = 0.5 * traj.config.dt
     X = np.sqrt(weights)[:, None, None] * hist[:, traj.forced_indices]
@@ -376,8 +377,7 @@ def test_min_eigenvalue_tail_calls_malliavin_forward_once_per_block(
     traj, form = calls[0]
     assert form.trajectory is traj and form.matrix.shape == (5, 2, 2)
     for p in range(5):
-        assert np.array_equal(traj.path(p).states,
-                              simulate(cfg, [p]).states)
+        assert np.array_equal(traj.states[:, p], simulate(cfg, [p]).states)
     # one path is a lone form, as the benchmark's Gram check reads it
     calls.clear()
     table = min_eigenvalue_tail(cfg, 0.02, sub, n_paths=1)
@@ -416,7 +416,7 @@ def test_block_swept_forms_equal_lone_forms_bitwise(monkeypatch, radius,
         matrix = form.matrix.reshape(-1, m, m)
         lam = np.reshape(form.lambda_min(), -1)
         for b in range(len(factor)):
-            lone = malliavin_forward(block.path(b), t, sub)
+            lone = malliavin_forward(simulate(cfg, [p]), t, sub)
             assert np.array_equal(factor[b], lone.factor)
             assert np.array_equal(matrix[b], lone.matrix)
             assert lam[b] == lone.lambda_min() == table.lambda_min[p]

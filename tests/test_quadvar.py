@@ -462,7 +462,7 @@ def _block_loop_hits(paths, scheme, events, blocks=None):
 @pytest.mark.parametrize("delta_cap, horizon, n_proc, n_paths", [
     (0.5, 0.5, 2, 200), (0.5, 0.5, 1, 200), (0.3, 1.0, 2, 200),
     (0.5, 1.0, 3, 200), (0.0085, 0.3, 2, 100),
-    pytest.param(0.5, 1.0, 20, 50, id="decided-in-the-first-run")])
+    pytest.param(0.5, 1.0, 20, 110, id="decided-in-the-first-run")])
 def test_event_ab_runs_match_block_loop(delta_cap, horizon, n_proc, n_paths,
                                         one_block_runs, events, monkeypatch):
     # on a one-path slice each frequency is that path's indicator
@@ -485,7 +485,7 @@ def test_event_ab_runs_match_block_loop(delta_cap, horizon, n_proc, n_paths,
     # two blocks' products, so the pass must stop after block 0; inf - inf
     # past it would raise
     first_a, first_b = _block_loop_hits(paths, s, events, blocks=1)
-    pairs = n_proc * (n_proc + 1) // 2
+    pairs = n_proc * (n_proc + 1) // 2 if "b" in events else n_proc
     assert quadvar._RUN_VALUES < 2 * n_paths * pairs * s.counts().max()
     assert first_a.all() == ("a" in events)
     assert first_b.all() == ("b" in events)
@@ -503,6 +503,19 @@ def test_event_ab_memory_is_bounded(delta_cap, n_paths, share):
     paths = sample_wiener_ensemble(s.nodes, 2, n_paths, seed=3)
     peak = traced_peak(event_frequencies, paths, s, "ab")
     assert peak <= share * paths.nbytes
+
+
+def test_event_a_alone_forms_only_the_diagonal_products():
+    # 1,000 processes have 500,500 pairs, but event a reads only the 1,000
+    # products of each process with itself (27 MiB against 0.11 MiB)
+    s = partition_scheme(0.5, 1.0)
+    paths = sample_wiener_ensemble(s.nodes, 1000, 1, seed=5)
+    alone = event_frequencies(paths, s, "a")
+    for events in ("ab", "abc"):
+        full = event_frequencies(paths, s, events)
+        assert (alone.freq_a, alone.ci_a) == (full.freq_a, full.ci_a)
+    peak = traced_peak(event_frequencies, paths, s, "a")
+    assert peak <= 4 * paths.nbytes
 
 
 @pytest.mark.parametrize("delta_cap, n_proc, n_paths", [

@@ -7,7 +7,7 @@ import pytest
 from vortexlab.lattice import ForcingGeometry
 from vortexlab.simulate import (BlowUpError, SimConfig, Trajectory,
                                 enstrophy_residual, forcing_energy_rate,
-                                noise_scale, simulate, simulate_paths)
+                                noise_scale, simulate, simulate_blocks)
 from vortexlab.spectral import (Basis, SpectralField, TWO_PI_SQ,
                                 build_interaction_table)
 
@@ -88,20 +88,24 @@ def test_nan_increments_raise_blow_up():
         simulate(cfg, increments=incs)
 
 
-def test_simulate_paths_is_bit_identical_across_blocks():
+def test_simulate_blocks_are_bit_identical_to_lone_paths():
     cfg = SimConfig(nu=0.5, forcing=CANONICAL, radius=4.0, dt=1e-3,
                     t_final=0.02, seed=9)
     # a radius-4 block holds 2**16 // 2352 = 27 paths, so these 60 paths,
     # in no particular order, fill two blocks and part of a third
     paths = list(range(100, 40, -1))
-    assert len(paths) > 2 * (2 ** 16 // len(build_interaction_table(cfg.basis())))
-    trajs = list(simulate_paths(cfg, paths))
-    assert len(trajs) == len(paths)
-    for p, traj in zip(paths, trajs):
-        ref = simulate(cfg, [p])
-        assert np.array_equal(traj.states, ref.states)
-        assert np.array_equal(traj.increments, ref.increments)
-        assert traj.states.flags.c_contiguous and traj.states.base is None
+    size = 2 ** 16 // len(build_interaction_table(cfg.basis()))
+    assert len(paths) > 2 * size
+    blocks = list(simulate_blocks(cfg, paths))
+    assert [block for block, _ in blocks] == [paths[:size],
+                                              paths[size:2 * size],
+                                              paths[2 * size:]]
+    for block, traj in blocks:
+        assert np.array_equal(traj.states, simulate(cfg, block).states)
+        for b, p in enumerate(block):
+            ref = simulate(cfg, [p])
+            assert np.array_equal(traj.states[:, b], ref.states)
+            assert np.array_equal(traj.increments[:, b], ref.increments)
 
 
 def test_block_paths_equal_lone_paths_bitwise():
@@ -113,14 +117,15 @@ def test_block_paths_equal_lone_paths_bitwise():
     assert block.states.shape == (cfg.n_steps() + 1, len(paths), n)
     assert block.increments.shape == (cfg.n_steps(), len(paths), len(Z_STAR))
     for b, p in enumerate(paths):
-        lone, ref = block.path(b), simulate(cfg, [p])
-        assert np.array_equal(lone.states, ref.states)
-        assert np.array_equal(lone.increments, ref.increments)
-        assert lone.states.base is None and lone.increments.base is None
+        lone = simulate(cfg, [p])
+        assert np.array_equal(block.states[:, b], lone.states)
+        assert np.array_equal(block.increments[:, b], lone.increments)
         # the per-path series of a block are its columns
         for series in ("enstrophy_series", "h1_series", "wiener_path"):
             assert np.array_equal(getattr(block, series)()[:, b],
                                   getattr(lone, series)())
+        assert np.array_equal(enstrophy_residual(block)[:, b],
+                              enstrophy_residual(lone))
 
 
 def test_one_path_block_keeps_lone_shapes():
@@ -130,8 +135,9 @@ def test_one_path_block_keeps_lone_shapes():
     block = simulate(cfg, [4])
     assert block.states.shape == (cfg.n_steps() + 1, len(cfg.basis()))
     assert block.increments.shape == shape
-    assert block.path(0) is block
-    assert np.array_equal(block.states, simulate(cfg, [4]).states)
+    [(paths, lone)] = simulate_blocks(cfg, [4])
+    assert paths == [4] and lone.states.shape == block.states.shape
+    assert np.array_equal(block.states, lone.states)
     incs = np.random.default_rng(1).normal(0.0, 0.03, shape)
     replay = simulate(cfg, [0], increments=incs)
     assert replay.states.shape == block.states.shape
@@ -139,15 +145,16 @@ def test_one_path_block_keeps_lone_shapes():
     assert np.array_equal(replay.states, simulate(cfg, increments=incs).states)
 
 
-def test_simulate_paths_starts_every_path_from_the_initial_field():
+def test_simulate_blocks_start_every_path_from_the_initial_field():
     basis = Basis.build(3.0)
     rng = np.random.default_rng(4)
     init = SpectralField(basis, 0.3 * rng.standard_normal(len(basis)))
     cfg = SimConfig(nu=0.5, forcing=CANONICAL, radius=3.0, dt=1e-3,
                     t_final=0.05, initial=init, seed=2)
-    for p, traj in zip(range(5), simulate_paths(cfg, range(5))):
-        assert np.array_equal(traj.states[0], init.coeffs)
-        assert np.array_equal(traj.states, simulate(cfg, [p]).states)
+    [(paths, block)] = simulate_blocks(cfg, range(5))
+    for b, p in enumerate(paths):
+        assert np.array_equal(block.states[0, b], init.coeffs)
+        assert np.array_equal(block.states[:, b], simulate(cfg, [p]).states)
 
 
 def test_blow_up_in_a_block_names_the_path():
@@ -165,7 +172,7 @@ def test_blow_up_in_a_block_names_the_path():
     # the block mixes paths that blow up with paths that do not
     assert 0 < len(blown) < len(paths)
     with pytest.raises(BlowUpError) as err:
-        list(simulate_paths(cfg, paths))
+        list(simulate_blocks(cfg, paths))
     assert str(err.value) == min(blown)[1]
 
 
