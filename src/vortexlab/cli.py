@@ -28,13 +28,12 @@ from .malliavin import (DEFAULT_EPSILONS, PAIRING_PREFACTOR,
 from .modes import is_plus
 from .quadvar import (GRID_TOL, ensemble_bytes, event_frequencies,
                       partition_scheme, sample_wiener_ensemble)
-from .simulate import (SimConfig, enstrophy_residual, simulate,
-                       simulate_blocks)
+from .simulate import SimConfig, simulate, simulate_blocks
 from .spectral import Basis, SpectralField
 
 
 QUADVAR_BUDGET_BYTES = 2 ** 30
-"""Largest quadvar ensemble plus its a/b pass, as quadvar.ensemble_bytes."""
+"""Largest quadvar ensemble and event pass, as quadvar.ensemble_bytes."""
 
 
 class ConfigError(Exception):
@@ -294,9 +293,8 @@ def _run_simulate(parsed, out_dir: Path):
         times, P = traj.times.tolist(), len(block)
         states = traj.states.reshape(len(times), P, -1)
         incs = traj.increments.reshape(len(times) - 1, P, -1)
-        enstrophy, h1, residual = (a.reshape(len(times), P) for a in (
-            traj.enstrophy_series(), traj.h1_series(),
-            enstrophy_residual(traj)))
+        enstrophy, h1, residual = (a.reshape(len(times), P)
+                                   for a in traj.enstrophy_balance())
         for b, p in enumerate(block):
             # one record per node: time, coefficients, incoming increments
             with open(out_dir / f"trajectory_{p}.jsonl", "w") as fh:

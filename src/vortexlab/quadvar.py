@@ -19,6 +19,7 @@ from . import rng
 
 GRID_TOL = 1e-9
 _RUN_VALUES = 2 ** 13    # a/b products per run; 2**14 grew peak RSS
+_SCAN_VALUES = 2 ** 16   # padded values per event-c Hoelder scan
 
 
 @dataclass
@@ -56,17 +57,14 @@ class SampledProcess:
 
 def qv_estimate(z: SampledProcess, partition) -> float:
     """Sum of squared increments of z over the given partition times."""
-    idx = z.grid_index(partition)
-    if np.any(np.diff(idx) < 0):
-        raise ValueError("partition times must be nondecreasing")
-    vals = z.values[idx]
-    return float(np.sum(np.diff(vals) ** 2))
+    return cross_qv(z, z, partition)
 
 
 def cross_qv(z1: SampledProcess, z2: SampledProcess, partition) -> float:
     """Sum of increment products of two processes over a shared partition."""
-    i1 = z1.grid_index(partition)
-    i2 = z2.grid_index(partition)
+    i1, i2 = z1.grid_index(partition), z2.grid_index(partition)
+    if np.any(np.diff(i1) < 0):
+        raise ValueError("partition times must be nondecreasing")
     return float(np.sum(np.diff(z1.values[i1]) * np.diff(z2.values[i2])))
 
 
@@ -119,13 +117,23 @@ def partition_node_count(delta_cap: float, horizon: float) -> int:
 
 def ensemble_bytes(delta_cap: float, horizon: float, n_processes: int,
                    n_paths: int) -> int:
-    """The Wiener ensemble's bytes plus the a/b pass's peak when one block
-    fills a run: 2 increments per process, 2 products and a mean per pair."""
+    """The Wiener ensemble's bytes plus the larger peak of the event passes,
+    which run one after the other; event c's also covers the sampling. The
+    a/b pass peaks when one block fills a run: 2 increments per process, 2
+    products and a mean per pair. Event c holds 3 extremes per process and 2
+    flags per path, then scans a group of open paths: its copy, padded and
+    kept copies, 4 padded time arrays and 8 seed temporaries of a quarter
+    group (at least 2**12 values each)."""
     full = _block_counts(delta_cap, horizon)[2]
-    nodes = partition_node_count(delta_cap, horizon) + 2 * full
+    n_times = partition_node_count(delta_cap, horizon)
     pairs = n_processes * (n_processes + 1) // 2    # triu_indices, 2 masks
-    per_path = n_processes * nodes + pairs * (2 * full + 1)
-    return 8 * n_paths * per_path + 18 * pairs
+    ab = 8 * n_paths * (2 * full * n_processes + pairs * (2 * full + 1))
+    pad = -(-n_times // HOLDER_BLOCK) * HOLDER_BLOCK
+    group = min(n_paths, max(1, _SCAN_VALUES // (n_processes * pad)))
+    group *= n_processes * pad
+    c = 8 * (n_paths * (3 * n_processes + 2) + 3 * group + 4 * pad
+             + 8 * max(group // 4, 2 ** 12))
+    return 8 * n_paths * n_processes * n_times + max(ab + 18 * pairs, c)
 
 
 def sample_wiener_ensemble(times, n_processes: int, n_paths: int,
@@ -311,10 +319,10 @@ def event_frequencies(wiener_paths: np.ndarray, scheme: PartitionScheme,
     the block starts, each temporary near _RUN_VALUES values (one block's
     when that is more), stopping once every path has each requested event.
     Event c: some process exceeds delta_cap^(-1/28) in the max of sup norm
-    and 1/4-Hoelder constant; the sup norm is checked first, and one batched
-    holder_exceeds decides the paths it leaves open. `events` selects which
-    indicators to report; skipped events report frequency 0 with the
-    trivial [0, 1] interval.
+    and 1/4-Hoelder constant; the sup norm is checked first, and
+    holder_exceeds decides the paths it leaves open, _SCAN_VALUES padded
+    values a call. `events` selects which indicators to report; skipped
+    events report frequency 0 with the trivial [0, 1] interval.
     """
     paths = np.asarray(wiener_paths, dtype=float)
     if paths.ndim != 3:
@@ -345,10 +353,15 @@ def event_frequencies(wiener_paths: np.ndarray, scheme: PartitionScheme,
             hit_b |= np.any(np.abs(mean[:, pa < pb]) >= thresh_b, axis=(1, 2))
             if all(h.all() for h, w in zip((hit_a, hit_b), wanted) if w):
                 break                               # every path is decided
+        del incr, prod, mean                        # before event c
     if "c" in events:
-        hit_c |= np.any(np.max(np.abs(paths), axis=2) > thresh_c, axis=1)
-        hit_c[~hit_c] = np.any(holder_exceeds(times, paths[~hit_c], 0.25,
-                                              thresh_c), axis=1)
+        hit_c |= np.any(np.maximum(paths.max(axis=2), -paths.min(axis=2))
+                        > thresh_c, axis=1)         # no |paths| copy
+        open_ = np.flatnonzero(~hit_c)
+        pad = -(-n_times // HOLDER_BLOCK) * HOLDER_BLOCK
+        step = max(1, _SCAN_VALUES // (n_proc * pad))
+        for g in np.split(open_, range(step, len(open_), step)):
+            hit_c[g] = holder_exceeds(times, paths[g], 0.25, thresh_c).any(1)
     hits = [h & w for h, w in zip((hit_a, hit_b, hit_c), wanted)]
     return EventFrequencies(
         n_paths, *(float(h.mean()) for h in hits),

@@ -92,18 +92,22 @@ class Trajectory:
         np.cumsum(self.increments, axis=0, out=out[1:])
         return out
 
-    def enstrophy_series(self) -> np.ndarray:
-        return self._mode_sum(1.0)
-
-    def h1_series(self) -> np.ndarray:
-        return self._mode_sum(self.basis.laplacian_symbol())
-
-    def _mode_sum(self, lam) -> np.ndarray:
-        # 2 pi^2 sum_k lam_k w_k^2, 64 nodes at a time: no block-size temporary
-        out = np.empty(self.states.shape[:-1])
-        for i in range(0, len(out), 64):
-            out[i:i + 64] = np.sum(lam * self.states[i:i + 64] ** 2, axis=-1)
-        return TWO_PI_SQ * out
+    def enstrophy_balance(self) -> tuple:
+        """(enstrophy, h1, residual) from one read of the states, one column
+        per path on a block. The residual |w(t)|^2 - |w(0)|^2 + 2 nu int_0^t
+        |w|_1^2 ds - E0 t (trapezoid rule) is a martingale with mean ~ 0."""
+        e, h1 = np.empty((2,) + self.states.shape[:-1])
+        for i in range(0, len(e), 64):  # no block-size temporary
+            sq = self.states[i:i + 64] ** 2
+            e[i:i + 64] = TWO_PI_SQ * np.sum(sq, axis=-1)
+            sq *= self.basis.laplacian_symbol()
+            h1[i:i + 64] = TWO_PI_SQ * np.sum(sq, axis=-1)
+        integral = np.zeros_like(e)
+        np.cumsum(0.5 * self.config.dt * (h1[1:] + h1[:-1]), axis=0,
+                  out=integral[1:])
+        times = self.times.reshape((-1,) + (1,) * (e.ndim - 1))
+        return e, h1, (e - e[0] + 2.0 * self.config.nu * integral
+                       - forcing_energy_rate(self) * times)
 
 
 def noise_scale(nu: float, lam: np.ndarray, dt: float) -> np.ndarray:
@@ -223,19 +227,3 @@ def forcing_energy_rate(traj: Trajectory) -> float:
     """The Ito input rate: sum of |e_k|^2 over forced modes."""
     return TWO_PI_SQ * len(traj.forced_modes)
 
-
-def enstrophy_residual(traj: Trajectory) -> np.ndarray:
-    """Pathwise Ito enstrophy balance residual on the trajectory grid.
-
-    r(t_i) = |w(t_i)|^2 - |w(0)|^2 + 2 nu int_0^{t_i} |w|_1^2 ds - E0 t_i
-    with trapezoid quadrature; a discrete martingale with mean ~ 0. One
-    column per path on a block.
-    """
-    e = traj.enstrophy_series()
-    h1 = traj.h1_series()
-    dt = traj.config.dt
-    integral = np.zeros_like(e)
-    np.cumsum(0.5 * dt * (h1[1:] + h1[:-1]), axis=0, out=integral[1:])
-    e0 = forcing_energy_rate(traj)
-    times = traj.times.reshape((-1,) + (1,) * (e.ndim - 1))
-    return e - e[0] + 2.0 * traj.config.nu * integral - e0 * times

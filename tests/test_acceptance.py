@@ -20,8 +20,8 @@ from vortexlab.quadvar import (SampledProcess, chi_square_cdf,
                                event_frequencies, omega_a_bound,
                                partition_scheme, qv_estimate,
                                sample_wiener_ensemble)
-from vortexlab.simulate import (SimConfig, enstrophy_residual,
-                                forcing_energy_rate, simulate, simulate_blocks)
+from vortexlab.simulate import (SimConfig, forcing_energy_rate, simulate,
+                                simulate_blocks)
 from vortexlab.spectral import (Basis, SpectralField, TWO_PI_SQ,
                                 build_interaction_table, inner,
                                 nonlinearity_B, sobolev_norm)
@@ -365,7 +365,7 @@ def test_acceptance_11_enstrophy_balance(capsys):
     cfg = SimConfig(nu=0.5, forcing=CANONICAL, radius=3.0, dt=1e-3,
                     t_final=1.0, seed=110)
     # the residual of a block has one column per path
-    finals = np.concatenate([enstrophy_residual(block)[-1] for _, block
+    finals = np.concatenate([block.enstrophy_balance()[2][-1] for _, block
                              in simulate_blocks(cfg, range(500))])
     se = finals.std(ddof=1) / math.sqrt(len(finals))
     mean = finals.mean()

@@ -9,7 +9,7 @@ import pytest
 
 from vortexlab import cli, rng
 from vortexlab.cli import ConfigError, main, parse_config, run_experiment
-from vortexlab.simulate import block_size, enstrophy_residual, simulate
+from vortexlab.simulate import block_size, simulate
 
 BASE_SIM = {
     "nu": 1.0,
@@ -159,8 +159,9 @@ def test_simulate_norms_csv(tmp_path):
     rows = (tmp_path / "norms_0.csv").read_text().strip().splitlines()
     assert rows[0] == "time,enstrophy,h1_sq"
     values = np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
-    assert np.array_equal(values[:, 1], traj.enstrophy_series())
-    assert np.array_equal(values[:, 2], traj.h1_series())
+    enstrophy, h1, _ = traj.enstrophy_balance()
+    assert np.array_equal(values[:, 1], enstrophy)
+    assert np.array_equal(values[:, 2], h1)
 
 
 def test_simulate_writes_each_path_of_every_block(tmp_path):
@@ -185,12 +186,12 @@ def test_simulate_writes_each_path_of_every_block(tmp_path):
         rows = (tmp_path / f"norms_{p}.csv").read_text().strip().splitlines()
         values = np.array([[float(v) for v in row.split(",")]
                            for row in rows[1:]])
+        enstrophy, h1, residual = traj.enstrophy_balance()
         assert np.array_equal(values, np.column_stack(
-            [traj.times, traj.enstrophy_series(), traj.h1_series()]))
+            [traj.times, enstrophy, h1]))
         info = manifest["artifacts"][f"trajectory_{p}.jsonl"]
-        assert info == {
-            "final_enstrophy": float(traj.enstrophy_series()[-1]),
-            "final_residual": float(enstrophy_residual(traj)[-1])}
+        assert info == {"final_enstrophy": float(enstrophy[-1]),
+                        "final_residual": float(residual[-1])}
 
 
 def test_malliavin_subcommand(tmp_path):
@@ -324,6 +325,18 @@ def test_quadvar_budget_counts_the_event_pass():
         parse(20_000)
 
 
+def test_quadvar_budget_counts_event_c():
+    # one path of 4.65M nodes per process: the ensemble is 0.17 GiB at 5
+    # processes, and event c scans the path's five series at once
+    def parse(n_processes):
+        return parse_config({"kind": "quadvar", "sim": BASE_SIM, "analysis": {
+            "delta_cap": 1e-4, "n_processes": n_processes, "n_paths": 1}})
+
+    assert parse(4)["_analysis"]["n_processes"] == 4
+    with pytest.raises(ConfigError, match="event pass need 1.18 GiB"):
+        parse(5)
+
+
 # each is rejected before its runner starts
 @pytest.mark.parametrize("kind, sim, analysis", [
     pytest.param("simulate", {}, {"n_paths": 2.5}, id="n_paths-fraction"),
@@ -352,6 +365,10 @@ def test_quadvar_budget_counts_the_event_pass():
     pytest.param("quadvar", {}, {"delta_cap": 0.5, "n_processes": 20_000,
                                  "n_paths": 1},
                  id="quadvar-event-pass-over-budget"),
+    # an ensemble of 0.17 GiB whose event c scan needs 1 GiB more; never run
+    pytest.param("quadvar", {}, {"delta_cap": 1e-4, "n_processes": 5,
+                                 "n_paths": 1},
+                 id="quadvar-event-c-over-budget"),
     pytest.param("control", {}, dict(CONTROL, tol="a"), id="tol-string"),
     pytest.param("control", {}, dict(CONTROL, max_iters=1.5),
                  id="max_iters-fraction"),

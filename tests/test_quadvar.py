@@ -77,6 +77,19 @@ def test_cross_qv_of_independent_wieners_is_small():
     assert vals.var(ddof=1) == pytest.approx(1.0 / n_fine, rel=0.4)
 
 
+def test_cross_qv_rejects_a_decreasing_partition():
+    # unsorted, the products pair the wrong increments: 1.3617 against
+    # 1.2396 on the sorted partition
+    t = np.linspace(0.0, 1.0, 11)
+    z = SampledProcess(t, np.sin(3 * t))
+    with pytest.raises(ValueError, match="nondecreasing"):
+        cross_qv(z, z, [0.0, 0.5, 0.2, 1.0])
+    with pytest.raises(ValueError, match="nondecreasing"):
+        qv_estimate(z, [0.0, 0.5, 0.2, 1.0])
+    assert qv_estimate(z, [0.0, 0.2, 0.5, 1.0]) == pytest.approx(1.2396,
+                                                                 abs=1e-4)
+
+
 # ------------------------------------------------------------ partitions
 
 def test_partition_scheme_example():
@@ -533,6 +546,31 @@ def test_ensemble_bytes_bounds_the_sampling_and_ab_peak(delta_cap, n_proc,
     peak = traced_peak(sample_and_pass)
     want = ensemble_bytes(delta_cap, 1.0, n_proc, n_paths)
     assert peak <= want <= 1.2 * peak
+
+
+@pytest.mark.parametrize("delta_cap, n_proc, n_paths, scale", [
+    (0.02, 2, 200, 100.0),      # the sup norm decides every path
+    (0.02, 2, 200, 1.0),        # it leaves about a quarter open
+    (0.02, 1, 400, 1.0),        # about half
+    (0.5, 1, 3000, 1.0),        # 5 nodes pad to 16 per series
+    (0.003, 2, 3, 1.0),         # 16,335 nodes, two paths a group
+    (0.02, 2, 200, 1e-3),       # scaled down: every path is open
+    (0.0015, 1, 2, 1e-3),       # 51,334 nodes, one path a group
+    (0.5, 40, 10, 1e-3)])
+def test_ensemble_bytes_bounds_the_sampling_and_three_event_peak(
+        delta_cap, n_proc, n_paths, scale):
+    # the a/b pass frees its temporaries before event c, which scans the
+    # open paths a group at a time; the estimate counts the larger pass
+    s = partition_scheme(delta_cap, 1.0)
+
+    def sample_and_pass():
+        paths = sample_wiener_ensemble(s.nodes, n_proc, n_paths)
+        paths *= scale
+        event_frequencies(paths, s)
+
+    sample_and_pass()   # warm-up: numpy's first-call allocations
+    peak = traced_peak(sample_and_pass)
+    assert peak <= ensemble_bytes(delta_cap, 1.0, n_proc, n_paths)
 
 
 def test_omega_bound_values():

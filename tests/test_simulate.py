@@ -6,8 +6,8 @@ import pytest
 
 from vortexlab.lattice import ForcingGeometry
 from vortexlab.simulate import (BlowUpError, SimConfig, Trajectory,
-                                enstrophy_residual, forcing_energy_rate,
-                                noise_scale, simulate, simulate_blocks)
+                                forcing_energy_rate, noise_scale, simulate,
+                                simulate_blocks)
 from vortexlab.spectral import (Basis, SpectralField, TWO_PI_SQ,
                                 build_interaction_table)
 
@@ -121,11 +121,10 @@ def test_block_paths_equal_lone_paths_bitwise():
         assert np.array_equal(block.states[:, b], lone.states)
         assert np.array_equal(block.increments[:, b], lone.increments)
         # the per-path series of a block are its columns
-        for series in ("enstrophy_series", "h1_series", "wiener_path"):
-            assert np.array_equal(getattr(block, series)()[:, b],
-                                  getattr(lone, series)())
-        assert np.array_equal(enstrophy_residual(block)[:, b],
-                              enstrophy_residual(lone))
+        assert np.array_equal(block.wiener_path()[:, b], lone.wiener_path())
+        for got, want in zip(block.enstrophy_balance(),
+                             lone.enstrophy_balance()):
+            assert np.array_equal(got[:, b], want)
 
 
 def test_one_path_block_keeps_lone_shapes():
@@ -233,22 +232,69 @@ def test_forcing_energy_rate_counts_modes():
     assert forcing_energy_rate(traj) == pytest.approx(4 * TWO_PI_SQ)
 
 
-def test_deterministic_enstrophy_residual_small():
+def test_deterministic_balance_residual_small():
     # Zero noise: r(t) reduces to the O(dt) quadrature error of the exact
     # dissipation balance.
     basis = Basis.build(3.0)
     init = field_from_dict(basis, {(1, 0): 1.0, (1, 1): -0.5, (2, 1): 0.3})
     cfg = SimConfig(nu=0.5, forcing=EMPTY, dt=1e-3, t_final=0.5, initial=init)
     traj = simulate(cfg)
-    r = enstrophy_residual(traj)
+    r = traj.enstrophy_balance()[2]
     drift_free = r + forcing_energy_rate(traj) * traj.times  # remove -E0 t
     assert np.max(np.abs(drift_free)) < 5e-3
+
+
+def _reference_balance(traj):
+    """The series and the residual as first written: one 64-node mode sum
+    per weight, and the residual from both series."""
+    def mode_sum(lam):
+        out = np.empty(traj.states.shape[:-1])
+        for i in range(0, len(out), 64):
+            out[i:i + 64] = np.sum(lam * traj.states[i:i + 64] ** 2, axis=-1)
+        return TWO_PI_SQ * out
+
+    e, h1 = mode_sum(1.0), mode_sum(traj.basis.laplacian_symbol())
+    integral = np.zeros_like(e)
+    np.cumsum(0.5 * traj.config.dt * (h1[1:] + h1[:-1]), axis=0,
+              out=integral[1:])
+    times = traj.times.reshape((-1,) + (1,) * (e.ndim - 1))
+    return e, h1, (e - e[0] + 2.0 * traj.config.nu * integral
+                   - forcing_energy_rate(traj) * times)
+
+
+@pytest.mark.parametrize("paths", [[3], [0, 5, 2]], ids=["lone", "block"])
+def test_enstrophy_balance_is_the_reference_bitwise(paths):
+    # 151 nodes: two full 64-node chunks and a short one
+    basis = Basis.build(3.0)
+    w0 = np.random.default_rng(25).uniform(-0.5, 0.5, len(basis))
+    cfg = SimConfig(nu=0.5, forcing=CANONICAL, dt=2e-3, t_final=0.3, seed=4,
+                    initial=SpectralField(basis, w0))
+    traj = simulate(cfg, paths)
+    assert len(traj.times) % 64 != 0
+    got = traj.enstrophy_balance()
+    for a, b in zip(got, _reference_balance(traj)):
+        assert a.shape == traj.states.shape[:-1]
+        assert a.tobytes() == b.tobytes()
+
+
+def test_enstrophy_balance_memory_is_bounded():
+    # in units of one (nodes, P) series: the three outputs, the integral and
+    # the residual's temporaries come to about 6, the series and two 64-node
+    # chunks of squares to about 8 (3.1 a chunk here), and the whole block's
+    # squares to 48
+    cfg = SimConfig(nu=0.5, forcing=CANONICAL, radius=4.0, dt=1e-3,
+                    t_final=1.0)
+    traj = simulate(cfg, range(8))
+    series = 8 * traj.states[..., 0].size
+    assert traj.states.shape == (1001, 8, 48)
+    traj.enstrophy_balance()  # warm-up
+    assert traced_peak(traj.enstrophy_balance) <= 10 * series
 
 
 def test_stochastic_residual_mean_near_zero():
     cfg = SimConfig(nu=0.5, forcing=CANONICAL, radius=3.0,
                     dt=1e-3, t_final=0.3, seed=11)
-    finals = [enstrophy_residual(simulate(cfg, [p]))[-1]
+    finals = [simulate(cfg, [p]).enstrophy_balance()[2][-1]
               for p in range(60)]
     finals = np.array(finals)
     se = finals.std(ddof=1) / math.sqrt(len(finals))
