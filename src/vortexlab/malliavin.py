@@ -133,7 +133,6 @@ class TailTable:
     epsilons: np.ndarray
     frequencies: np.ndarray        # P(lambda_min < eps), L2-normalized ball
     intervals: np.ndarray          # Wilson 95% bounds, shape (n_eps, 2)
-    slope: float                   # log-log slope over the resolved range
     lambda_min: np.ndarray         # per path, L2 ball
     lambda_min_h1: np.ndarray      # per path, H1-weighted ball
     lambda_max: np.ndarray
@@ -149,8 +148,7 @@ def min_eigenvalue_tail(config: SimConfig, t: float, subspace,
 
     Simulates n_paths independent trajectories and records the smallest
     eigenvalue of the projected matrix on each; reports per-epsilon
-    frequencies with Wilson intervals and the log-log slope across the
-    epsilons where the frequency is strictly between 0 and 1.
+    frequencies with Wilson intervals.
     """
     basis = config.basis()
     reach = reachable_modes(config.forcing, basis.radius)
@@ -171,14 +169,8 @@ def min_eigenvalue_tail(config: SimConfig, t: float, subspace,
     freq = np.array([(lam_min < eps).mean() for eps in epsilons])
     ivals = np.array([wilson_interval(int(round(f * n_paths)), n_paths)
                       for f in freq])
-    inside = (freq > 0.0) & (freq < 1.0)
-    if inside.sum() >= 2:
-        slope = float(np.polyfit(np.log(epsilons[inside]),
-                                 np.log(freq[inside]), 1)[0])
-    else:
-        slope = float("nan")
-    return TailTable(epsilons, freq, ivals, slope, lam_min, lam_min_h1,
-                     lam_max, trace)
+    return TailTable(epsilons, freq, ivals, lam_min, lam_min_h1, lam_max,
+                     trace)
 
 
 @dataclass

@@ -15,7 +15,8 @@ SCHEME = "philox4x64; key (seed, path); counter [0, 0, 0, stream]; standard_norm
 
 
 def normals(seed: int, stream: int, path: int, shape) -> np.ndarray:
-    """One block of standard normals for (seed, stream, path), C order."""
+    """One block of standard normals for (seed, stream, path), C order; the
+    seed, in [0, 2**64), is the key's first word as given."""
     bitgen = np.random.Philox(counter=[0, 0, 0, stream],
-                              key=[seed & 0xFFFFFFFFFFFFFFFF, path])
+                              key=np.array([seed, path], dtype=np.uint64))
     return np.random.Generator(bitgen).standard_normal(shape)

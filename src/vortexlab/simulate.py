@@ -39,6 +39,10 @@ class SimConfig:
     def __post_init__(self):
         if self.nu <= 0:
             raise ValueError("viscosity must be positive")
+        # the seed is the Philox key's first word, taken as given
+        if (not isinstance(self.seed, (int, np.integer))
+                or not 0 <= self.seed < 2 ** 64):
+            raise ValueError("seed must be an integer in [0, 2**64)")
         if self.dt <= 0 or self.t_final <= 0 or self.dt >= self.t_final:
             raise ValueError("need 0 < dt < t_final")
         steps = self.t_final / self.dt

@@ -1,6 +1,7 @@
 """Experiment runner: config validation, artifacts, reproducibility."""
 import filecmp
 import json
+import math
 import re
 from pathlib import Path
 
@@ -206,6 +207,9 @@ def test_malliavin_subcommand(tmp_path):
     tail = (out / "tail.csv").read_text().strip().splitlines()
     assert tail[0] == "epsilon,frequency,wilson_low,wilson_high"
     assert len(tail) == 3
+    # the tail is its frequencies; the manifest lists it with nothing fitted
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["artifacts"]["tail.csv"] == {}
 
 
 def test_quadvar_subcommand(tmp_path):
@@ -402,6 +406,47 @@ def test_exit_2_on_invalid_value_writes_no_manifest(tmp_path, monkeypatch,
     out = tmp_path / "out"
     assert main([kind, "--config", path, "--out", str(out)]) == 2
     assert not (out / "manifest.json").exists()
+
+
+# each exits 2 from the parser, before the output directory is made
+@pytest.mark.parametrize("kind, cfg, argv, message", [
+    pytest.param("lattice", {"sim": [1.0]}, [], "sim: expected an object",
+                 id="block-not-an-object"),
+    pytest.param("lattice", {"sim": {"forcing": BASE_SIM["forcing"]}}, [],
+                 "sim.nu: missing required key", id="key-missing"),
+    pytest.param("lattice", {"sim": dict(BASE_SIM, nu=math.inf)}, [],
+                 "sim.nu: must be finite", id="number-not-finite"),
+    pytest.param("lattice", {"sim": dict(BASE_SIM, nu=10 ** 400)}, [],
+                 "sim.nu: must be finite", id="integer-of-401-digits"),
+    pytest.param("lattice", {"sim": dict(BASE_SIM, forcing="x")}, [],
+                 "sim.forcing: expected a non-empty list",
+                 id="mode-list-not-a-list"),
+    pytest.param("malliavin", {"sim": BASE_SIM,
+                               "analysis": dict(MALLIAVIN, subspace=[])}, [],
+                 "analysis.subspace: expected a non-empty list",
+                 id="mode-list-empty"),
+    pytest.param("lattice", {"sim": dict(BASE_SIM, forcing=[[1, 0], [1, 0.5]])},
+                 [], "sim.forcing[1]: expected a pair of integers",
+                 id="pair-not-two-integers"),
+    pytest.param("simulate", {"sim": dict(BASE_SIM, initial=[0.5])}, [],
+                 "sim.initial: expected an object", id="initial-not-an-object"),
+    pytest.param("lattice", {"sim": BASE_SIM, "out": 3}, [],
+                 "config.out: expected a path string", id="out-not-a-string"),
+    pytest.param("simulate", {"sim": dict(BASE_SIM, seed=-1)}, [],
+                 "sim.seed: must be at least 0", id="seed-negative"),
+    pytest.param("simulate", {"sim": dict(BASE_SIM, seed=2 ** 64)}, [],
+                 "seed must be an integer in [0, 2**64)",
+                 id="seed-past-64-bits"),
+    pytest.param("simulate", {"sim": BASE_SIM}, ["--seed", "-3"],
+                 "--seed: must be at least 0", id="seed-override-negative"),
+])
+def test_exit_2_on_rejected_value_writes_nothing(tmp_path, capsys, kind, cfg,
+                                                 argv, message):
+    path = write_config(tmp_path, "c.json", cfg)
+    out = tmp_path / "out"
+    assert main([kind, "--config", path, "--out", str(out), *argv]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_repeated_mode_is_named_by_its_path(tmp_path, capsys):

@@ -337,3 +337,20 @@ def test_control_search_reaches_forced_target():
     # objective history is monotone nonincreasing under backtracking
     hist = np.array(res.history)
     assert np.all(np.diff(hist) <= 1e-15)
+
+
+def test_control_search_kicks_a_zero_gradient():
+    # (0, 1) is unforced, so at zero control its endpoint coefficient and
+    # the first gradient are exactly zero; the search kicks the control on
+    # [s, t] with a fixed ramp and descends from there
+    cfg = SimConfig(nu=0.5, forcing=CANONICAL, radius=3.0, dt=1e-2,
+                    t_final=0.2)
+    kicked = control_search(cfg, [(0, 1)], [0.05], 0.1, 0.2, max_iters=1)
+    want = np.zeros((20, 4))
+    want[10:] = 0.1 * np.linspace(0.5, 1.0, 10)[:, None]
+    assert np.array_equal(kicked.control, want)
+    assert kicked.iterations == 1
+    assert kicked.history[0] == 0.5 * 0.05 ** 2
+    # on the whole horizon the descent after the kick reaches the target
+    res = control_search(cfg, [(0, 1)], [0.05], 0.0, 0.2, max_iters=40)
+    assert res.residual < 5e-3

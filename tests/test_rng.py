@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import vortexlab
 from vortexlab import rng
@@ -67,10 +68,25 @@ def test_simulate_and_wiener_streams_share_no_normal():
 
 def test_simulate_draws_one_block_per_path():
     cfg = SimConfig(nu=0.5, forcing=CANONICAL, radius=3.0, dt=1e-3,
-                    t_final=0.05, seed=2 ** 70 + 3)
+                    t_final=0.05, seed=2 ** 64 - 3)
     traj = simulate(cfg, [6])
     want = math.sqrt(cfg.dt) * rng.normals(cfg.seed, rng.SIMULATE, 6, (50, 4))
     assert np.array_equal(traj.increments, want)
+
+
+def test_each_seed_is_its_own_key():
+    # a key word past 2**63 - 1 once went through float64: seeds 2**63 and
+    # 2**63 + 1 drew the same normals, and negative seeds drew seed 0's
+    a, b = (rng.normals(s, rng.SIMULATE, 0, 8) for s in (2 ** 63, 2 ** 63 + 1))
+    assert not np.array_equal(a, b)
+    # below 2**63 the key is the plain pair, so those seeds keep their draws
+    plain = np.random.Philox(counter=[0, 0, 0, rng.SIMULATE], key=[5, 3])
+    assert np.array_equal(rng.normals(5, rng.SIMULATE, 3, 8),
+                          np.random.Generator(plain).standard_normal(8))
+    for seed in (-1, 2 ** 64, 1.5):
+        with pytest.raises(ValueError, match="seed"):
+            SimConfig(nu=0.5, forcing=CANONICAL, radius=3.0, dt=1e-3,
+                      t_final=0.05, seed=seed)
 
 
 def test_replayed_increments_are_copied():
