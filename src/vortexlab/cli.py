@@ -71,6 +71,12 @@ def _check_int(value, path, minimum):
     return value
 
 
+def _check_seed(value, path):
+    if _check_int(value, path, 0) >= rng.SEED_END:
+        _fail(path, f"must be at most {rng.SEED_END - 1}")
+    return value
+
+
 def _check_mode_list(value, path):
     if not isinstance(value, list) or not value:
         _fail(path, "expected a non-empty list of [kx, ky] pairs")
@@ -139,9 +145,9 @@ def parse_config(raw: dict, seed=None) -> dict:
     dt = _check_number(sim.get("dt", 1e-3), "sim.dt", positive=True)
     t_final = _check_number(sim.get("t_final", 1.0), "sim.t_final",
                             positive=True)
-    _check_int(sim.get("seed", 0), "sim.seed", 0)
+    _check_seed(sim.get("seed", 0), "sim.seed")
     if seed is not None:  # the override stands in sim.seed's place
-        raw = dict(raw, sim=dict(sim, seed=_check_int(seed, "--seed", 0)))
+        raw = dict(raw, sim=dict(sim, seed=_check_seed(seed, "--seed")))
     seed = raw["sim"].get("seed", 0)
     initial = sim.get("initial", {})
     if not isinstance(initial, dict):

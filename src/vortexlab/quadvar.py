@@ -115,25 +115,33 @@ def partition_node_count(delta_cap: float, horizon: float) -> int:
     return 1 + (m - 1) * full + last
 
 
+def _ab_bytes(delta_cap: float, horizon: float, n_processes: int,
+              n_paths: int) -> int:
+    """Peak of event_frequencies' a/b pass: the pair indices and masks, then
+    per run 2 time arrays and per block of it 2 increments per process, 2
+    products and a mean per pair; 8 KiB for the rest."""
+    _, m, full, _ = _block_counts(delta_cap, horizon)
+    pairs = n_processes * (n_processes + 1) // 2    # triu_indices, 2 masks
+    run = min(m, max(1, _RUN_VALUES // (n_paths * pairs * full)))  # blocks
+    return 2 ** 13 + 18 * pairs + 8 * run * (
+        2 * full + n_paths * (2 * full * n_processes + pairs * (2 * full + 1)))
+
+
 def ensemble_bytes(delta_cap: float, horizon: float, n_processes: int,
                    n_paths: int) -> int:
     """The Wiener ensemble's bytes plus the larger peak of the event passes,
-    which run one after the other; event c's also covers the sampling. The
-    a/b pass peaks when one block fills a run: 2 increments per process, 2
-    products and a mean per pair. Event c holds 3 extremes per process and 2
-    flags per path, then scans a group of open paths: its copy, padded and
-    kept copies, 4 padded time arrays and 8 seed temporaries of a quarter
-    group (at least 2**12 values each)."""
-    full = _block_counts(delta_cap, horizon)[2]
+    which run one after the other; event c's also covers the sampling. Event
+    c holds 3 extremes per process and 2 flags per path, then scans a group
+    of open paths: its copy, padded and kept copies, 4 padded time arrays
+    and 8 seed temporaries of a quarter group (at least 2**12 values each)."""
     n_times = partition_node_count(delta_cap, horizon)
-    pairs = n_processes * (n_processes + 1) // 2    # triu_indices, 2 masks
-    ab = 8 * n_paths * (2 * full * n_processes + pairs * (2 * full + 1))
     pad = -(-n_times // HOLDER_BLOCK) * HOLDER_BLOCK
     group = min(n_paths, max(1, _SCAN_VALUES // (n_processes * pad)))
     group *= n_processes * pad
     c = 8 * (n_paths * (3 * n_processes + 2) + 3 * group + 4 * pad
              + 8 * max(group // 4, 2 ** 12))
-    return 8 * n_paths * n_processes * n_times + max(ab + 18 * pairs, c)
+    return 8 * n_paths * n_processes * n_times + max(
+        _ab_bytes(delta_cap, horizon, n_processes, n_paths), c)
 
 
 def sample_wiener_ensemble(times, n_processes: int, n_paths: int,
@@ -351,9 +359,9 @@ def event_frequencies(wiener_paths: np.ndarray, scheme: PartitionScheme,
             mean /= counts[k0:k1]                   # (n_paths, pairs, blocks)
             hit_a |= np.any(mean[:, pa == pb] <= 0.5, axis=(1, 2))
             hit_b |= np.any(np.abs(mean[:, pa < pb]) >= thresh_b, axis=(1, 2))
+            del incr, prod, mean                    # before the next run
             if all(h.all() for h, w in zip((hit_a, hit_b), wanted) if w):
                 break                               # every path is decided
-        del incr, prod, mean                        # before event c
     if "c" in events:
         hit_c |= np.any(np.maximum(paths.max(axis=2), -paths.min(axis=2))
                         > thresh_c, axis=1)         # no |paths| copy

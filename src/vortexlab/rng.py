@@ -11,6 +11,7 @@ import numpy as np
 
 WIENER = 0      # quadvar.sample_wiener_ensemble
 SIMULATE = 1    # simulate.simulate, one block per path
+SEED_END = 2 ** 64  # seeds lie in [0, SEED_END): the key's first word
 SCHEME = "philox4x64; key (seed, path); counter [0, 0, 0, stream]; standard_normal"
 
 

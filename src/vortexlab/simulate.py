@@ -41,7 +41,7 @@ class SimConfig:
             raise ValueError("viscosity must be positive")
         # the seed is the Philox key's first word, taken as given
         if (not isinstance(self.seed, (int, np.integer))
-                or not 0 <= self.seed < 2 ** 64):
+                or not 0 <= self.seed < rng.SEED_END):
             raise ValueError("seed must be an integer in [0, 2**64)")
         if self.dt <= 0 or self.t_final <= 0 or self.dt >= self.t_final:
             raise ValueError("need 0 < dt < t_final")
@@ -148,8 +148,9 @@ def simulate(config: SimConfig, paths=(0,), increments=None,
     The paths' states step as one flat (P * n,) vector: path b occupies
     entries b*n .. (b+1)*n - 1, so the triad indices are shifted by b*n and
     the per-mode factors are tiled. A lone path keeps the 2-D shapes and
-    runs on the table's own arrays. A step allocates only bincount's output:
-    the drift's products fill two buffers, and the new state its own node.
+    runs on the table's own arrays. The drift sums only the live rows, as
+    L(w) does. A step allocates no state-sized array but bincount's output;
+    blow-up is a sum-of-squares bound, then the exact max |w_i| if it fails.
 
     increments: optional Wiener increments to replay, in the trajectory's
     shape (all zeros for a deterministic run); a copy is kept. When omitted
@@ -187,8 +188,8 @@ def simulate(config: SimConfig, paths=(0,), increments=None,
                          f"paths, need {(n_steps, len(forced))} on one path")
     noise = np.tile(gain, P) * incs.reshape(n_steps, -1)  # row i: step i
 
-    # hit: the forced entries of the flat state
-    j, k, l, sym, hit = table.j, table.k, table.l, table.sym, forced
+    # hit: the forced entries of the flat state; dead (sym = 0) rows add +-0
+    (j, k, l, sym), hit = table.live, forced
     if P > 1:
         off = n * np.arange(P)[:, None]
         j, k, l, hit = ((off + a).ravel() for a in (j, k, l, forced))
@@ -204,8 +205,8 @@ def simulate(config: SimConfig, paths=(0,), increments=None,
     a, b = np.empty(len(l)), np.empty(len(l))
     for i in range(n_steps):
         w = states[i]
-        np.multiply(sym, np.take(w, j, out=a, mode="wrap"), out=a)
-        np.multiply(a, np.take(w, k, out=b, mode="wrap"), out=a)
+        np.multiply(sym, w.take(j, out=a, mode="wrap"), out=a)
+        np.multiply(a, w.take(k, out=b, mode="wrap"), out=a)
         drift = np.bincount(l, weights=a, minlength=P * n)
         np.negative(drift, out=drift)  # (x - c) * -dt would give -0 for +0
         if control is not None:
@@ -214,7 +215,9 @@ def simulate(config: SimConfig, paths=(0,), increments=None,
         drift += w
         w = np.multiply(decay, drift, out=states[i + 1])
         w[hit] += noise[i]
-        if not np.abs(w).max() <= BLOWUP_LIMIT:  # also rejects NaN
+        # each |w_i| <= sqrt(w.w) <= 5e11 < limit; NaN, inf reach the max
+        if (not np.dot(w, w) <= 0.25 * BLOWUP_LIMIT ** 2
+                and not np.abs(w).max() <= BLOWUP_LIMIT):
             bad = ~np.all(np.abs(w.reshape(P, n)) <= BLOWUP_LIMIT, axis=1)
             raise BlowUpError(
                 f"state magnitude exceeded {BLOWUP_LIMIT:g} or became "

@@ -215,8 +215,8 @@ class InteractionTable:
     """All admissible triples (j, k -> l) within a basis, one row per j < k.
 
     B(w, v) sums cjk * w[j] * v[k] + ckj * w[k] * v[j] into l; B(w, w) and
-    L(w) see only sym = cjk + ckj. The table is the single source of truth
-    for the nonlinearity, its adjoint, and the tangent linearization.
+    L(w) sum only sym = cjk + ckj over the `live` rows, where it is nonzero.
+    The table is the one source of the nonlinearity, its adjoint and L(w).
     """
 
     def __init__(self, basis: Basis):
@@ -227,15 +227,16 @@ class InteractionTable:
         self.ckj = -self.cjk * (lam[self.j] / lam[self.k])
         self.sym = self.cjk + self.ckj
         # L(w)[l, k] collects -sym * w[j] and L(w)[l, j] collects
-        # -sym * w[k]; flat row-major targets for one bincount. It skips the
-        # rows with sym = 0 (|j| = |k|): bins start at +0 and never hold -0,
-        # so adding +-0 changes no bit. A disk with triads has live rows.
+        # -sym * w[k]; flat row-major targets for one bincount. It and B(w, w)
+        # skip the rows with sym = 0 (|j| = |k|): bins start at +0 and never
+        # hold -0, so +-0 changes no bit. A disk with triads has live rows.
         n, live = len(basis), np.flatnonzero(self.sym)
         j, k, l, sym = self.j[live], self.k[live], self.l[live], self.sym[live]
         self._lin_flat = np.concatenate((l * n + k, l * n + j))
         self._lin_src = np.concatenate((j, k))
         self._lin_coeff = -np.concatenate((sym, sym))
         self._lin_stack = self._lin_flat  # grown to the largest stack seen
+        self.live = (*np.split(self._lin_src, 2), l, sym)  # j, k are views
         if not len(self.cjk):  # no triads: bincount would give int zeros
             self.apply = self.adjoint_apply = lambda v, w: np.zeros(n)
             self.linearization = lambda w: np.zeros(w.shape + (n,))

@@ -435,10 +435,14 @@ def test_exit_2_on_invalid_value_writes_no_manifest(tmp_path, monkeypatch,
     pytest.param("simulate", {"sim": dict(BASE_SIM, seed=-1)}, [],
                  "sim.seed: must be at least 0", id="seed-negative"),
     pytest.param("simulate", {"sim": dict(BASE_SIM, seed=2 ** 64)}, [],
-                 "seed must be an integer in [0, 2**64)",
+                 "sim.seed: must be at most 18446744073709551615",
                  id="seed-past-64-bits"),
     pytest.param("simulate", {"sim": BASE_SIM}, ["--seed", "-3"],
                  "--seed: must be at least 0", id="seed-override-negative"),
+    pytest.param("simulate", {"sim": BASE_SIM},
+                 ["--seed", "18446744073709551616"],
+                 "--seed: must be at most 18446744073709551615",
+                 id="seed-override-past-64-bits"),
 ])
 def test_exit_2_on_rejected_value_writes_nothing(tmp_path, capsys, kind, cfg,
                                                  argv, message):

@@ -548,6 +548,23 @@ def test_ensemble_bytes_bounds_the_sampling_and_ab_peak(delta_cap, n_proc,
     assert peak <= want <= 1.2 * peak
 
 
+@pytest.mark.parametrize("delta_cap, n_proc, n_paths", [
+    (0.02, 5, 2),           # 19 blocks a run
+    (0.0015, 1, 2),         # 53 blocks a run
+    (0.02, 60, 10)])        # one block fills a run
+def test_ab_bytes_bounds_the_ab_pass_of_a_whole_run(delta_cap, n_proc,
+                                                    n_paths):
+    # a run of blocks frees its increments and products before the next;
+    # scaled down, event b never decides and every run is made
+    s = partition_scheme(delta_cap, 1.0)
+    ab = quadvar._ab_bytes(delta_cap, 1.0, n_proc, n_paths)
+    for scale in (1.0, 1e-3):
+        paths = scale * sample_wiener_ensemble(s.nodes, n_proc, n_paths)
+        event_frequencies(paths, s, "ab")   # warm-up: first-call allocations
+        peak = traced_peak(event_frequencies, paths, s, "ab")
+        assert peak <= ab <= 2 * peak
+
+
 @pytest.mark.parametrize("delta_cap, n_proc, n_paths, scale", [
     (0.02, 2, 200, 100.0),      # the sup norm decides every path
     (0.02, 2, 200, 1.0),        # it leaves about a quarter open

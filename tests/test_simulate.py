@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from vortexlab.lattice import ForcingGeometry
-from vortexlab.simulate import (BlowUpError, SimConfig, Trajectory,
-                                forcing_energy_rate, noise_scale, simulate,
-                                simulate_blocks)
+from vortexlab.simulate import (BLOWUP_LIMIT, BlowUpError, SimConfig,
+                                Trajectory, forcing_energy_rate, noise_scale,
+                                simulate, simulate_blocks)
 from vortexlab.spectral import (Basis, SpectralField, TWO_PI_SQ,
                                 build_interaction_table)
 
@@ -86,6 +86,58 @@ def test_nan_increments_raise_blow_up():
     incs = np.full((cfg.n_steps(), len(Z_STAR)), np.nan)
     with pytest.raises(BlowUpError):
         simulate(cfg, increments=incs)
+
+
+# (1, 0) and (-1, 0) share a norm, so no triad row links them: from zero
+# data, step 1 puts exactly gain * dW on them and the drift stays zero
+PAIR = ForcingGeometry(frozenset({(1, 0), (-1, 0)}))
+PAIR_CFG = SimConfig(nu=1.0, forcing=PAIR, radius=2.0, dt=1e-2, t_final=2e-2)
+
+
+def _increment_for(value):
+    """A Wiener increment that step 1 turns into exactly `value`."""
+    dt = PAIR_CFG.dt
+    gain = noise_scale(1.0, np.ones(1), dt)[0] / math.sqrt(dt)
+    x = value / gain
+    for _ in range(64):
+        if gain * x == value:
+            return x
+        x = np.nextafter(x, math.inf if gain * x < value else -math.inf)
+    raise AssertionError(f"no increment gives {value!r}")
+
+
+def test_blow_up_check_is_exact_at_the_limit():
+    # the largest entry is exactly the limit; the sum of squares fails the
+    # fast bound, so the exact max decides, and the state passes
+    incs = np.zeros((2, 2))
+    incs[0] = _increment_for(BLOWUP_LIMIT), _increment_for(-9e11)
+    traj = simulate(PAIR_CFG, increments=incs)
+    w = traj.states[1]
+    assert np.abs(w).max() == BLOWUP_LIMIT
+    assert not np.dot(w, w) <= 0.25 * BLOWUP_LIMIT ** 2
+    assert np.abs(traj.states[2]).max() < BLOWUP_LIMIT  # decayed, no noise
+    above = np.nextafter(BLOWUP_LIMIT, math.inf)
+    for bad in (_increment_for(above), _increment_for(-above), np.nan,
+                np.inf, -np.inf):
+        incs = np.zeros((2, 2))
+        incs[0, 1] = bad
+        with pytest.raises(BlowUpError, match="at step 1 on path 0;"):
+            simulate(PAIR_CFG, increments=incs)
+
+
+def test_blow_up_check_names_the_first_bad_path_of_a_block():
+    limit = _increment_for(BLOWUP_LIMIT)
+    above = _increment_for(np.nextafter(BLOWUP_LIMIT, math.inf))
+    incs = np.zeros((2, 4, 2))  # paths at the limit, over it, NaN, over it
+    incs[0] = [[limit, 1.0], [2.0, above], [np.nan, 3.0], [above, -above]]
+    with pytest.raises(BlowUpError) as err:
+        simulate(PAIR_CFG, [4, 9, 6, 1], incs)
+    assert str(err.value) == (
+        "state magnitude exceeded 1e+12 or became non-finite at step 1 on "
+        "path 9; reduce dt")
+    # the path at the limit passes in a block too
+    traj = simulate(PAIR_CFG, [4, 1], incs[:, [0, 0]])
+    assert np.abs(traj.states[1]).max() == BLOWUP_LIMIT
 
 
 def test_simulate_blocks_are_bit_identical_to_lone_paths():
@@ -349,13 +401,16 @@ def _reference_states(cfg, paths, increments, control=None):
 
 
 @pytest.mark.parametrize("radius, paths, controlled",
-                         [(8.1, [0], True), (3.0, [5, 1, 8], False)])
+                         [(8.1, [0], True), (3.0, [5, 1, 8], False),
+                          (8.1, [6, 2], False), (3.0, [0], True)])
 def test_step_loop_is_the_reference_loop_bitwise(radius, paths, controlled):
     # the drift's products keep the order (sym * w_j) * w_k and the in-place
-    # update keeps every operand, so the states match down to the sign bits
+    # update keeps every operand, so the states match down to the sign bits;
+    # the reference sums every table row, and with exact and signed zeros
+    # in the field the dead (sym = 0) rows add +-0 terms
     rng, basis = np.random.default_rng(22), Basis.build(radius)
     w0 = rng.uniform(-0.5, 0.5, len(basis))
-    w0[::5] = 0.0
+    w0[::5], w0[2::5] = 0.0, -0.0
     cfg = SimConfig(nu=0.5, forcing=CANONICAL, dt=5e-3, t_final=0.1, seed=3,
                     initial=SpectralField(basis, w0))
     control = None

@@ -411,6 +411,23 @@ def test_table_length_counts_ordered_triples(radius, ordered):
     assert len(table) == ordered == 2 * len(table.l)
 
 
+@pytest.mark.parametrize("radius, live, rows", [(3.0, 320, 360),
+                                                (4.0, 1072, 1176),
+                                                (8.1, 24704, 25392)])
+def test_live_rows_are_the_rows_with_nonzero_sym(radius, live, rows):
+    # the drift and L(w) sum these rows; the dead ones have |j| = |k|
+    table = build_interaction_table(Basis.build(radius))
+    keep = table.sym != 0
+    assert (np.count_nonzero(keep), len(keep)) == (live, rows)
+    lam = table.basis.laplacian_symbol()
+    assert np.array_equal(~keep, lam[table.j] == lam[table.k])
+    for got, full in zip(table.live, (table.j, table.k, table.l, table.sym)):
+        assert np.array_equal(got, full[keep])
+    # j and k are the two halves of L(w)'s gather indices, not copies
+    j, k = table.live[:2]
+    assert j.base is k.base is table._lin_src
+
+
 def test_simulate_drift_is_minus_self_advection(basis8):
     # one step with no noise and decay ~ 1 gives back the explicit drift
     w0 = np.random.default_rng(8).uniform(-1.0, 1.0, len(basis8))
