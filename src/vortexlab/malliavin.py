@@ -117,12 +117,14 @@ def lyapunov_covariance(traj: Trajectory, t: float) -> np.ndarray:
 
 def malliavin_backward_form(traj: Trajectory, t: float,
                             phi: SpectralField) -> float:
-    """Quadratic form <M(t) phi, phi> from a single backward adjoint solve.
+    """Quadratic form <M(t) phi, phi> of one path from one backward solve.
 
     Integrates the squared forced components of the backward flow as its
     sweep yields them, t back to 0; the backward stepping discretizes the
     adjoint equation directly, an independent realization of the forward Gram.
     """
+    if traj.states.ndim != 2:
+        raise ValueError("malliavin_backward_form takes one path, not a block")
     sq = np.fromiter((np.sum(U[traj.forced_indices, 0] ** 2) for U in
                       adjoint_sweep(traj, t, phi.coeffs[:, None], 0.0)), float)
     return float(TWO_PI_SQ * np.trapezoid(sq[::-1], dx=traj.config.dt))
@@ -179,7 +181,7 @@ class BracketDecomposition:
     U: np.ndarray                  # adjoint flow, (n_nodes, n_modes)
     X: np.ndarray                  # drift part of dU/ds, same shape
     Y: np.ndarray                  # (n_forced, n_nodes, n_modes)
-    R: np.ndarray                  # integrated forced-mode drift
+    R: np.ndarray                  # forced states minus W
     W: np.ndarray                  # Wiener components, (n_nodes, n_forced)
     forced_modes: tuple
 
@@ -191,46 +193,37 @@ def bracket_decomposition(traj: Trajectory, t0: float, T: float,
                           phi: SpectralField) -> BracketDecomposition:
     """Split dU/ds into a finite-variation part and Wiener-weighted parts.
 
-    U is the backward adjoint flow with terminal data phi at T. On the
-    forced modes the state is the sum of an absolutely continuous piece R
-    and the raw Wiener components; substituting that split into the
-    backward equation isolates the rough part as sum_j Y_j W_j with
-    Y_j = -B(e_j, U) + C(U, e_j).
+    U is the backward adjoint flow of one path with terminal data phi at T.
+    On the forced modes the state is R + W: W the raw Wiener components and
+    R = w_forced - W, which varies only at O(dt) per step. Substituting that
+    split into the backward equation isolates the rough part as
+    sum_j Y_j W_j with Y_j = -B(e_j, U) + C(U, e_j); since L(w) is linear
+    in w, X + sum_j Y_j W_j is nu |k|^2 U - L(w)^T U, the backward
+    equation's right side, to rounding at every node.
     """
+    if traj.states.ndim != 2:
+        raise ValueError("bracket_decomposition takes one path, not a block")
     basis = traj.basis
     table = build_interaction_table(basis)
     lam = basis.laplacian_symbol()
-    nu = traj.config.nu
-    dt = traj.config.dt
     i0, i1 = traj.grid_index(t0), traj.grid_index(T)
     if i0 >= i1:
         raise ValueError("need t0 < T")
     U = np.stack(list(adjoint_sweep(traj, T, phi.coeffs[:, None], t0))[::-1])
     U = U[:, :, 0]
-    n_nodes = i1 - i0 + 1
     forced = traj.forced_indices
     wiener = traj.wiener_path()[i0:i1 + 1]
-    # R: forced components minus the Wiener input, built by trapezoid over
-    # the drift -nu*|k|^2 w_k - B(w,w)_k from time 0
-    drift = np.empty((i1 + 1, len(forced)))
-    for i in range(i1 + 1):
-        w = traj.states[i]
-        drift[i] = (-nu * lam[forced] * w[forced]
-                    - table.apply(w, w)[forced])
-    cum = np.concatenate([np.zeros((1, len(forced))),
-                          np.cumsum(0.5 * dt * (drift[1:] + drift[:-1]),
-                                    axis=0)])
-    R = traj.states[0][forced] + cum[i0:i1 + 1]
+    R = traj.states[i0:i1 + 1, forced] - wiener
     # Y_j and X along the window; both are first-slot transposes of the
     # dense linearization: L(a)^T u = B(a, u) - C(u, a)
     n = len(basis)
     Y = -U @ table.linearization(np.eye(n)[forced])
-    X = np.empty((n_nodes, n))
-    for i in range(n_nodes):
+    X = np.empty_like(U)
+    for i in range(len(U)):
         # the drift sees the forced modes through R only, not through W
         a = traj.states[i0 + i].copy()
         a[forced] = R[i]
-        X[i] = nu * lam * U[i] - table.linearization(a).T @ U[i]
+        X[i] = traj.config.nu * lam * U[i] - table.linearization(a).T @ U[i]
     return BracketDecomposition(traj.times[i0:i1 + 1], U, X, Y, R, wiener,
                                 traj.forced_modes)
 
@@ -240,11 +233,6 @@ def bracket_decomposition(traj: Trajectory, t0: float, T: float,
 # the global prefactor is exactly pi^2. With the full integral pairing the
 # same identities hold with prefactor 2 pi^2.
 PAIRING_PREFACTOR = np.pi ** 2
-
-
-def bracket_pairing(f_coeffs: np.ndarray, g_coeffs: np.ndarray) -> float:
-    """The half pairing used by the bracket identities."""
-    return float(np.pi ** 2 * np.dot(f_coeffs, g_coeffs))
 
 
 def pairing_rhs(basis, u_coeffs: np.ndarray, j, l) -> np.ndarray:

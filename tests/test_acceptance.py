@@ -1,4 +1,4 @@
-"""Acceptance suite: thirteen end-to-end criteria at desk scale.
+"""Acceptance suite: fourteen end-to-end criteria (1-13 and 19) at desk scale.
 
 Each test prints exactly one PASS/FAIL line on the live terminal. A FAIL
 line is accompanied by a failing assertion so the suite reports it.
@@ -442,3 +442,30 @@ def test_acceptance_13_control_probe(capsys):
            f"adjoint gradient vs central differences: worst rel {worst:.2e} "
            f"(tol 1e-4) on 20 coordinates; trivial target with zero control "
            f"({trivial_ok})")
+
+
+# 19 -----------------------------------------------------------------------
+
+def test_acceptance_19_bracket_quadratic_variation(capsys):
+    # dU/ds = X + sum_j Y_j W_j with X, Y_j of finite variation, so the QV
+    # of d/ds <U, e_l> is sum_j int <Y_j, e_l>^2 ds, adapted or not
+    cfg = SimConfig(nu=0.5, forcing=CANONICAL, radius=3.0, dt=1e-4,
+                    t_final=0.1, seed=7)
+    traj = simulate(cfg)
+    rng = np.random.default_rng(1)
+    phi = SpectralField(traj.basis, rng.standard_normal(len(traj.basis)))
+    dec = bracket_decomposition(traj, 0.0, 0.1, phi)
+    deriv = np.diff(dec.U, axis=0) / cfg.dt   # the sweep's own derivative
+    truth = np.trapezoid(np.sum(dec.Y ** 2, axis=0), dx=cfg.dt, axis=0)
+    modes = np.flatnonzero(truth >= 1e-3 * truth.max())
+    times = dec.times[:-1]
+    median_err = {}
+    for h in (1, 32):
+        rel = [qv_estimate(SampledProcess(times, deriv[:, l]), times[::h])
+               / truth[l] - 1.0 for l in modes]
+        median_err[h] = float(np.median(np.abs(rel)))
+    ok = median_err[1] <= 0.10 and median_err[32] > median_err[1]
+    report(capsys, 19, ok,
+           f"QV of d/ds <U, e_l> vs sum_j int <Y_j, e_l>^2 on {len(modes)} "
+           f"modes: median |rel err| {median_err[1]:.3f} at h = dt "
+           f"(tol 0.10), {median_err[32]:.3f} at h = 32 dt (must be larger)")

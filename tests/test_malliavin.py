@@ -10,10 +10,9 @@ from vortexlab.lattice import ForcingGeometry
 from vortexlab.flows import adjoint_sweep
 from vortexlab.malliavin import (DEFAULT_EPSILONS, GRAM_CHUNK, MalliavinForm,
                                  PAIRING_PREFACTOR, bracket_decomposition,
-                                 bracket_pairing, lyapunov_covariance,
-                                 malliavin_backward_form, malliavin_forward,
-                                 min_eigenvalue_tail, pairing_rhs,
-                                 wilson_interval)
+                                 lyapunov_covariance, malliavin_backward_form,
+                                 malliavin_forward, min_eigenvalue_tail,
+                                 pairing_rhs, wilson_interval)
 from vortexlab.modes import norm2
 from vortexlab.simulate import SimConfig, block_size, simulate
 from vortexlab.spectral import (Basis, SpectralField, TWO_PI_SQ, adjoint_C,
@@ -506,10 +505,54 @@ def test_bracket_r_plus_wiener_tracks_forced_state():
     phi = SpectralField.single_mode(basis, (2, 1))
     dec = bracket_decomposition(traj, 0.0, 0.1, phi)
     forced_states = traj.states[:, traj.forced_indices]
-    # the forced components split into absolutely continuous drift plus the
-    # raw Wiener path, up to the O(dt) one-step convolution error
+    # R is defined as the forced states minus the Wiener path, so the sum
+    # gives the states back to rounding
     err = np.max(np.abs(dec.R + dec.W - forced_states))
-    assert err < 5e-3
+    assert err <= 1e-15 * np.max(np.abs(forced_states))
+
+
+def test_bracket_split_is_the_backward_equation_at_every_node():
+    # L(w) is linear in w, so X + sum_j Y_j W_j is nu |k|^2 U - L(w_i)^T U
+    traj = make_traj(radius=3.0, dt=5e-4, t_final=0.1, seed=41)
+    basis = traj.basis
+    phi = SpectralField(basis, np.random.default_rng(42).standard_normal(
+        len(basis)))
+    dec = bracket_decomposition(traj, 0.02, 0.1, phi)
+    table = build_interaction_table(basis)
+    lam = basis.laplacian_symbol()
+    i0 = traj.grid_index(0.02)
+    rhs = np.array([traj.config.nu * lam * U
+                    - table.linearization(traj.states[i0 + i]).T @ U
+                    for i, U in enumerate(dec.U)])
+    err = np.max(np.abs(dec.reconstructed_derivative() - rhs))
+    assert err <= 1e-13 * np.max(np.abs(rhs))
+
+
+def test_bracket_r_has_a_vanishing_quadratic_variation():
+    # R moves O(dt) per step, so its QV is O(dt) of W's
+    ratios = []
+    for dt in (1e-3, 5e-4, 2.5e-4):
+        traj = make_traj(nu=1.0, radius=3.0, dt=dt, t_final=0.1, seed=43)
+        phi = SpectralField.single_mode(traj.basis, (2, 1))
+        dec = bracket_decomposition(traj, 0.0, 0.1, phi)
+        ratios.append(np.sum(np.diff(dec.R, axis=0) ** 2)
+                      / np.sum(np.diff(dec.W, axis=0) ** 2))
+    assert max(ratios) < 1e-3
+    assert ratios[0] > ratios[1] > ratios[2]
+
+
+@pytest.mark.parametrize("n_paths", [2, 30])
+@pytest.mark.parametrize("fn", [malliavin_backward_form,
+                                bracket_decomposition],
+                         ids=["backward_form", "bracket_decomposition"])
+def test_lone_path_functions_reject_a_block(monkeypatch, fn, n_paths):
+    # a block's node is (P, n, 1): U[forced, 0] would read paths, not modes
+    block = simulate(make_traj(t_final=0.01).config, range(n_paths))
+    phi = SpectralField.single_mode(block.basis, (2, 1))
+    monkeypatch.setattr(malliavin, "adjoint_sweep", None)  # no sweep runs
+    args = (0.01, phi) if fn is malliavin_backward_form else (0.0, 0.01, phi)
+    with pytest.raises(ValueError, match="takes one path"):
+        fn(block, *args)
 
 
 def test_bracket_zero_terminal_data_is_zero():
@@ -539,7 +582,7 @@ def test_bracket_pairing_identity_random_states():
             if l == j:
                 continue
             el = SpectralField.single_mode(basis, l).coeffs
-            lhs = np.array([bracket_pairing(y, el) for y in ys])
+            lhs = PAIRING_PREFACTOR * np.array([y @ el for y in ys])
             rhs = pairing_rhs(basis, states, j, l)
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     assert worst < 1e-12
