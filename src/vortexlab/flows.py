@@ -23,6 +23,11 @@ from .simulate import SimConfig, Trajectory, simulate
 from .spectral import TWO_PI_SQ, SpectralField, build_interaction_table
 
 
+def _one_path(traj: Trajectory, name: str):
+    if traj.states.ndim != 2:
+        raise ValueError(f"{name} takes one path, not a block")
+
+
 def _window(traj: Trajectory, s: float, t: float):
     i0 = traj.grid_index(s)
     i1 = traj.grid_index(t)
@@ -73,6 +78,7 @@ class Stepper:
 def tangent_flow(traj: Trajectory, s: float, phi: SpectralField,
                  t: float) -> SpectralField:
     """J_{s,t} phi: forward linearization along the stored states."""
+    _one_path(traj, "tangent_flow")
     for V in tangent_sweep(traj, s, phi.coeffs[:, None], t):
         pass  # one node at a time: the sweep's last node is J_{s,t} phi
     return SpectralField(traj.basis, V[:, 0])
@@ -92,6 +98,7 @@ def tangent_sweep(traj: Trajectory, s: float, phi_cols: np.ndarray, t: float):
 
 def adjoint_flow(traj: Trajectory, t: float, phi: SpectralField,
                  s: float, discrete_transpose: bool = False) -> SpectralField:
+    _one_path(traj, "adjoint_flow")
     for U in adjoint_sweep(traj, t, phi.coeffs[:, None], s,
                            discrete_transpose):
         pass  # one node at a time: the sweep's last node is U(s)
@@ -122,6 +129,7 @@ def duality_drift(traj: Trajectory, k, s: float, t: float,
     The continuum pairing is exactly constant on [s, t]; the discrete drift
     decays at first order in dt.
     """
+    _one_path(traj, "duality_drift")
     i0, i1 = _window(traj, s, t)
     if i0 >= i1:
         raise ValueError("need s < t")
@@ -140,13 +148,11 @@ def second_variation(traj: Trajectory, s1: float, phi1: SpectralField,
     source of the two first-order flows, by variation of constants on the
     grid; zero up to max(s1, s2).
     """
-    basis = traj.basis
-    j1 = traj.grid_index(s1)
-    j2 = traj.grid_index(s2)
+    _one_path(traj, "second_variation")
+    start = max(traj.grid_index(s1), traj.grid_index(s2))
     it = traj.grid_index(t)
-    start = max(j1, j2)
     if it <= start:
-        return SpectralField(basis)
+        return SpectralField(traj.basis)
     # bring both first variations up to the start of the second-order window
     for v1 in tangent_sweep(traj, s1, phi1.coeffs, traj.times[start]):
         pass
@@ -160,7 +166,7 @@ def second_variation(traj: Trajectory, s1: float, phi1: SpectralField,
         source = -(stepper.table.apply(v1, v2) + stepper.table.apply(v2, v1))
         X = stepper.tangent(i, X)
         X[:, 2] += stepper.dt * stepper.decay[:, 0] * source
-    return SpectralField(basis, X[:, 2])
+    return SpectralField(traj.basis, X[:, 2])
 
 
 @dataclass
@@ -180,6 +186,7 @@ def control_gradient(traj: Trajectory, residual_proj: np.ndarray,
     Backpropagates through the discrete forward steps (discrete transpose),
     so the gradient matches central finite differences to roundoff.
     """
+    _one_path(traj, "control_gradient")
     forced = traj.forced_indices
     adj = np.zeros((len(traj.basis), 1))
     adj[proj_idx, 0] = residual_proj

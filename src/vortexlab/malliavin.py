@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .flows import Stepper, adjoint_sweep
+from .flows import Stepper, _one_path, adjoint_sweep
 from .lattice import reachable_modes
 from .modes import canonical, is_plus, negate, norm2
 from .quadvar import wilson_interval
@@ -123,8 +123,7 @@ def malliavin_backward_form(traj: Trajectory, t: float,
     sweep yields them, t back to 0; the backward stepping discretizes the
     adjoint equation directly, an independent realization of the forward Gram.
     """
-    if traj.states.ndim != 2:
-        raise ValueError("malliavin_backward_form takes one path, not a block")
+    _one_path(traj, "malliavin_backward_form")
     sq = np.fromiter((np.sum(U[traj.forced_indices, 0] ** 2) for U in
                       adjoint_sweep(traj, t, phi.coeffs[:, None], 0.0)), float)
     return float(TWO_PI_SQ * np.trapezoid(sq[::-1], dx=traj.config.dt))
@@ -201,11 +200,9 @@ def bracket_decomposition(traj: Trajectory, t0: float, T: float,
     in w, X + sum_j Y_j W_j is nu |k|^2 U - L(w)^T U, the backward
     equation's right side, to rounding at every node.
     """
-    if traj.states.ndim != 2:
-        raise ValueError("bracket_decomposition takes one path, not a block")
-    basis = traj.basis
-    table = build_interaction_table(basis)
-    lam = basis.laplacian_symbol()
+    _one_path(traj, "bracket_decomposition")
+    table = build_interaction_table(traj.basis)
+    lam = traj.basis.laplacian_symbol()
     i0, i1 = traj.grid_index(t0), traj.grid_index(T)
     if i0 >= i1:
         raise ValueError("need t0 < T")
@@ -215,9 +212,10 @@ def bracket_decomposition(traj: Trajectory, t0: float, T: float,
     wiener = traj.wiener_path()[i0:i1 + 1]
     R = traj.states[i0:i1 + 1, forced] - wiener
     # Y_j and X along the window; both are first-slot transposes of the
-    # dense linearization: L(a)^T u = B(a, u) - C(u, a)
-    n = len(basis)
-    Y = -U @ table.linearization(np.eye(n)[forced])
+    # dense linearization: L(a)^T u = B(a, u) - C(u, a), one a at a time
+    Y = np.empty((len(forced),) + U.shape)
+    for Y_j, e_j in zip(Y, np.eye(U.shape[1])[forced]):
+        np.matmul(-U, table.linearization(e_j), out=Y_j)
     X = np.empty_like(U)
     for i in range(len(U)):
         # the drift sees the forced modes through R only, not through W

@@ -235,7 +235,8 @@ class InteractionTable:
         self._lin_flat = np.concatenate((l * n + k, l * n + j))
         self._lin_src = np.concatenate((j, k))
         self._lin_coeff = -np.concatenate((sym, sym))
-        self._lin_stack = self._lin_flat  # grown to the largest stack seen
+        self._lin_bufs = (self._lin_src, self._lin_coeff, self._lin_flat,
+                          np.empty(0))  # a stack's, grown to the largest seen
         self.live = (*np.split(self._lin_src, 2), l, sym)  # j, k are views
         if not len(self.cjk):  # no triads: bincount would give int zeros
             self.apply = self.adjoint_apply = lambda v, w: np.zeros(n)
@@ -264,16 +265,25 @@ class InteractionTable:
     def linearization(self, w: np.ndarray) -> np.ndarray:
         """Dense matrix L(w) of v -> -B(w, v) - B(v, w), the tangent
         operator's non-diagonal part; w of shape (..., n) gives (..., n, n)
-        from one bincount, each matrix bit-identical to its own call."""
+        from one bincount, each matrix bit-identical to its own call. A stack
+        gathers into arrays kept on the table (sources, coefficients, targets,
+        values: 32 B an entry) sized for the largest stack seen, 2 MiB for a
+        block: `block_size` caps it at 2**16 ordered triads (or one path)."""
         n = len(self.basis)
-        vals = self._lin_coeff * w.take(self._lin_src, axis=-1)
         if w.ndim == 1:
+            vals = self._lin_coeff * w.take(self._lin_src)
             return np.bincount(self._lin_flat, vals, n * n).reshape(n, n)
-        if len(self._lin_stack) < vals.size:  # matrix p's targets + p * n^2
-            self._lin_stack = (n * n * np.arange(w.size // n)[:, None]
-                               + self._lin_flat).ravel()
-        return np.bincount(self._lin_stack[:vals.size], vals.ravel(),
-                           w.size * n).reshape(w.shape + (n,))
+        size = w.size // n * len(self._lin_src)
+        if len(self._lin_bufs[-1]) < size:  # matrix p reads w[p], fills L[p]
+            p = np.arange(w.size // n)[:, None]
+            self._lin_bufs = ((p * n + self._lin_src).ravel(),
+                              np.tile(self._lin_coeff, len(p)),
+                              (p * n * n + self._lin_flat).ravel(),
+                              np.empty(size))
+        src, coeff, flat, vals = (a[:size] for a in self._lin_bufs)
+        w.take(src, out=vals, mode="wrap")  # "wrap" writes straight into out
+        np.multiply(coeff, vals, out=vals)
+        return np.bincount(flat, vals, w.size * n).reshape(w.shape + (n,))
 
 
 _TABLE_CACHE: dict[tuple, InteractionTable] = {}

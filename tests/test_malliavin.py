@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from vortexlab import malliavin
+from vortexlab import flows, malliavin, spectral
 from vortexlab.lattice import ForcingGeometry
 from vortexlab.flows import adjoint_sweep
 from vortexlab.malliavin import (DEFAULT_EPSILONS, GRAM_CHUNK, MalliavinForm,
@@ -499,6 +499,26 @@ def test_bracket_y_equals_the_per_forced_mode_loop():
     assert np.array_equal(dec.Y, ref)
 
 
+def test_bracket_keeps_no_stack_on_the_table(monkeypatch):
+    # each Y_j comes from a lone linearization(e_j), so the split leaves the
+    # table's arrays as a lone-path sweep does: no stack of n_forced matrices
+    monkeypatch.setattr(spectral, "_TABLE_CACHE", {})  # a fresh table
+    traj = make_traj(radius=8.1, dt=1e-3, t_final=0.004)
+    table = build_interaction_table(traj.basis)
+    phi = SpectralField.single_mode(traj.basis, (2, 1))
+
+    def held():
+        return sum(a.nbytes for v in vars(table).values()
+                   for a in (v if isinstance(v, tuple) else (v,))
+                   if isinstance(a, np.ndarray))
+
+    for _ in adjoint_sweep(traj, 0.004, phi.coeffs[:, None], 0.0):
+        pass
+    lone = held()
+    bracket_decomposition(traj, 0.0, 0.004, phi)
+    assert held() <= lone
+
+
 def test_bracket_r_plus_wiener_tracks_forced_state():
     traj = make_traj(dt=5e-4, t_final=0.1, seed=43)
     basis = traj.basis
@@ -541,18 +561,35 @@ def test_bracket_r_has_a_vanishing_quadratic_variation():
     assert ratios[0] > ratios[1] > ratios[2]
 
 
+# each lone-path function with its arguments after the trajectory
+LONE_PATH = {
+    "backward_form": (malliavin_backward_form, lambda phi: (0.01, phi)),
+    "bracket_decomposition": (bracket_decomposition,
+                              lambda phi: (0.0, 0.01, phi)),
+    "adjoint_flow": (flows.adjoint_flow, lambda phi: (0.01, phi, 0.0)),
+    "tangent_flow": (flows.tangent_flow, lambda phi: (0.0, phi, 0.01)),
+    "duality_drift": (flows.duality_drift,
+                      lambda phi: ((2, 1), 0.0, 0.01, phi)),
+    "second_variation": (flows.second_variation,
+                         lambda phi: (0.0, phi, 0.0, phi, 0.01)),
+    "control_gradient": (flows.control_gradient,
+                         lambda phi: (np.ones(1), np.array([0]))),
+}
+
+
 @pytest.mark.parametrize("n_paths", [2, 30])
-@pytest.mark.parametrize("fn", [malliavin_backward_form,
-                                bracket_decomposition],
-                         ids=["backward_form", "bracket_decomposition"])
-def test_lone_path_functions_reject_a_block(monkeypatch, fn, n_paths):
+@pytest.mark.parametrize("name", list(LONE_PATH))
+def test_lone_path_functions_reject_a_block(monkeypatch, name, n_paths):
     # a block's node is (P, n, 1): U[forced, 0] would read paths, not modes
     block = simulate(make_traj(t_final=0.01).config, range(n_paths))
     phi = SpectralField.single_mode(block.basis, (2, 1))
-    monkeypatch.setattr(malliavin, "adjoint_sweep", None)  # no sweep runs
-    args = (0.01, phi) if fn is malliavin_backward_form else (0.0, 0.01, phi)
-    with pytest.raises(ValueError, match="takes one path"):
-        fn(block, *args)
+    for module, sweep in ((malliavin, "adjoint_sweep"),
+                          (flows, "adjoint_sweep"), (flows, "tangent_sweep"),
+                          (flows, "Stepper")):
+        monkeypatch.setattr(module, sweep, None)  # no sweep runs
+    fn, args = LONE_PATH[name]
+    with pytest.raises(ValueError, match=f"^{fn.__name__} takes one path"):
+        fn(block, *args(phi))
 
 
 def test_bracket_zero_terminal_data_is_zero():

@@ -293,18 +293,44 @@ def test_table_matrix_forms_agree_with_apply(basis4):
 def test_stacked_linearization_is_bitwise_the_per_row_calls(basis4):
     # one bincount over shifted targets sums each bin's terms in the same
     # order as the lone call, so every matrix of the stack is bit-identical
-    table = build_interaction_table(basis4)
+    table, n = InteractionTable(basis4), len(basis4)  # no stack seen yet
     rng = np.random.default_rng(24)
-    for shape in ((1,), (5,), (3, 2)):
-        w = rng.standard_normal(shape + (len(basis4),))
+
+    def check(w):
         L = table.linearization(w)
-        assert L.shape == shape + (len(basis4), len(basis4))
-        for at in np.ndindex(*shape):
+        assert L.shape == w.shape + (n,)
+        for at in np.ndindex(*w.shape[:-1]):
             assert np.array_equal(L[at], table.linearization(w[at]))
-    # a smaller stack after a larger one reads the grown targets' prefix
-    w = rng.standard_normal((2, len(basis4)))
-    assert np.array_equal(table.linearization(w)[1],
-                          table.linearization(w[1]))
+        return L
+
+    for shape in ((1,), (5,), (3, 2)):
+        check(rng.standard_normal(shape + (n,)))
+    # a stack larger than any seen grows the kept arrays, a smaller one
+    # after it reads their prefix
+    grown = check(rng.standard_normal((9, n)))
+    held = grown.copy()
+    check(rng.standard_normal((2, n)))
+    # the result of an earlier call does not share the kept value buffer
+    assert np.array_equal(grown, held)
+    # a strided w: the first n columns of a (P, 2n) array
+    wide = rng.standard_normal((4, 2 * n))
+    assert not wide[:, :n].flags.c_contiguous
+    check(wide[:, :n])
+    # the forced unit vectors, as the bracket split once stacked them
+    forced = [basis4.index[k] for k in sorted(Z_STAR)]
+    check(np.eye(n)[forced])
+
+
+def test_stacked_linearization_allocates_only_its_output():
+    # after one call sizes the kept arrays, a stacked call takes and scales
+    # in place: its traced peak is the bincount's output and small objects
+    for radius, paths in ((3.0, 10), (4.0, 27)):
+        basis = Basis.build(radius)
+        table, n = build_interaction_table(basis), len(basis)
+        w = np.random.default_rng(25).standard_normal((paths, n))
+        table.linearization(w)  # warm-up: grows the kept arrays if needed
+        peak = traced_peak(table.linearization, w)
+        assert peak <= paths * n * n * 8 + 1024, (radius, paths)
 
 
 @pytest.mark.parametrize("radius, live", [(1.5, 32), (3.0, 640),
