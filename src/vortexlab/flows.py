@@ -149,10 +149,13 @@ def second_variation(traj: Trajectory, s1: float, phi1: SpectralField,
     grid; zero up to max(s1, s2).
     """
     _one_path(traj, "second_variation")
-    start = max(traj.grid_index(s1), traj.grid_index(s2))
+    basis = traj.basis
+    j1 = traj.grid_index(s1)
+    j2 = traj.grid_index(s2)
     it = traj.grid_index(t)
+    start = max(j1, j2)
     if it <= start:
-        return SpectralField(traj.basis)
+        return SpectralField(basis)
     # bring both first variations up to the start of the second-order window
     for v1 in tangent_sweep(traj, s1, phi1.coeffs, traj.times[start]):
         pass
@@ -166,7 +169,7 @@ def second_variation(traj: Trajectory, s1: float, phi1: SpectralField,
         source = -(stepper.table.apply(v1, v2) + stepper.table.apply(v2, v1))
         X = stepper.tangent(i, X)
         X[:, 2] += stepper.dt * stepper.decay[:, 0] * source
-    return SpectralField(traj.basis, X[:, 2])
+    return SpectralField(basis, X[:, 2])
 
 
 @dataclass

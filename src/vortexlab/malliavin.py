@@ -201,8 +201,9 @@ def bracket_decomposition(traj: Trajectory, t0: float, T: float,
     equation's right side, to rounding at every node.
     """
     _one_path(traj, "bracket_decomposition")
-    table = build_interaction_table(traj.basis)
-    lam = traj.basis.laplacian_symbol()
+    basis = traj.basis
+    table = build_interaction_table(basis)
+    lam = basis.laplacian_symbol()
     i0, i1 = traj.grid_index(t0), traj.grid_index(T)
     if i0 >= i1:
         raise ValueError("need t0 < T")
@@ -213,8 +214,9 @@ def bracket_decomposition(traj: Trajectory, t0: float, T: float,
     R = traj.states[i0:i1 + 1, forced] - wiener
     # Y_j and X along the window; both are first-slot transposes of the
     # dense linearization: L(a)^T u = B(a, u) - C(u, a), one a at a time
+    n = len(basis)
     Y = np.empty((len(forced),) + U.shape)
-    for Y_j, e_j in zip(Y, np.eye(U.shape[1])[forced]):
+    for Y_j, e_j in zip(Y, np.eye(n)[forced]):
         np.matmul(-U, table.linearization(e_j), out=Y_j)
     X = np.empty_like(U)
     for i in range(len(U)):

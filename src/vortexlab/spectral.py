@@ -236,7 +236,7 @@ class InteractionTable:
         self._lin_src = np.concatenate((j, k))
         self._lin_coeff = -np.concatenate((sym, sym))
         self._lin_bufs = (self._lin_src, self._lin_coeff, self._lin_flat,
-                          np.empty(0))  # a stack's, grown to the largest seen
+                          np.empty(len(self._lin_src)))  # grown by a stack
         self.live = (*np.split(self._lin_src, 2), l, sym)  # j, k are views
         if not len(self.cjk):  # no triads: bincount would give int zeros
             self.apply = self.adjoint_apply = lambda v, w: np.zeros(n)
@@ -265,14 +265,13 @@ class InteractionTable:
     def linearization(self, w: np.ndarray) -> np.ndarray:
         """Dense matrix L(w) of v -> -B(w, v) - B(v, w), the tangent
         operator's non-diagonal part; w of shape (..., n) gives (..., n, n)
-        from one bincount, each matrix bit-identical to its own call. A stack
-        gathers into arrays kept on the table (sources, coefficients, targets,
-        values: 32 B an entry) sized for the largest stack seen, 2 MiB for a
-        block: `block_size` caps it at 2**16 ordered triads (or one path)."""
+        from one bincount, each matrix bit-identical to its own call. It
+        gathers into arrays kept on the table until the table is dropped
+        (sources, coefficients, targets, values): 32 B per path and ordered
+        triad of the largest stack seen. A `block_size` block (2**16 ordered
+        triads, or one path) keeps at most 2 MiB; a larger stack passed
+        directly keeps more."""
         n = len(self.basis)
-        if w.ndim == 1:
-            vals = self._lin_coeff * w.take(self._lin_src)
-            return np.bincount(self._lin_flat, vals, n * n).reshape(n, n)
         size = w.size // n * len(self._lin_src)
         if len(self._lin_bufs[-1]) < size:  # matrix p reads w[p], fills L[p]
             p = np.arange(w.size // n)[:, None]
@@ -280,10 +279,12 @@ class InteractionTable:
                               np.tile(self._lin_coeff, len(p)),
                               (p * n * n + self._lin_flat).ravel(),
                               np.empty(size))
-        src, coeff, flat, vals = (a[:size] for a in self._lin_bufs)
-        w.take(src, out=vals, mode="wrap")  # "wrap" writes straight into out
-        np.multiply(coeff, vals, out=vals)
-        return np.bincount(flat, vals, w.size * n).reshape(w.shape + (n,))
+        src, coeff, flat, vals = self._lin_bufs
+        # mode "raise" would copy through a buffer; "wrap" writes into out
+        vals = w.take(src[:size], out=vals[:size], mode="wrap")
+        vals *= coeff[:size]
+        L = np.bincount(flat[:size], vals, w.size * n)
+        return L.reshape(w.shape + (n,))
 
 
 _TABLE_CACHE: dict[tuple, InteractionTable] = {}

@@ -322,15 +322,16 @@ def test_stacked_linearization_is_bitwise_the_per_row_calls(basis4):
 
 
 def test_stacked_linearization_allocates_only_its_output():
-    # after one call sizes the kept arrays, a stacked call takes and scales
-    # in place: its traced peak is the bincount's output and small objects
-    for radius, paths in ((3.0, 10), (4.0, 27)):
+    # after one call sizes the kept arrays, a call takes and scales in
+    # place: its traced peak is the bincount's output and small objects.
+    # A lone w reads the prefix the table keeps from its build.
+    for radius, stack in ((3.0, (10,)), (4.0, (27,)), (3.0, ()), (4.0, ())):
         basis = Basis.build(radius)
         table, n = build_interaction_table(basis), len(basis)
-        w = np.random.default_rng(25).standard_normal((paths, n))
+        w = np.random.default_rng(25).standard_normal(stack + (n,))
         table.linearization(w)  # warm-up: grows the kept arrays if needed
         peak = traced_peak(table.linearization, w)
-        assert peak <= paths * n * n * 8 + 1024, (radius, paths)
+        assert peak <= w.size * n * 8 + 1024, (radius, stack)
 
 
 @pytest.mark.parametrize("radius, live", [(1.5, 32), (3.0, 640),
