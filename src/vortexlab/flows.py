@@ -41,7 +41,8 @@ class Stepper:
 
     L_i = table.linearization(w_i) is step i's dense operator and D the exact
     viscous decay over one step; each method maps an (n, m) column block
-    in place on its matmul's output.
+    in place on its matmul's output. L is linear in w and L(0) is all +0,
+    so the leading zero nodes share the table's zero matrix: the same bits.
     """
 
     def __init__(self, traj: Trajectory):
@@ -50,17 +51,25 @@ class Stepper:
         self.dt = traj.config.dt
         lam = traj.basis.laplacian_symbol()
         self.decay = np.exp(-traj.config.nu * lam * self.dt)[:, None]
+        self.zeros = next((i for i, w in enumerate(self.states) if w.any()),
+                          len(self.states))  # nodes 0 .. zeros - 1 are zero
+        self.zero_L = np.broadcast_to(self.table.zero_L,
+                                      self.states.shape[1:] + lam.shape)
+
+    def _L(self, i: int) -> np.ndarray:
+        return (self.zero_L if i < self.zeros
+                else self.table.linearization(self.states[i]))
 
     def tangent(self, i: int, V: np.ndarray) -> np.ndarray:
         """D(V + dt L_i V): the exponential-Euler tangent step i -> i+1."""
-        X = self.table.linearization(self.states[i]) @ V
+        X = self._L(i) @ V
         X *= self.dt
         return np.multiply(np.add(X, V, out=X), self.decay, out=X)
 
     def transpose(self, i: int, U: np.ndarray) -> np.ndarray:
         """DU + dt L_i^T (DU): the exact transpose of `tangent(i, .)`."""
         DU = self.decay * U
-        X = self.table.linearization(self.states[i]).mT @ DU
+        X = self._L(i).mT @ DU
         X *= self.dt
         return np.add(X, DU, out=X)
 
@@ -70,7 +79,7 @@ class Stepper:
         L_i^T U = B(w_i, U) - C(U, w_i), since B(w, .) is skew; the drift is
         explicit and the viscous factor exact, as in the forward template.
         """
-        X = self.table.linearization(self.states[i]).mT @ U
+        X = self._L(i).mT @ U
         X *= self.dt
         return np.multiply(np.add(X, U, out=X), self.decay, out=X)
 
@@ -183,23 +192,25 @@ class ControlResult:
 
 
 def control_gradient(traj: Trajectory, residual_proj: np.ndarray,
-                     proj_idx: np.ndarray) -> np.ndarray:
+                     proj_idx: np.ndarray, s: float = 0.0) -> np.ndarray:
     """Exact gradient of 0.5*|P w(T) - x|^2 wrt the control rates.
 
     Backpropagates through the discrete forward steps (discrete transpose),
-    so the gradient matches central finite differences to roundoff.
+    so the gradient matches central finite differences to roundoff. The
+    rates before s get exact zeros and cost no step.
     """
     _one_path(traj, "control_gradient")
-    forced = traj.forced_indices
+    forced, dt = traj.forced_indices, traj.config.dt
     adj = np.zeros((len(traj.basis), 1))
     adj[proj_idx, 0] = residual_proj
-    sweep = adjoint_sweep(traj, traj.config.t_final, adj, 0.0,
-                          discrete_transpose=True)
-    # the forced rows of nodes n..1 as the sweep yields them; never node 0
-    rows = [U[forced, 0] for _, U in zip(range(len(traj.times) - 1), sweep)]
+    grad = np.zeros((len(traj.times) - 1, len(forced)))
+    # row i reads node i + 1; zip stops before the sweep steps to node s
+    for i, U in zip(range(len(grad) - 1, traj.grid_index(s) - 1, -1),
+                    adjoint_sweep(traj, traj.config.t_final, adj, s, True)):
+        grad[i] = U[forced, 0]
     # h_i enters w_{i+1} = decay*(w_i + dt*(N(w_i) + Q h_i)) as dt*decay
-    stepper = Stepper(traj)
-    return stepper.dt * (stepper.decay[forced, 0] * np.array(rows[::-1]))
+    lam = traj.basis.laplacian_symbol()
+    return dt * (np.exp(-traj.config.nu * lam * dt)[forced] * grad)
 
 
 def control_search(config: SimConfig, projection, target, s: float, t: float,
@@ -236,8 +247,7 @@ def control_search(config: SimConfig, projection, target, s: float, t: float,
     it = 0
     converged = np.sqrt(2 * J) <= tol
     while it < max_iters and not converged:
-        grad = control_gradient(traj, r, proj_idx)
-        grad[:i0] = 0.0  # control acts on [s, t] only
+        grad = control_gradient(traj, r, proj_idx, s)  # zero before s
         gnorm2 = float(np.sum(grad ** 2))
         if gnorm2 == 0.0:
             # flat (typically a saddle at zero control when the targets sit

@@ -151,6 +151,9 @@ def simulate(config: SimConfig, paths=(0,), increments=None,
     runs on the table's own arrays. The drift sums only the live rows, as
     L(w) does. A step allocates no state-sized array but bincount's output;
     blow-up is a sum-of-squares bound, then the exact max |w_i| if it fails.
+    A +0 state stays +0 until a noise or control row is nonzero, so those
+    steps are skipped: its drift bins start and stay at +0, and the step
+    writes (-0) dt + (+0) = +0, which the skipped nodes hold from np.zeros.
 
     increments: optional Wiener increments to replay, in the trajectory's
     shape (all zeros for a deterministic run); a copy is kept. When omitted
@@ -159,6 +162,8 @@ def simulate(config: SimConfig, paths=(0,), increments=None,
     control: optional (n_steps, n_forced) deterministic forcing rates added
     to a lone path's drift on the forced modes (the controllability probe).
     """
+    if not len(paths):
+        raise ValueError("simulate needs at least one path")
     basis = config.basis()
     table = build_interaction_table(basis)
     lam = basis.laplacian_symbol()
@@ -203,7 +208,11 @@ def simulate(config: SimConfig, paths=(0,), increments=None,
 
     # take's default mode="raise" copies through a temporary; j, k are valid
     a, b = np.empty(len(l)), np.empty(len(l))
-    for i in range(n_steps):
+    start = 0  # the first driven step, if every bit of w_0 is zero
+    if not states[0].view(np.int64).any():
+        drive = noise if control is None else np.hstack((noise, control))
+        start = next((i for i, row in enumerate(drive) if row.any()), n_steps)
+    for i in range(start, n_steps):
         w = states[i]
         np.multiply(sym, w.take(j, out=a, mode="wrap"), out=a)
         np.multiply(a, w.take(k, out=b, mode="wrap"), out=a)

@@ -238,6 +238,7 @@ class InteractionTable:
         self._lin_bufs = (self._lin_src, self._lin_coeff, self._lin_flat,
                           np.empty(len(self._lin_src)))  # grown by a stack
         self.live = (*np.split(self._lin_src, 2), l, sym)  # j, k are views
+        self.zero_L = np.zeros((n, n))  # L(0) for flows.Stepper; never written
         if not len(self.cjk):  # no triads: bincount would give int zeros
             self.apply = self.adjoint_apply = lambda v, w: np.zeros(n)
             self.linearization = lambda w: np.zeros(w.shape + (n,))

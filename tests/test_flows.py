@@ -10,7 +10,8 @@ from vortexlab.flows import (Stepper, adjoint_flow, adjoint_sweep,
 from vortexlab.malliavin import malliavin_backward_form
 from vortexlab.lattice import ForcingGeometry
 from vortexlab.simulate import SimConfig, simulate
-from vortexlab.spectral import SpectralField, inner
+from vortexlab.spectral import (Basis, SpectralField, build_interaction_table,
+                                inner)
 
 from conftest import Z_STAR, field_from_dict, random_fields, traced_peak
 
@@ -138,14 +139,23 @@ def test_stepper_transpose_is_exact_property(drawn, i):
 
 def test_stepper_steps_are_their_formulas_bitwise():
     # updating the matmul's output in place keeps every operand and its
-    # order, on a lone path and on a block of two
+    # order, on a lone path and on a block of two; the leading +0 nodes
+    # (node 0 of a noisy path, nodes 0..6 of zero data undriven on the
+    # first 6 steps) share one zero L, which must give the same bits
     cfg = SimConfig(nu=1.0, forcing=CANONICAL, radius=3.0, dt=1e-3,
                     t_final=0.01, seed=5)
-    X = np.random.default_rng(7).standard_normal((len(cfg.basis()), 3))
-    for traj in (simulate(cfg), simulate(cfg, [0, 3])):
+    rng = np.random.default_rng(7)
+    X = rng.standard_normal((len(cfg.basis()), 3))
+    X[::4] = -0.0
+    drive = rng.standard_normal((10, 2, 4))
+    drive[:6] = 0.0
+    lone = simulate(cfg, [0], np.zeros((10, 4)), drive[:, 0])
+    for traj, zeros in ((simulate(cfg), 1), (simulate(cfg, [0, 3]), 1),
+                        (lone, 7), (simulate(cfg, [0, 3], drive), 7)):
         stepper = Stepper(traj)
+        assert stepper.zeros == zeros
         D, dt = stepper.decay, stepper.dt
-        for i in (0, 4):
+        for i in (0, 4, 6, 7):
             L = stepper.table.linearization(traj.states[i])
             for got, want in ((stepper.tangent(i, X), D * (X + dt * (L @ X))),
                               (stepper.transpose(i, X),
@@ -298,6 +308,43 @@ def test_control_gradient_agrees_with_gramian_columns():
     want = np.einsum("a,aif->if", r, G)
     got = control_gradient(traj, r, proj_idx)
     assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_control_gradient_window_is_the_full_gradient_bitwise():
+    # from nonzero data every row of the full gradient is live; the window
+    # [s, t] keeps rows >= i0 bit for bit and gives exact +0 before i0
+    basis = Basis.build(3.0)
+    init = field_from_dict(basis, {(1, 0): 0.3, (2, 1): -0.2, (0, 1): 0.1})
+    cfg = SimConfig(nu=0.5, forcing=CANONICAL, dt=1e-2, t_final=0.2,
+                    initial=init)
+    control = 0.2 * np.random.default_rng(9).standard_normal((20, 4))
+    traj = simulate(cfg, increments=np.zeros_like(control), control=control)
+    proj_idx = np.array([basis.index[k] for k in [(0, 1), (1, 1)]])
+    r = np.array([0.05, -0.1])
+    full = control_gradient(traj, r, proj_idx)
+    assert np.all(np.any(full, axis=1))
+    for i0 in (0, 1, 7, 19):
+        got = control_gradient(traj, r, proj_idx, 0.01 * i0)
+        assert got[i0:].tobytes() == full[i0:].tobytes()
+        assert not np.any(got[:i0]) and not np.signbit(got[:i0]).any()
+
+
+def test_control_search_builds_no_zero_operator(monkeypatch):
+    # the search starts from zero data at zero control, and every iterate
+    # is zero on [0, s]: those nodes share one zero L, and the window's
+    # gradients stop at s; the sweeps of all three steps build L 57 times
+    # when every node builds its own
+    cfg = SimConfig(nu=0.5, forcing=CANONICAL, radius=3.0, dt=1e-2,
+                    t_final=0.2)
+    table = build_interaction_table(cfg.basis())
+    calls = []
+    build = table.linearization
+    monkeypatch.setattr(table, "linearization",
+                        lambda w: calls.append(1) or build(w))
+    res = control_search(cfg, [(1, 0), (0, 1)], [0.1, 0.05], 0.1, 0.2,
+                         max_iters=3)
+    assert res.iterations == 3
+    assert len(calls) <= 18
 
 
 def test_control_search_trivial_target():

@@ -375,6 +375,49 @@ def test_control_shape_is_checked_before_any_step():
             simulate(cfg, paths, control=control)
 
 
+def test_simulate_needs_a_path_before_any_work(monkeypatch):
+    cfg = SimConfig(nu=1.0, forcing=CANONICAL, radius=3.0, dt=1e-2,
+                    t_final=0.2)
+
+    def no_work(*args):
+        raise AssertionError("simulate did work before the check")
+    monkeypatch.setattr(SimConfig, "basis", no_work)
+    for paths in ((), [], range(0)):
+        with pytest.raises(ValueError, match="at least one path"):
+            simulate(cfg, paths)
+
+
+@pytest.mark.parametrize("k", [0, 8, 20])
+def test_zero_data_idles_until_the_first_driven_step(k):
+    # a +0 state stays +0 on the undriven steps, so a run whose control is
+    # zero on the first k steps is a run of the last n - k steps, shifted;
+    # its first k + 1 nodes are +0, down to the sign bit
+    def run(t_final, control):
+        cfg = SimConfig(nu=0.5, forcing=CANONICAL, radius=3.0, dt=1e-2,
+                        t_final=t_final)
+        return simulate(cfg, increments=np.zeros_like(control),
+                        control=control).states
+    control = np.random.default_rng(30).standard_normal((20, 4))
+    control[:k] = 0.0
+    states = run(0.2, control)
+    assert not np.any(states[:k + 1]) and not np.signbit(states[:k + 1]).any()
+    if k < 20:
+        shifted = run(round(0.01 * (20 - k), 12), control[k:])
+        assert states[k:].tobytes() == shifted.tobytes()
+        assert np.all(np.any(states[k + 1:], axis=1))
+
+
+def test_negative_zero_data_is_stepped():
+    # -0 is not +0: its undriven steps keep the unforced modes' sign bits
+    # (a forced mode takes -0 + (+0) noise = +0), so the loop may not skip
+    basis = Basis.build(3.0)
+    cfg = SimConfig(nu=0.5, forcing=CANONICAL, dt=1e-2, t_final=0.2,
+                    initial=SpectralField(basis, np.full(len(basis), -0.0)))
+    traj = simulate(cfg, increments=np.zeros((20, 4)))
+    assert not np.any(traj.states)
+    assert np.signbit(np.delete(traj.states, traj.forced_indices, 1)).all()
+
+
 def _reference_states(cfg, paths, increments, control=None):
     """The step loop as first written, one fresh temporary per operation."""
     basis, P = cfg.basis(), len(paths)
