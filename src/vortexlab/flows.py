@@ -43,6 +43,8 @@ class Stepper:
     viscous decay over one step; each method maps an (n, m) column block
     in place on its matmul's output. L is linear in w and L(0) is all +0,
     so the leading zero nodes share the table's zero matrix: the same bits.
+    L_i skips the +-0 terms of the modes that are +-0 at every node, on
+    every path: the table's `closure` of the others holds every other term.
     """
 
     def __init__(self, traj: Trajectory):
@@ -55,10 +57,12 @@ class Stepper:
                           len(self.states))  # nodes 0 .. zeros - 1 are zero
         self.zero_L = np.broadcast_to(self.table.zero_L,
                                       self.states.shape[1:] + lam.shape)
+        self.mask = (None if self.states[-1].all() else self.table.closure(
+            self.states.reshape(-1, len(lam)).any(axis=0)))  # modes seen
 
     def _L(self, i: int) -> np.ndarray:
         return (self.zero_L if i < self.zeros
-                else self.table.linearization(self.states[i]))
+                else self.table.linearization(self.states[i], self.mask))
 
     def tangent(self, i: int, V: np.ndarray) -> np.ndarray:
         """D(V + dt L_i V): the exponential-Euler tangent step i -> i+1."""

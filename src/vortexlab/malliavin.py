@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -143,6 +143,11 @@ class TailTable:
 DEFAULT_EPSILONS = tuple(10.0 ** -p for p in range(1, 9))
 
 
+@lru_cache(maxsize=64)  # the tail's reached modes, one search per key
+def _reached(forcing, radius: float) -> frozenset:
+    return frozenset(reachable_modes(forcing, radius).reached)
+
+
 def min_eigenvalue_tail(config: SimConfig, t: float, subspace,
                         n_paths: int, epsilons=DEFAULT_EPSILONS) -> TailTable:
     """Empirical small-eigenvalue tail of the projected covariance.
@@ -152,8 +157,8 @@ def min_eigenvalue_tail(config: SimConfig, t: float, subspace,
     frequencies with Wilson intervals.
     """
     basis = config.basis()
-    reach = reachable_modes(config.forcing, basis.radius)
-    missing = [tuple(k) for k in subspace if tuple(k) not in reach.reached]
+    reached = _reached(config.forcing, basis.radius)
+    missing = [tuple(k) for k in subspace if tuple(k) not in reached]
     if missing:
         warnings.warn(
             f"subspace modes {missing} are not reachable from the forcing; "

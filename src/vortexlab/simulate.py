@@ -149,7 +149,9 @@ def simulate(config: SimConfig, paths=(0,), increments=None,
     entries b*n .. (b+1)*n - 1, so the triad indices are shifted by b*n and
     the per-mode factors are tiled. A lone path keeps the 2-D shapes and
     runs on the table's own arrays. The drift sums only the live rows, as
-    L(w) does. A step allocates no state-sized array but bincount's output;
+    L(w) does, with j and k in the table's `closure` of the modes w_0 or a
+    noise or control column drives; the modes off it stay +-0.
+    A step allocates no state-sized array but bincount's output;
     blow-up is a sum-of-squares bound, then the exact max |w_i| if it fails.
     A +0 state stays +0 until a noise or control row is nonzero, so those
     steps are skipped: its drift bins start and stay at +0, and the step
@@ -193,25 +195,27 @@ def simulate(config: SimConfig, paths=(0,), increments=None,
                          f"paths, need {(n_steps, len(forced))} on one path")
     noise = np.tile(gain, P) * incs.reshape(n_steps, -1)  # row i: step i
 
-    # hit: the forced entries of the flat state; dead (sym = 0) rows add +-0
-    (j, k, l, sym), hit = table.live, forced
+    states = np.zeros((n_steps + 1, P * n))
+    if config.initial is not None:
+        states[0] = np.tile(config.initial.coeffs, P)
+    drive = noise if control is None else np.hstack((noise, control))
+    start = 0  # the first driven step, if every bit of w_0 is zero
+    if not states[0].view(np.int64).any():
+        start = next((i for i, row in enumerate(drive) if row.any()), n_steps)
+    seed = states[0, :n] != 0  # drive column c drives forced[c % n_forced]
+    seed[np.resize(forced, drive.shape[1])[drive.any(axis=0)]] = True
+    # hit: the flat forced entries; all live rows if no step runs
+    (j, k, l, sym), hit = table.restricted(
+        table.closure(seed) if start < n_steps else None)[0], forced
     if P > 1:
         off = n * np.arange(P)[:, None]
         j, k, l, hit = ((off + a).ravel() for a in (j, k, l, forced))
         sym, decay = np.tile(sym, P), np.tile(decay, P)
-    if not len(l):  # no triads: one zero row keeps bincount's drift float
+    if not len(l):  # no rows: one zero row keeps bincount's drift float
         (j, k, l), sym = np.zeros((3, 1), dtype=np.intp), np.zeros(1)
-
-    states = np.zeros((n_steps + 1, P * n))
-    if config.initial is not None:
-        states[0] = np.tile(config.initial.coeffs, P)
 
     # take's default mode="raise" copies through a temporary; j, k are valid
     a, b = np.empty(len(l)), np.empty(len(l))
-    start = 0  # the first driven step, if every bit of w_0 is zero
-    if not states[0].view(np.int64).any():
-        drive = noise if control is None else np.hstack((noise, control))
-        start = next((i for i, row in enumerate(drive) if row.any()), n_steps)
     for i in range(start, n_steps):
         w = states[i]
         np.multiply(sym, w.take(j, out=a, mode="wrap"), out=a)

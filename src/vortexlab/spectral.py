@@ -217,6 +217,8 @@ class InteractionTable:
     B(w, v) sums cjk * w[j] * v[k] + ckj * w[k] * v[j] into l; B(w, w) and
     L(w) sum only sym = cjk + ckj over the `live` rows, where it is nonzero.
     The table is the one source of the nonlinearity, its adjoint and L(w).
+    Modes off a driven seed's `closure` stay +-0, so their terms are +-0:
+    bins start at +0, never hold -0 and keep x + (+-0) = x, so they drop.
     """
 
     def __init__(self, basis: Basis):
@@ -235,13 +237,14 @@ class InteractionTable:
         self._lin_flat = np.concatenate((l * n + k, l * n + j))
         self._lin_src = np.concatenate((j, k))
         self._lin_coeff = -np.concatenate((sym, sym))
-        self._lin_bufs = (self._lin_src, self._lin_coeff, self._lin_flat,
-                          np.empty(len(self._lin_src)))  # grown by a stack
         self.live = (*np.split(self._lin_src, 2), l, sym)  # j, k are views
+        self._all = (self.live, 2 * len(l), [self._lin_src, self._lin_coeff,
+                     self._lin_flat, np.empty(2 * len(l))])  # grown by a stack
+        self._closures, self._last = {}, (None,)
         self.zero_L = np.zeros((n, n))  # L(0) for flows.Stepper; never written
         if not len(self.cjk):  # no triads: bincount would give int zeros
             self.apply = self.adjoint_apply = lambda v, w: np.zeros(n)
-            self.linearization = lambda w: np.zeros(w.shape + (n,))
+            self.linearization = lambda w, mask=None: np.zeros(w.shape + (n,))
 
     def __len__(self) -> int:
         return 2 * len(self.cjk)  # ordered triples (j, k -> l), two per row
@@ -263,24 +266,52 @@ class InteractionTable:
         return (np.bincount(self.j, self.cjk * w[self.k] * vl, n)
                 + np.bincount(self.k, self.ckj * w[self.j] * vl, n))
 
-    def linearization(self, w: np.ndarray) -> np.ndarray:
+    def closure(self, seed: np.ndarray) -> np.ndarray:
+        """The least bool mode mask E >= seed with E[l] |= E[j] & E[k] on
+        every live row; read-only, one object per value, kept for 64 seeds."""
+        if (E := self._closures.get(key := seed.tobytes())) is None:
+            E, (j, k, l, _) = np.array(seed, dtype=bool), self.live
+            while not E[(new := l[E[j] & E[k]])].all():
+                E[new] = True
+            E.flags.writeable = False
+            if len(self._closures) >= 64:
+                self._closures.clear()
+            E = self._closures[key] = self._closures.setdefault(E.tobytes(), E)
+        return E
+
+    def restricted(self, mask=None):
+        """(rows, terms, arrays): the live rows with j and k in the closure
+        `mask`, and the count and kept arrays of L(w)'s terms with their
+        source in it (see `linearization`); all for None or a full mask."""
+        if mask is None or mask.all():
+            return self._all
+        if self._last[0] is not mask:  # only the last mask's are kept
+            term = mask[self._lin_src]  # j's half, then k's
+            row = np.logical_and(*np.split(term, 2))
+            lin = [a[term] for a in (self._lin_src, self._lin_coeff,
+                                     self._lin_flat)]
+            self._last = (mask, (tuple(a[row] for a in self.live),
+                                 len(lin[0]), lin + [np.empty(len(lin[0]))]))
+        return self._last[1]
+
+    def linearization(self, w: np.ndarray, mask=None) -> np.ndarray:
         """Dense matrix L(w) of v -> -B(w, v) - B(v, w), the tangent
         operator's non-diagonal part; w of shape (..., n) gives (..., n, n)
-        from one bincount, each matrix bit-identical to its own call. It
-        gathers into arrays kept on the table until the table is dropped
-        (sources, coefficients, targets, values): 32 B per path and ordered
-        triad of the largest stack seen. A `block_size` block (2**16 ordered
-        triads, or one path) keeps at most 2 MiB; a larger stack passed
-        directly keeps more."""
+        from one bincount, each matrix bit-identical to its own call and, if
+        w is +-0 off the closure `mask`, to the call without it. It gathers
+        into arrays kept with `restricted`'s terms (sources, coefficients,
+        targets, values), per row set: 32 B per path and ordered triad of the
+        largest stack seen. A `block_size` block (2**16 ordered triads, or one
+        path) keeps at most 2 MiB; a larger stack passed in keeps more."""
         n = len(self.basis)
-        size = w.size // n * len(self._lin_src)
-        if len(self._lin_bufs[-1]) < size:  # matrix p reads w[p], fills L[p]
+        _, terms, bufs = self.restricted(mask)
+        size = w.size // n * terms
+        if len(bufs[-1]) < size:  # matrix p reads w[p], fills L[p]
             p = np.arange(w.size // n)[:, None]
-            self._lin_bufs = ((p * n + self._lin_src).ravel(),
-                              np.tile(self._lin_coeff, len(p)),
-                              (p * n * n + self._lin_flat).ravel(),
-                              np.empty(size))
-        src, coeff, flat, vals = self._lin_bufs
+            bufs[:] = ((p * n + bufs[0][:terms]).ravel(),
+                       np.tile(bufs[1][:terms], len(p)),
+                       (p * n * n + bufs[2][:terms]).ravel(), np.empty(size))
+        src, coeff, flat, vals = bufs
         # mode "raise" would copy through a buffer; "wrap" writes into out
         vals = w.take(src[:size], out=vals[:size], mode="wrap")
         vals *= coeff[:size]

@@ -9,7 +9,9 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from vortexlab.spectral import Basis, SpectralField
+from vortexlab.lattice import ForcingGeometry
+from vortexlab.simulate import SimConfig, simulate
+from vortexlab.spectral import Basis, InteractionTable, SpectralField
 
 # Property tests draw the same examples on every run, replay no stored
 # failures and carry no per-example deadline, so timings on a loaded machine
@@ -21,6 +23,9 @@ settings.load_profile("vortexlab")
 # The canonical four-mode forcing used throughout: sin and cos on (1,0), (1,1).
 FORCING = ((1, 0), (1, 1))
 Z_STAR = frozenset({(1, 0), (-1, 0), (1, 1), (-1, -1)})
+# A one-signed forcing: (-1, -2) without its negative. At radius 3 the
+# lattice search reaches 3 modes and the Galerkin closure holds 16 of 28.
+ONE_SIGNED = frozenset({(-1, -2), (0, 2), (0, -2)})
 
 
 def eval_basis_mode(label, x1, x2):
@@ -95,3 +100,39 @@ def basis4():
 @pytest.fixture(scope="session")
 def basis8():
     return Basis.build(8.1)
+
+
+def closure_run(case):
+    """(run, seed): a zero-argument simulate call whose drive reaches a
+    Galerkin closure smaller than the basis, and the modes it drives.
+
+    "two-controls" and "one-control" control (1, 0) and (-1, -1), or (1, 0)
+    alone, at radius 4; "signed-initial" starts from data on those two
+    modes with a -0 on (-2, 2), off their closure; "one-signed-block" runs
+    three noise paths under ONE_SIGNED at radius 3.
+    """
+    if case == "one-signed-block":
+        cfg = SimConfig(nu=0.5, forcing=ForcingGeometry(ONE_SIGNED),
+                        radius=3.0, dt=1e-3, t_final=0.05, seed=3)
+        return (lambda: simulate(cfg, [0, 1, 2])), ONE_SIGNED
+    driven = [(1, 0)] if case == "one-control" else [(1, 0), (-1, -1)]
+    basis, control = Basis.build(4.0), np.zeros((20, 4))
+    initial = None
+    if case == "signed-initial":
+        initial = field_from_dict(basis, {(1, 0): 0.3, (-1, -1): -0.2,
+                                          (-2, 2): -0.0})
+    else:  # columns follow sorted(Z_STAR): (-1, -1), (-1, 0), (1, 0), (1, 1)
+        cols = [sorted(Z_STAR).index(k) for k in driven]
+        control[:, cols] = np.random.default_rng(31).uniform(
+            -0.3, 0.3, (20, len(cols)))
+    cfg = SimConfig(nu=0.5, forcing=ForcingGeometry(Z_STAR), dt=1e-2,
+                    t_final=0.2, radius=4.0, initial=initial)
+    return (lambda: simulate(cfg, increments=np.zeros_like(control),
+                             control=control)), frozenset(driven)
+
+
+def whole_ball(monkeypatch):
+    """Every table's closure reads as its whole basis: no row or term of
+    simulate or L(w) drops, as before closures were taken."""
+    monkeypatch.setattr(InteractionTable, "closure",
+                        lambda self, seed: np.ones(len(self.basis), bool))

@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 from vortexlab.flows import (Stepper, adjoint_flow, adjoint_sweep,
                              control_gradient, control_search, duality_drift,
                              second_variation, tangent_flow, tangent_sweep)
-from vortexlab.malliavin import malliavin_backward_form
+from vortexlab.malliavin import malliavin_backward_form, malliavin_forward
 from vortexlab.lattice import ForcingGeometry
 from vortexlab.simulate import SimConfig, simulate
 from vortexlab.spectral import (Basis, SpectralField, build_interaction_table,
                                 inner)
 
-from conftest import Z_STAR, field_from_dict, random_fields, traced_peak
+from conftest import (Z_STAR, closure_run, field_from_dict, random_fields,
+                      traced_peak, whole_ball)
 
 CANONICAL = ForcingGeometry(frozenset(Z_STAR))
 
@@ -340,11 +341,45 @@ def test_control_search_builds_no_zero_operator(monkeypatch):
     calls = []
     build = table.linearization
     monkeypatch.setattr(table, "linearization",
-                        lambda w: calls.append(1) or build(w))
+                        lambda *a: calls.append(1) or build(*a))
     res = control_search(cfg, [(1, 0), (0, 1)], [0.1, 0.05], 0.1, 0.2,
                          max_iters=3)
     assert res.iterations == 3
     assert len(calls) <= 18
+
+
+@pytest.mark.parametrize("case", ["two-controls", "one-control",
+                                  "signed-initial", "one-signed-block"])
+def test_sweeps_on_a_closure_are_the_whole_ball_sweeps_bitwise(case,
+                                                                monkeypatch):
+    # a mode that is +-0 at every node gives L_i only +-0 terms, so L_i
+    # gathers only the terms whose source is in the closure of the modes
+    # seen; columns on and off the closure step to the same bits
+    traj = closure_run(case)[0]()
+    basis, t = traj.basis, traj.config.t_final
+    mask = Stepper(traj).mask
+    assert mask is not None and not mask.all()
+    subspace = [(1, 0), (0, 2), basis.modes[np.argmin(mask)]]  # last: off
+    idx = np.array([basis.index[k] for k in subspace])
+    phi = np.eye(len(basis))[:, idx]
+
+    def sweeps():
+        out = [malliavin_forward(traj, t, subspace).factor,
+               *adjoint_sweep(traj, t, phi, 0.0),
+               *tangent_sweep(traj, 0.0, phi, t)]
+        if traj.states.ndim == 2:
+            out.append(control_gradient(traj, np.array([0.1, -0.05, 0.2]),
+                                        idx))
+        return out
+
+    reduced = sweeps()
+    with monkeypatch.context() as m:
+        whole_ball(m)
+        full = sweeps()
+    assert len(reduced) == len(full)
+    for got, want in zip(reduced, full):
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_control_search_trivial_target():

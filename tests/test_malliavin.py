@@ -351,6 +351,27 @@ def test_min_eigenvalue_tail_checks_reachability_on_the_simulated_basis():
         min_eigenvalue_tail(cfg, 0.01, [(2, 0)], n_paths=1)
 
 
+def test_min_eigenvalue_tail_searches_once_per_forcing_and_radius(
+        monkeypatch):
+    # the lattice search decides only the warning, so its reached set is
+    # kept per (forcing, radius), frozen; the warning fires on every call
+    searches = []
+    search = malliavin.reachable_modes
+    monkeypatch.setattr(malliavin, "reachable_modes",
+                        lambda *a: searches.append(a) or search(*a))
+    malliavin._reached.cache_clear()
+    geom = ForcingGeometry(frozenset({(1, 0), (-1, 0)}))
+    cfg = SimConfig(nu=1.0, forcing=geom, radius=2.0, dt=1e-2, t_final=0.02)
+    for _ in range(3):
+        with pytest.warns(UserWarning, match="not reachable"):
+            min_eigenvalue_tail(cfg, 0.02, [(0, 1), (1, 0)], n_paths=1)
+    assert searches == [(geom, 2.0)]
+    assert isinstance(malliavin._reached(geom, 2.0), frozenset)
+    for _ in range(2):  # a failed search is not kept
+        with pytest.raises(ValueError, match="cover the forcing"):
+            malliavin._reached(geom, 0.5)
+
+
 def spy_forward(monkeypatch):
     """Record (traj, returned form) of every malliavin_forward call made
     through the module attribute, as the benchmark's check captures it."""

@@ -11,7 +11,8 @@ from vortexlab.simulate import (BLOWUP_LIMIT, BlowUpError, SimConfig,
 from vortexlab.spectral import (Basis, SpectralField, TWO_PI_SQ,
                                 build_interaction_table)
 
-from conftest import Z_STAR, field_from_dict, traced_peak
+from conftest import (Z_STAR, closure_run, field_from_dict, traced_peak,
+                      whole_ball)
 
 EMPTY = ForcingGeometry(frozenset())
 CANONICAL = ForcingGeometry(frozenset(Z_STAR))
@@ -479,3 +480,32 @@ def test_simulate_memory_per_step_is_bounded():
     table = build_interaction_table(traj.basis)
     peak = traced_peak(simulate, cfg, [0], zeros, control)
     assert peak <= traj.states.nbytes + 2.25 * 8 * len(table.l)
+
+
+@pytest.mark.parametrize("case, size, rows", [
+    ("two-controls", 24, 268), ("one-control", 1, 0),
+    ("signed-initial", 24, 268), ("one-signed-block", 16, 96)])
+def test_simulate_on_a_closure_is_the_whole_ball_run_bitwise(
+        case, size, rows, monkeypatch):
+    # the drift drops the live rows with a factor off the closure of the
+    # driven modes (1,072 at radius 4, 320 at radius 3); with no row left,
+    # the zero row keeps the drift float
+    run, seed = closure_run(case)
+    traj = run()
+    n, table = len(traj.basis), build_interaction_table(traj.basis)
+    E = table.closure(np.array([k in seed for k in traj.basis.modes]))
+    assert table._last[0] is E  # the run kept the closure's rows
+    assert (E.sum(), len(table.restricted(E)[0][0])) == (size, rows)
+    with monkeypatch.context() as m:
+        whole_ball(m)
+        full = run()
+    assert np.array_equal(traj.states, full.states)
+    assert np.array_equal(np.signbit(traj.states), np.signbit(full.states))
+    # off the closure every node reads +0, but for the -0 data of
+    # "signed-initial", which keeps its sign bit as it steps
+    off = traj.states.reshape(-1, n)[:, ~E]
+    assert not off.any()
+    signed = np.zeros(n, bool)
+    signed[traj.basis.index[-2, 2]] = case == "signed-initial"
+    assert np.array_equal(np.signbit(off), np.broadcast_to(signed[~E],
+                                                           off.shape))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from vortexlab.lattice import ForcingGeometry
+from vortexlab.lattice import ForcingGeometry, reachable_modes
 from vortexlab.simulate import SimConfig, simulate
 from vortexlab.spectral import (Basis, InteractionTable, SpectralField,
                                 TWO_PI_SQ, _product_terms, adjoint_C,
@@ -18,9 +18,9 @@ from vortexlab.spectral import (Basis, InteractionTable, SpectralField,
                                 interaction_coeff, nonlinearity_B,
                                 sobolev_norm)
 
-from conftest import (Z_STAR, eval_basis_mode, field_from_dict, grid_integral,
-                      project_on_basis, random_fields, torus_grid,
-                      traced_peak)
+from conftest import (ONE_SIGNED, Z_STAR, eval_basis_mode, field_from_dict,
+                      grid_integral, project_on_basis, random_fields,
+                      torus_grid, traced_peak)
 
 
 # ---------------------------------------------------------------- basis
@@ -352,6 +352,55 @@ def test_linearization_skips_zero_rows_exactly(radius, live):
     assert table.linearization(w).tobytes() == want.tobytes()
     for u, L in zip(w, want):
         assert table.linearization(u).tobytes() == L.tobytes()
+
+
+def _seed(basis, modes):
+    return np.array([k in modes for k in basis.modes])
+
+
+@pytest.mark.parametrize("z_star, reached", [
+    ({(0, 2), (0, -2), (1, -2), (-1, 2)}, 12), (ONE_SIGNED, 3)])
+def test_closure_holds_the_lattice_reached_set(z_star, reached):
+    # the Galerkin closure also couples two excited modes that are not
+    # forced, so it can exceed the lattice search: 16 of 28 modes here
+    table = build_interaction_table(Basis.build(3.0))
+    E = table.closure(_seed(table.basis, z_star))
+    got = reachable_modes(ForcingGeometry(frozenset(z_star)), 3.0).reached
+    assert (E.sum(), len(got)) == (16, reached)
+    assert E[_seed(table.basis, got)].all()
+    # the least fixed point: closed on the live rows, and every mode off
+    # the seed is some live row's l with j and k in it
+    j, k, l, _ = table.live
+    inner_rows = E[j] & E[k]
+    assert E[l[inner_rows]].all()
+    assert np.array_equal(E, _seed(table.basis, z_star)
+                          | np.isin(np.arange(len(E)), l[inner_rows]))
+    # kept read-only, and a closure is its own closure
+    assert table.closure(_seed(table.basis, z_star)) is E
+    assert table.closure(E.copy()) is E and not E.flags.writeable
+
+
+@pytest.mark.parametrize("radius", [3.0, 4.0, 8.1])
+def test_closure_of_canonical_forcing_is_the_ball(radius):
+    table = build_interaction_table(Basis.build(radius))
+    assert table.closure(_seed(table.basis, Z_STAR)).all()
+    assert table.restricted(table.closure(_seed(table.basis, Z_STAR))) is (
+        table.restricted())
+
+
+def test_linearization_on_a_closure_is_the_full_call_bitwise():
+    # with w +-0 off the closure, the dropped terms are +-0: 24,704 of the
+    # 49,408 at radius 8.1; stacked calls read the kept arrays in place
+    table = build_interaction_table(Basis.build(8.1))
+    n = len(table.basis)
+    E = table.closure(_seed(table.basis, {(1, 0), (-1, -1)}))
+    assert (E.sum(), table.restricted(E)[1]) == (106, 24704)
+    w = np.random.default_rng(31).uniform(-1.0, 1.0, (3, n))
+    w[:, ~E], w[1, ::5] = -0.0, 0.0
+    for u in (w, w[0], w[:2]):
+        got, want = table.linearization(u, E), table.linearization(u)
+        assert got.tobytes() == want.tobytes()
+        assert traced_peak(table.linearization, u, E) <= u.size * n * 8 + 1024
 
 
 def test_table_cache_is_keyed_on_modes():
