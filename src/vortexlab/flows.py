@@ -39,26 +39,22 @@ def _window(traj: Trajectory, s: float, t: float):
 class Stepper:
     """The one-step maps linearized along a stored trajectory.
 
-    L_i = table.linearization(w_i) is step i's dense operator and D the exact
-    viscous decay over one step; each method maps an (n, m) column block
-    in place on its matmul's output. L is linear in w and L(0) is all +0,
-    so the leading zero nodes share the table's zero matrix: the same bits.
-    L_i skips the +-0 terms of the modes that are +-0 at every node, on
-    every path: the table's `closure` of the others holds every other term.
+    L_i = table.linearization(w_i) is step i's dense operator and D the
+    run's viscous decay over one step; each method maps an (n, m) column
+    block in place on its matmul's output. It reads what `simulate`
+    recorded: L is linear in w and L(0) is all +0, so the leading +0 nodes
+    share the table's zero matrix, with the same bits, and L_i skips the
+    +-0 terms of the modes off the run's closure.
     """
 
     def __init__(self, traj: Trajectory):
         self.states = traj.states
         self.table = build_interaction_table(traj.basis)
         self.dt = traj.config.dt
-        lam = traj.basis.laplacian_symbol()
-        self.decay = np.exp(-traj.config.nu * lam * self.dt)[:, None]
-        self.zeros = next((i for i, w in enumerate(self.states) if w.any()),
-                          len(self.states))  # nodes 0 .. zeros - 1 are zero
+        self.decay = traj.decay[:, None]
+        self.zeros, self.mask = traj.zero_nodes, traj.closure
         self.zero_L = np.broadcast_to(self.table.zero_L,
-                                      self.states.shape[1:] + lam.shape)
-        self.mask = (None if self.states[-1].all() else self.table.closure(
-            self.states.reshape(-1, len(lam)).any(axis=0)))  # modes seen
+                                      self.states.shape[1:] + traj.decay.shape)
 
     def _L(self, i: int) -> np.ndarray:
         return (self.zero_L if i < self.zeros
@@ -213,8 +209,7 @@ def control_gradient(traj: Trajectory, residual_proj: np.ndarray,
                     adjoint_sweep(traj, traj.config.t_final, adj, s, True)):
         grad[i] = U[forced, 0]
     # h_i enters w_{i+1} = decay*(w_i + dt*(N(w_i) + Q h_i)) as dt*decay
-    lam = traj.basis.laplacian_symbol()
-    return dt * (np.exp(-traj.config.nu * lam * dt)[forced] * grad)
+    return dt * (traj.decay[forced] * grad)
 
 
 def control_search(config: SimConfig, projection, target, s: float, t: float,

@@ -12,12 +12,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
 from .flows import Stepper, _one_path, adjoint_sweep
-from .lattice import reachable_modes
 from .modes import canonical, is_plus, negate, norm2
 from .quadvar import wilson_interval
 from .simulate import SimConfig, Trajectory, simulate_blocks
@@ -143,35 +142,34 @@ class TailTable:
 DEFAULT_EPSILONS = tuple(10.0 ** -p for p in range(1, 9))
 
 
-@lru_cache(maxsize=64)  # the tail's reached modes, one search per key
-def _reached(forcing, radius: float) -> frozenset:
-    return frozenset(reachable_modes(forcing, radius).reached)
-
-
 def min_eigenvalue_tail(config: SimConfig, t: float, subspace,
                         n_paths: int, epsilons=DEFAULT_EPSILONS) -> TailTable:
     """Empirical small-eigenvalue tail of the projected covariance.
 
     Simulates n_paths independent trajectories and records the smallest
     eigenvalue of the projected matrix on each; reports per-epsilon
-    frequencies with Wilson intervals.
+    frequencies with Wilson intervals. Warns on the subspace modes off a
+    run's Galerkin closure (`Trajectory.closure`): the noise never reaches
+    them, so lambda_min is exactly 0 on those paths.
     """
-    basis = config.basis()
-    reached = _reached(config.forcing, basis.radius)
-    missing = [tuple(k) for k in subspace if tuple(k) not in reached]
-    if missing:
-        warnings.warn(
-            f"subspace modes {missing} are not reachable from the forcing; "
-            "nondegeneracy is not expected to hold", stacklevel=2)
     epsilons = np.asarray(sorted(epsilons, reverse=True), dtype=float)
     lam_min, lam_min_h1, lam_max, trace = np.empty((4, n_paths))
     w = 1.0 / np.sqrt([float(norm2(k)) for k in subspace])  # unit H1 ball
+    off = set()
     for block, traj in simulate_blocks(config, range(n_paths)):
         form = malliavin_forward(traj, t, subspace)
+        if traj.closure is not None:
+            off.update(k for k in map(tuple, subspace)
+                       if not traj.closure[traj.basis.index[k]])
         lam_min[block], lam_max[block] = form.lambda_min(), form.lambda_max()
         lam_min_h1[block] = form.lambda_min(w)
         trace[block] = np.trace(form.matrix, axis1=-2, axis2=-1)
         del form, traj  # the block is freed before the next one is simulated
+    if missing := [tuple(k) for k in subspace if tuple(k) in off]:
+        warnings.warn(
+            f"subspace modes {missing} are not reachable from the forcing "
+            "and the initial field: they lie off the Galerkin closure, "
+            "where lambda_min is exactly 0", stacklevel=2)
     freq = np.array([(lam_min < eps).mean() for eps in epsilons])
     ivals = np.array([wilson_interval(int(round(f * n_paths)), n_paths)
                       for f in freq])

@@ -86,6 +86,9 @@ class Trajectory:
     increments: np.ndarray       # (n_steps, [P,] n_forced) Wiener increments
     forced_modes: tuple          # canonical order of the forced modes
     forced_indices: np.ndarray   # their positions in the basis
+    decay: np.ndarray            # (n_modes,) one step's exp(-nu |k|^2 dt)
+    zero_nodes: int              # nodes 0 .. zero_nodes - 1 are all +0
+    closure: np.ndarray | None   # modes off it stay +-0; None: all modes
 
     def grid_index(self, t: float) -> int:
         return self.config.grid_index(t)
@@ -156,6 +159,7 @@ def simulate(config: SimConfig, paths=(0,), increments=None,
     A +0 state stays +0 until a noise or control row is nonzero, so those
     steps are skipped: its drift bins start and stay at +0, and the step
     writes (-0) dt + (+0) = +0, which the skipped nodes hold from np.zeros.
+    The trajectory records both for the sweeps: `zero_nodes` and `closure`.
 
     increments: optional Wiener increments to replay, in the trajectory's
     shape (all zeros for a deterministic run); a copy is kept. When omitted
@@ -200,13 +204,14 @@ def simulate(config: SimConfig, paths=(0,), increments=None,
         states[0] = np.tile(config.initial.coeffs, P)
     drive = noise if control is None else np.hstack((noise, control))
     start = 0  # the first driven step, if every bit of w_0 is zero
-    if not states[0].view(np.int64).any():
+    if zero_w0 := not states[0].view(np.int64).any():
         start = next((i for i, row in enumerate(drive) if row.any()), n_steps)
     seed = states[0, :n] != 0  # drive column c drives forced[c % n_forced]
     seed[np.resize(forced, drive.shape[1])[drive.any(axis=0)]] = True
+    closure = None if (E := table.closure(seed)).all() else E
     # hit: the flat forced entries; all live rows if no step runs
     (j, k, l, sym), hit = table.restricted(
-        table.closure(seed) if start < n_steps else None)[0], forced
+        closure if start < n_steps else None)[0], forced
     if P > 1:
         off = n * np.arange(P)[:, None]
         j, k, l, hit = ((off + a).ravel() for a in (j, k, l, forced))
@@ -240,7 +245,8 @@ def simulate(config: SimConfig, paths=(0,), increments=None,
     return Trajectory(
         config=config, basis=basis, times=config.dt * np.arange(n_steps + 1),
         states=states.reshape(n_steps + 1, P, n) if P > 1 else states,
-        increments=incs, forced_modes=forced_modes, forced_indices=forced)
+        increments=incs, forced_modes=forced_modes, forced_indices=forced,
+        decay=decay[:n], zero_nodes=start + zero_w0, closure=closure)
 
 
 def forcing_energy_rate(traj: Trajectory) -> float:

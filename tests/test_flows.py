@@ -10,8 +10,8 @@ from vortexlab.flows import (Stepper, adjoint_flow, adjoint_sweep,
 from vortexlab.malliavin import malliavin_backward_form, malliavin_forward
 from vortexlab.lattice import ForcingGeometry
 from vortexlab.simulate import SimConfig, simulate
-from vortexlab.spectral import (Basis, SpectralField, build_interaction_table,
-                                inner)
+from vortexlab.spectral import (Basis, InteractionTable, SpectralField,
+                                build_interaction_table, inner)
 
 from conftest import (Z_STAR, closure_run, field_from_dict, random_fields,
                       traced_peak, whole_ball)
@@ -164,6 +164,60 @@ def test_stepper_steps_are_their_formulas_bitwise():
                               (stepper.adjoint(i, X),
                                D * (X + dt * (L.mT @ X)))):
                 assert got.tobytes() == want.tobytes()
+
+
+def recorded_run(case):
+    """A zero-argument simulate call: the closure runs, the drive cases of
+    test_stepper_steps_are_their_formulas_bitwise, -0 data driven on one
+    mode, a forcing-free run and an all-zero control."""
+    if case in ("two-controls", "one-control", "signed-initial",
+                "one-signed-block"):
+        return closure_run(case)[0]
+    cfg = SimConfig(nu=1.0, forcing=CANONICAL, radius=3.0, dt=1e-3,
+                    t_final=0.01, seed=5)
+    basis, zero = cfg.basis(), np.zeros((10, 4))
+    drive = np.random.default_rng(7).standard_normal((10, 2, 4))
+    drive[:6] = 0.0
+    if case == "minus-zero-initial":  # a control on (1, 0) alone
+        cfg = SimConfig(nu=1.0, forcing=CANONICAL, dt=1e-3, t_final=0.01,
+                        initial=SpectralField(basis, np.full(len(basis), -0.0)))
+        drive = zero.copy()
+        drive[:, 2] = 0.2
+    elif case == "forcing-free":
+        cfg = SimConfig(nu=0.5, forcing=ForcingGeometry(frozenset()),
+                        dt=1e-2, t_final=0.2, initial=field_from_dict(
+                            basis, {(1, 2): 0.3, (-2, 1): -0.2}))
+    return {"noise": lambda: simulate(cfg),
+            "noise-block": lambda: simulate(cfg, [0, 3]),
+            "late-control": lambda: simulate(cfg, [0], zero, drive[:, 0]),
+            "late-noise-block": lambda: simulate(cfg, [0, 3], drive),
+            "minus-zero-initial": lambda: simulate(cfg, [0], zero, drive),
+            "forcing-free": lambda: simulate(cfg),
+            "zero-control": lambda: simulate(cfg, [0], zero, zero)}[case]
+
+
+@pytest.mark.parametrize("case", [
+    "two-controls", "one-control", "signed-initial", "one-signed-block",
+    "noise", "noise-block", "late-control", "late-noise-block",
+    "minus-zero-initial", "forcing-free", "zero-control"])
+def test_simulate_records_its_zero_nodes_and_closure_for_the_stepper(
+        case, monkeypatch):
+    # zero_nodes counts the leading nodes whose every bit is zero, and a
+    # mode off the recorded closure is +-0 at every node, on every path;
+    # the Stepper takes both, and the run's decay, from the record and asks
+    # for no closure
+    traj = recorded_run(case)()
+    nodes = traj.states.reshape(len(traj.times), -1, len(traj.basis))
+    bits = nodes.reshape(len(nodes), -1).view(np.int64).any(axis=1)
+    assert traj.zero_nodes == (np.argmax(bits) if bits.any() else len(bits))
+    if traj.closure is not None:
+        assert not traj.closure.all()
+        assert not nodes[:, :, ~traj.closure].any()
+    monkeypatch.setattr(InteractionTable, "closure", None)
+    stepper = Stepper(traj)
+    assert stepper.zeros == traj.zero_nodes
+    assert stepper.mask is traj.closure
+    assert np.shares_memory(stepper.decay, traj.decay)
 
 
 def deterministic_traj(dt, t_final=0.1):
@@ -375,6 +429,8 @@ def test_sweeps_on_a_closure_are_the_whole_ball_sweeps_bitwise(case,
     reduced = sweeps()
     with monkeypatch.context() as m:
         whole_ball(m)
+        traj = closure_run(case)[0]()  # recorded on the whole ball
+        assert traj.closure is None
         full = sweeps()
     assert len(reduced) == len(full)
     for got, want in zip(reduced, full):

@@ -341,35 +341,54 @@ def test_min_eigenvalue_tail_warns_on_unreachable_subspace():
 
 
 def test_min_eigenvalue_tail_checks_reachability_on_the_simulated_basis():
-    # the initial field pins the basis to radius 3: (2, 0) is reachable in
-    # the radius-6 ball of config.radius but not in the radius-3 ball
-    initial = SpectralField(Basis.build(3.0))
-    cfg = SimConfig(nu=1.0, forcing=CANONICAL, dt=2e-3, t_final=0.01,
-                    initial=initial, seed=3)
-    assert cfg.radius == 6.0
-    with pytest.warns(UserWarning, match="not reachable"):
-        min_eigenvalue_tail(cfg, 0.01, [(2, 0)], n_paths=1)
+    # the initial field pins the basis to radius 3, where the closure of
+    # {+-(1, 1), +-(0, 2)} is 6 modes without (2, 0): lambda_min is 0 there;
+    # the radius-6 ball of config.radius closes over (2, 0)
+    geom = ForcingGeometry(frozenset({(1, 1), (-1, -1), (0, 2), (0, -2)}))
+    for radius in (3.0, 6.0):
+        cfg = SimConfig(nu=1.0, forcing=geom, dt=2e-3, t_final=0.1,
+                        initial=SpectralField(Basis.build(radius)), seed=3)
+        assert cfg.radius == 6.0
+        closure = simulate(cfg).closure
+        if radius == 3.0:
+            assert closure.sum() == 6 and not closure[cfg.basis().index[(2, 0)]]
+            with pytest.warns(UserWarning, match="not reachable"):
+                table = min_eigenvalue_tail(cfg, 0.1, [(2, 0)], n_paths=2)
+            assert np.all(table.lambda_min == 0.0)
+        else:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                table = min_eigenvalue_tail(cfg, 0.1, [(2, 0)], n_paths=2)
+            assert np.all(table.lambda_min > 0.0)
 
 
-def test_min_eigenvalue_tail_searches_once_per_forcing_and_radius(
-        monkeypatch):
-    # the lattice search decides only the warning, so its reached set is
-    # kept per (forcing, radius), frozen; the warning fires on every call
-    searches = []
-    search = malliavin.reachable_modes
-    monkeypatch.setattr(malliavin, "reachable_modes",
-                        lambda *a: searches.append(a) or search(*a))
-    malliavin._reached.cache_clear()
+def test_min_eigenvalue_tail_warns_exactly_off_the_galerkin_closure():
+    # a triad of two excited unforced modes short-cuts the lattice search:
+    # (3, 0) is in the closure (16 modes) though the search reaches 12, and
+    # lambda_min is > 0 on it; (-2, -1) is off it, where lambda_min is 0
+    geom = ForcingGeometry(frozenset({(0, 2), (0, -2), (1, -2), (-1, 2)}))
+    cfg = SimConfig(nu=0.5, forcing=geom, radius=3.0, dt=1e-3, t_final=0.3,
+                    seed=3)
+    assert simulate(cfg).closure.sum() == 16
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = min_eigenvalue_tail(cfg, 0.3, [(3, 0)], n_paths=4)
+    assert np.all(table.lambda_min > 0.0)
+    with pytest.warns(UserWarning, match=r"\[\(-2, -1\)\] .* exactly 0"):
+        table = min_eigenvalue_tail(cfg, 0.3, [(3, 0), (-2, -1)], n_paths=4)
+    assert np.all(table.lambda_min == 0.0)
+
+
+def test_min_eigenvalue_tail_closure_holds_the_initial_field():
+    # +-(1, 0) alone never reaches (0, 1), but the initial (1, 1) does
     geom = ForcingGeometry(frozenset({(1, 0), (-1, 0)}))
-    cfg = SimConfig(nu=1.0, forcing=geom, radius=2.0, dt=1e-2, t_final=0.02)
-    for _ in range(3):
-        with pytest.warns(UserWarning, match="not reachable"):
-            min_eigenvalue_tail(cfg, 0.02, [(0, 1), (1, 0)], n_paths=1)
-    assert searches == [(geom, 2.0)]
-    assert isinstance(malliavin._reached(geom, 2.0), frozenset)
-    for _ in range(2):  # a failed search is not kept
-        with pytest.raises(ValueError, match="cover the forcing"):
-            malliavin._reached(geom, 0.5)
+    initial = field_from_dict(Basis.build(2.0), {(1, 1): 0.5})
+    cfg = SimConfig(nu=1.0, forcing=geom, dt=2e-3, t_final=0.05,
+                    initial=initial, seed=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = min_eigenvalue_tail(cfg, 0.05, [(0, 1)], n_paths=4)
+    assert np.all(table.lambda_min > 0.0)
 
 
 def spy_forward(monkeypatch):
