@@ -29,8 +29,7 @@ def _one_path(traj: Trajectory, name: str):
 
 
 def _window(traj: Trajectory, s: float, t: float):
-    i0 = traj.grid_index(s)
-    i1 = traj.grid_index(t)
+    i0, i1 = traj.grid_index(s), traj.grid_index(t)
     if i0 > i1:
         raise ValueError("need s <= t")
     return i0, i1
@@ -52,13 +51,13 @@ class Stepper:
         self.table = build_interaction_table(traj.basis)
         self.dt = traj.config.dt
         self.decay = traj.decay[:, None]
-        self.zeros, self.mask = traj.zero_nodes, traj.closure
+        self.zeros, self.closure = traj.zero_nodes, traj.closure
         self.zero_L = np.broadcast_to(self.table.zero_L,
                                       self.states.shape[1:] + traj.decay.shape)
 
     def _L(self, i: int) -> np.ndarray:
         return (self.zero_L if i < self.zeros
-                else self.table.linearization(self.states[i], self.mask))
+                else self.table.linearization(self.states[i], self.closure))
 
     def tangent(self, i: int, V: np.ndarray) -> np.ndarray:
         """D(V + dt L_i V): the exponential-Euler tangent step i -> i+1."""
@@ -159,10 +158,8 @@ def second_variation(traj: Trajectory, s1: float, phi1: SpectralField,
     """
     _one_path(traj, "second_variation")
     basis = traj.basis
-    j1 = traj.grid_index(s1)
-    j2 = traj.grid_index(s2)
+    start = max(traj.grid_index(s1), traj.grid_index(s2))
     it = traj.grid_index(t)
-    start = max(j1, j2)
     if it <= start:
         return SpectralField(basis)
     # bring both first variations up to the start of the second-order window

@@ -158,9 +158,8 @@ def min_eigenvalue_tail(config: SimConfig, t: float, subspace,
     off = set()
     for block, traj in simulate_blocks(config, range(n_paths)):
         form = malliavin_forward(traj, t, subspace)
-        if traj.closure is not None:
-            off.update(k for k in map(tuple, subspace)
-                       if not traj.closure[traj.basis.index[k]])
+        off.update(k for k in map(tuple, subspace)
+                   if not traj.closure.mask[traj.basis.index[k]])
         lam_min[block], lam_max[block] = form.lambda_min(), form.lambda_max()
         lam_min_h1[block] = form.lambda_min(w)
         trace[block] = np.trace(form.matrix, axis1=-2, axis2=-1)

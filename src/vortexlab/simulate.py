@@ -21,7 +21,8 @@ import numpy as np
 
 from . import rng
 from .lattice import ForcingGeometry
-from .spectral import TWO_PI_SQ, Basis, SpectralField, build_interaction_table
+from .spectral import (TWO_PI_SQ, Basis, Closure, SpectralField,
+                       build_interaction_table)
 
 BLOWUP_LIMIT = 1e12
 
@@ -88,7 +89,7 @@ class Trajectory:
     forced_indices: np.ndarray   # their positions in the basis
     decay: np.ndarray            # (n_modes,) one step's exp(-nu |k|^2 dt)
     zero_nodes: int              # nodes 0 .. zero_nodes - 1 are all +0
-    closure: np.ndarray | None   # modes off it stay +-0; None: all modes
+    closure: Closure             # modes off its mask stay +-0
 
     def grid_index(self, t: float) -> int:
         return self.config.grid_index(t)
@@ -175,9 +176,7 @@ def simulate(config: SimConfig, paths=(0,), increments=None,
     lam = basis.laplacian_symbol()
     forced_modes = tuple(sorted(config.forcing.z_star))
     forced = np.array([basis.index[k] for k in forced_modes], dtype=np.intp)
-    n_steps = config.n_steps()
-    n = len(basis)
-    P = len(paths)
+    n_steps, n, P = config.n_steps(), len(basis), len(paths)
 
     decay = np.exp(-config.nu * lam * config.dt)
     sqrt_dt = math.sqrt(config.dt)
@@ -208,10 +207,8 @@ def simulate(config: SimConfig, paths=(0,), increments=None,
         start = next((i for i, row in enumerate(drive) if row.any()), n_steps)
     seed = states[0, :n] != 0  # drive column c drives forced[c % n_forced]
     seed[np.resize(forced, drive.shape[1])[drive.any(axis=0)]] = True
-    closure = None if (E := table.closure(seed)).all() else E
-    # hit: the flat forced entries; all live rows if no step runs
-    (j, k, l, sym), hit = table.restricted(
-        closure if start < n_steps else None)[0], forced
+    closure = table.closure(seed)
+    (j, k, l, sym), hit = closure.rows, forced  # hit: the flat forced entries
     if P > 1:
         off = n * np.arange(P)[:, None]
         j, k, l, hit = ((off + a).ravel() for a in (j, k, l, forced))

@@ -163,10 +163,8 @@ def _product_terms(j: Mode, k: Mode):
         raw = [("sin", plus, amp), ("sin", minus, amp)]
     else:                        # sin sin = [cos(minus) - cos(plus)]/2
         raw = [("cos", minus, amp), ("cos", plus, -amp)]
-    out = []
+    out = []  # j, k are not parallel and amp != 0, so m != (0, 0)
     for kind, m, a in raw:
-        if m == (0, 0) or a == 0.0:
-            continue  # constants and vanishing sines drop from the zero-mean space
         if kind == "sin":
             # sin(m.x) = e_m for m in the plus class, -e_{-m} otherwise
             out.append((m, a) if is_plus(m) else ((-m[0], -m[1]), -a))
@@ -211,6 +209,17 @@ def _table_rows(basis: Basis):
     return (*np.concatenate(rows).T.copy(), np.concatenate(cjk))
 
 
+@dataclass(frozen=True, eq=False)
+class Closure:
+    """A Galerkin closure's read-only bool `mask`, its live `rows` (j, k, l,
+    sym), and the count `terms` and kept arrays `bufs` of L(w)'s terms."""
+
+    mask: np.ndarray
+    rows: tuple
+    terms: int
+    bufs: list
+
+
 class InteractionTable:
     """All admissible triples (j, k -> l) within a basis, one row per j < k.
 
@@ -238,13 +247,15 @@ class InteractionTable:
         self._lin_src = np.concatenate((j, k))
         self._lin_coeff = -np.concatenate((sym, sym))
         self.live = (*np.split(self._lin_src, 2), l, sym)  # j, k are views
-        self._all = (self.live, 2 * len(l), [self._lin_src, self._lin_coeff,
-                     self._lin_flat, np.empty(2 * len(l))])  # grown by a stack
-        self._closures, self._last = {}, (None,)
+        self._closures = {}  # Closure values by seed and by mask bytes
+        # the whole ball: a read-only all-True mask and the table's own arrays
+        self.whole = Closure(np.broadcast_to(True, n), self.live, 2 * len(l),
+                             [self._lin_src, self._lin_coeff, self._lin_flat,
+                              np.empty(2 * len(l))])  # grown by a stack
         self.zero_L = np.zeros((n, n))  # L(0) for flows.Stepper; never written
         if not len(self.cjk):  # no triads: bincount would give int zeros
             self.apply = self.adjoint_apply = lambda v, w: np.zeros(n)
-            self.linearization = lambda w, mask=None: np.zeros(w.shape + (n,))
+            self.linearization = lambda w, _=None: np.zeros(w.shape + (n,))
 
     def __len__(self) -> int:
         return 2 * len(self.cjk)  # ordered triples (j, k -> l), two per row
@@ -266,45 +277,43 @@ class InteractionTable:
         return (np.bincount(self.j, self.cjk * w[self.k] * vl, n)
                 + np.bincount(self.k, self.ckj * w[self.j] * vl, n))
 
-    def closure(self, seed: np.ndarray) -> np.ndarray:
+    def closure(self, seed: np.ndarray) -> Closure:
         """The least bool mode mask E >= seed with E[l] |= E[j] & E[k] on
-        every live row; read-only, one object per value, kept for 64 seeds."""
-        if (E := self._closures.get(key := seed.tobytes())) is None:
+        every live row, as a `Closure`: `whole` if E is all True. Values are
+        cached by seed and by mask, one per mask; a new seed that finds 8 or
+        more keys drops them all, so at most 8 are kept. Each but `whole`
+        copies 32 B per row and term, <= 96 B per live row (2.4 MB at radius
+        8.1), besides the stacks `linearization` grows in it."""
+        if (c := self._closures.get(key := seed.tobytes())) is None:
             E, (j, k, l, _) = np.array(seed, dtype=bool), self.live
             while not E[(new := l[E[j] & E[k]])].all():
                 E[new] = True
             E.flags.writeable = False
-            if len(self._closures) >= 64:
+            if E.all():
+                c = self.whole
+            elif (c := self._closures.get(E.tobytes())) is None:
+                term = E[self._lin_src]  # j's half, then k's
+                row = np.logical_and(*np.split(term, 2))
+                lin = [a[term] for a in (self._lin_src, self._lin_coeff,
+                                         self._lin_flat)]
+                c = Closure(E, tuple(a[row] for a in self.live), len(lin[0]),
+                            lin + [np.empty(len(lin[0]))])
+            if len(self._closures) >= 8:
                 self._closures.clear()
-            E = self._closures[key] = self._closures.setdefault(E.tobytes(), E)
-        return E
+            self._closures[key] = self._closures[E.tobytes()] = c
+        return c
 
-    def restricted(self, mask=None):
-        """(rows, terms, arrays): the live rows with j and k in the closure
-        `mask`, and the count and kept arrays of L(w)'s terms with their
-        source in it (see `linearization`); all for None or a full mask."""
-        if mask is None or mask.all():
-            return self._all
-        if self._last[0] is not mask:  # only the last mask's are kept
-            term = mask[self._lin_src]  # j's half, then k's
-            row = np.logical_and(*np.split(term, 2))
-            lin = [a[term] for a in (self._lin_src, self._lin_coeff,
-                                     self._lin_flat)]
-            self._last = (mask, (tuple(a[row] for a in self.live),
-                                 len(lin[0]), lin + [np.empty(len(lin[0]))]))
-        return self._last[1]
-
-    def linearization(self, w: np.ndarray, mask=None) -> np.ndarray:
+    def linearization(self, w: np.ndarray, closure=None) -> np.ndarray:
         """Dense matrix L(w) of v -> -B(w, v) - B(v, w), the tangent
         operator's non-diagonal part; w of shape (..., n) gives (..., n, n)
         from one bincount, each matrix bit-identical to its own call and, if
-        w is +-0 off the closure `mask`, to the call without it. It gathers
-        into arrays kept with `restricted`'s terms (sources, coefficients,
-        targets, values), per row set: 32 B per path and ordered triad of the
-        largest stack seen. A `block_size` block (2**16 ordered triads, or one
-        path) keeps at most 2 MiB; a larger stack passed in keeps more."""
-        n = len(self.basis)
-        _, terms, bufs = self.restricted(mask)
+        w is +-0 off a `closure`'s mask, to the call without it. It gathers
+        into the closure's kept arrays (sources, coefficients, targets,
+        values; `whole`'s without one): 32 B per path and ordered triad of
+        the largest stack seen. A `block_size` block (2**16 ordered triads,
+        or one path) keeps at most 2 MiB; a larger stack keeps more."""
+        n, closure = len(self.basis), closure or self.whole
+        terms, bufs = closure.terms, closure.bufs
         size = w.size // n * terms
         if len(bufs[-1]) < size:  # matrix p reads w[p], fills L[p]
             p = np.arange(w.size // n)[:, None]
@@ -323,11 +332,8 @@ _TABLE_CACHE: dict[tuple, InteractionTable] = {}
 
 
 def build_interaction_table(basis: Basis) -> InteractionTable:
-    key = basis.modes
-    table = _TABLE_CACHE.get(key)
-    if table is None:
-        table = InteractionTable(basis)
-        _TABLE_CACHE[key] = table
+    if (table := _TABLE_CACHE.get(basis.modes)) is None:
+        table = _TABLE_CACHE[basis.modes] = InteractionTable(basis)
     return table
 
 

@@ -135,4 +135,4 @@ def whole_ball(monkeypatch):
     """Every table's closure reads as its whole basis: no row or term of
     simulate or L(w) drops, as before closures were taken."""
     monkeypatch.setattr(InteractionTable, "closure",
-                        lambda self, seed: np.ones(len(self.basis), bool))
+                        lambda self, seed: self.whole)

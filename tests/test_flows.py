@@ -210,13 +210,14 @@ def test_simulate_records_its_zero_nodes_and_closure_for_the_stepper(
     nodes = traj.states.reshape(len(traj.times), -1, len(traj.basis))
     bits = nodes.reshape(len(nodes), -1).view(np.int64).any(axis=1)
     assert traj.zero_nodes == (np.argmax(bits) if bits.any() else len(bits))
-    if traj.closure is not None:
-        assert not traj.closure.all()
-        assert not nodes[:, :, ~traj.closure].any()
+    mask = traj.closure.mask
+    whole = build_interaction_table(traj.basis).whole
+    assert (traj.closure is whole) == mask.all()
+    assert not nodes[:, :, ~mask].any()
     monkeypatch.setattr(InteractionTable, "closure", None)
     stepper = Stepper(traj)
     assert stepper.zeros == traj.zero_nodes
-    assert stepper.mask is traj.closure
+    assert stepper.closure is traj.closure
     assert np.shares_memory(stepper.decay, traj.decay)
 
 
@@ -411,8 +412,8 @@ def test_sweeps_on_a_closure_are_the_whole_ball_sweeps_bitwise(case,
     # seen; columns on and off the closure step to the same bits
     traj = closure_run(case)[0]()
     basis, t = traj.basis, traj.config.t_final
-    mask = Stepper(traj).mask
-    assert mask is not None and not mask.all()
+    mask = Stepper(traj).closure.mask
+    assert not mask.all()
     subspace = [(1, 0), (0, 2), basis.modes[np.argmin(mask)]]  # last: off
     idx = np.array([basis.index[k] for k in subspace])
     phi = np.eye(len(basis))[:, idx]
@@ -430,7 +431,7 @@ def test_sweeps_on_a_closure_are_the_whole_ball_sweeps_bitwise(case,
     with monkeypatch.context() as m:
         whole_ball(m)
         traj = closure_run(case)[0]()  # recorded on the whole ball
-        assert traj.closure is None
+        assert traj.closure is build_interaction_table(basis).whole
         full = sweeps()
     assert len(reduced) == len(full)
     for got, want in zip(reduced, full):
@@ -492,3 +493,32 @@ def test_control_search_kicks_a_zero_gradient():
     # on the whole horizon the descent after the kick reaches the target
     res = control_search(cfg, [(0, 1)], [0.05], 0.0, 0.2, max_iters=40)
     assert res.residual < 5e-3
+
+
+def test_control_search_stops_on_a_target_off_the_closure():
+    # +-(1, 0) are parallel, so their closure is the two forced modes and
+    # (0, 1) stays exactly 0 under every control: the gradient is still zero
+    # after the kick, and the search stops there with the objective unmoved
+    cfg = SimConfig(nu=0.5, forcing=ForcingGeometry(frozenset({(1, 0),
+                                                               (-1, 0)})),
+                    radius=3.0, dt=1e-2, t_final=0.2)
+    res = control_search(cfg, [(0, 1)], [0.05], 0.0, 0.2)
+    assert res.iterations == 1 and not res.converged
+    assert res.history == [0.5 * 0.05 ** 2] * 2
+    assert res.residual == 0.05
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda traj, phi: list(tangent_sweep(traj, 0.02, phi.coeffs, 0.01)),
+     "need s <= t"),
+    (lambda traj, phi: duality_drift(traj, (1, 0), 0.01, 0.01, phi),
+     "need s < t"),
+    (lambda traj, phi: control_search(traj.config, [(1, 0), (1, 1)], [0.1],
+                                      0.0, traj.config.t_final),
+     "target length"),
+])
+def test_flows_reject_invalid_windows_and_targets(call, match):
+    traj = make_traj(t_final=0.02)
+    phi = SpectralField.single_mode(traj.basis, (2, 1))
+    with pytest.raises(ValueError, match=match):
+        call(traj, phi)

@@ -349,7 +349,7 @@ def test_min_eigenvalue_tail_checks_reachability_on_the_simulated_basis():
         cfg = SimConfig(nu=1.0, forcing=geom, dt=2e-3, t_final=0.1,
                         initial=SpectralField(Basis.build(radius)), seed=3)
         assert cfg.radius == 6.0
-        closure = simulate(cfg).closure
+        closure = simulate(cfg).closure.mask
         if radius == 3.0:
             assert closure.sum() == 6 and not closure[cfg.basis().index[(2, 0)]]
             with pytest.warns(UserWarning, match="not reachable"):
@@ -369,7 +369,7 @@ def test_min_eigenvalue_tail_warns_exactly_off_the_galerkin_closure():
     geom = ForcingGeometry(frozenset({(0, 2), (0, -2), (1, -2), (-1, 2)}))
     cfg = SimConfig(nu=0.5, forcing=geom, radius=3.0, dt=1e-3, t_final=0.3,
                     seed=3)
-    assert simulate(cfg).closure.sum() == 16
+    assert simulate(cfg).closure.mask.sum() == 16
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         table = min_eigenvalue_tail(cfg, 0.3, [(3, 0)], n_paths=4)
@@ -681,3 +681,20 @@ def test_full_pairing_constant_is_twice_the_half_pairing():
     rhs_half = pairing_rhs(basis, u.coeffs, j, l)
     assert lhs_full == pytest.approx(2.0 * rhs_half, abs=1e-12)
     assert PAIRING_PREFACTOR == pytest.approx(math.pi ** 2)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda traj, phi: bracket_decomposition(traj, 0.02, 0.02, phi),
+     "need t0 < T"),
+    (lambda traj, phi: bracket_decomposition(traj, 0.02, 0.01, phi),
+     "need t0 < T"),
+    (lambda traj, phi: pairing_rhs(traj.basis, phi.coeffs, (1, 0), (0, -1)),
+     "positive-class"),
+    (lambda traj, phi: pairing_rhs(traj.basis, phi.coeffs, (-1, -1), (0, 1)),
+     "positive-class"),
+])
+def test_bracket_functions_reject_invalid_windows_and_modes(call, match):
+    traj = make_traj(t_final=0.02)
+    phi = SpectralField.single_mode(traj.basis, (2, 1))
+    with pytest.raises(ValueError, match=match):
+        call(traj, phi)

@@ -748,3 +748,26 @@ def test_wiener_ensemble_statistics_and_reproducibility():
     assert 0.6 < var < 1.6
     with pytest.raises(ValueError):
         sample_wiener_ensemble(np.array([0.1, 0.2]), 1, 1)
+
+
+_SCHEME = partition_scheme(0.5, 1.0)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: SampledProcess(np.linspace(0, 1, 3), np.zeros(4)),
+     "matching 1-d arrays"),
+    (lambda: SampledProcess(np.zeros((2, 2)), np.zeros((2, 2))),
+     "matching 1-d arrays"),
+    (lambda: SampledProcess(np.zeros(1), np.zeros(1)), "two nodes"),
+    (lambda: SampledProcess(np.linspace(0, 1, 3), [0.0, np.nan, 1.0]),
+     "finite"),
+    (lambda: event_frequencies(np.zeros((2, len(_SCHEME.nodes))), _SCHEME),
+     "ensemble"),
+    (lambda: event_frequencies(np.zeros((2, 1, len(_SCHEME.nodes) + 1)),
+                               _SCHEME), "node times"),
+    (lambda: chi_square_small_ball_bound_corrected(0.5, 4), "M > 2"),
+    (lambda: chi_square_small_ball_bound_corrected(0.5, 3), "M > 2"),
+])
+def test_quadvar_rejects_invalid_processes_ensembles_and_terms(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -493,9 +493,10 @@ def test_simulate_on_a_closure_is_the_whole_ball_run_bitwise(
     run, seed = closure_run(case)
     traj = run()
     n, table = len(traj.basis), build_interaction_table(traj.basis)
-    E = table.closure(np.array([k in seed for k in traj.basis.modes]))
-    assert table._last[0] is E  # the run kept the closure's rows
-    assert (E.sum(), len(table.restricted(E)[0][0])) == (size, rows)
+    closure = table.closure(np.array([k in seed for k in traj.basis.modes]))
+    assert traj.closure is closure  # the run recorded the cached value
+    E = closure.mask
+    assert (E.sum(), len(closure.rows[0])) == (size, rows)
     with monkeypatch.context() as m:
         whole_ball(m)
         full = run()
@@ -509,3 +510,11 @@ def test_simulate_on_a_closure_is_the_whole_ball_run_bitwise(
     signed[traj.basis.index[-2, 2]] = case == "signed-initial"
     assert np.array_equal(np.signbit(off), np.broadcast_to(signed[~E],
                                                            off.shape))
+
+
+@pytest.mark.parametrize("paths, shape", [
+    ([0], (3, 2)), ([0], (2, 1, 2)), ([0, 1], (2, 2)), ([0, 1], (2, 2, 3))])
+def test_simulate_rejects_increments_of_the_wrong_shape(paths, shape):
+    # one path takes (steps, n_forced), a block (steps, P, n_forced)
+    with pytest.raises(ValueError, match=r"increments have shape .* need"):
+        simulate(PAIR_CFG, paths, increments=np.zeros(shape))

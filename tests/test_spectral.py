@@ -364,7 +364,8 @@ def test_closure_holds_the_lattice_reached_set(z_star, reached):
     # the Galerkin closure also couples two excited modes that are not
     # forced, so it can exceed the lattice search: 16 of 28 modes here
     table = build_interaction_table(Basis.build(3.0))
-    E = table.closure(_seed(table.basis, z_star))
+    closure = table.closure(_seed(table.basis, z_star))
+    E = closure.mask
     got = reachable_modes(ForcingGeometry(frozenset(z_star)), 3.0).reached
     assert (E.sum(), len(got)) == (16, reached)
     assert E[_seed(table.basis, got)].all()
@@ -376,16 +377,15 @@ def test_closure_holds_the_lattice_reached_set(z_star, reached):
     assert np.array_equal(E, _seed(table.basis, z_star)
                           | np.isin(np.arange(len(E)), l[inner_rows]))
     # kept read-only, and a closure is its own closure
-    assert table.closure(_seed(table.basis, z_star)) is E
-    assert table.closure(E.copy()) is E and not E.flags.writeable
+    assert table.closure(_seed(table.basis, z_star)) is closure
+    assert table.closure(E.copy()) is closure and not E.flags.writeable
 
 
 @pytest.mark.parametrize("radius", [3.0, 4.0, 8.1])
 def test_closure_of_canonical_forcing_is_the_ball(radius):
     table = build_interaction_table(Basis.build(radius))
-    assert table.closure(_seed(table.basis, Z_STAR)).all()
-    assert table.restricted(table.closure(_seed(table.basis, Z_STAR))) is (
-        table.restricted())
+    assert table.closure(_seed(table.basis, Z_STAR)) is table.whole
+    assert table.whole.mask.all() and table.whole.rows is table.live
 
 
 def test_linearization_on_a_closure_is_the_full_call_bitwise():
@@ -393,14 +393,39 @@ def test_linearization_on_a_closure_is_the_full_call_bitwise():
     # 49,408 at radius 8.1; stacked calls read the kept arrays in place
     table = build_interaction_table(Basis.build(8.1))
     n = len(table.basis)
-    E = table.closure(_seed(table.basis, {(1, 0), (-1, -1)}))
-    assert (E.sum(), table.restricted(E)[1]) == (106, 24704)
+    closure = table.closure(_seed(table.basis, {(1, 0), (-1, -1)}))
+    E = closure.mask
+    assert (E.sum(), closure.terms) == (106, 24704)
     w = np.random.default_rng(31).uniform(-1.0, 1.0, (3, n))
     w[:, ~E], w[1, ::5] = -0.0, 0.0
     for u in (w, w[0], w[:2]):
-        got, want = table.linearization(u, E), table.linearization(u)
+        got, want = table.linearization(u, closure), table.linearization(u)
         assert got.tobytes() == want.tobytes()
-        assert traced_peak(table.linearization, u, E) <= u.size * n * 8 + 1024
+        assert (traced_peak(table.linearization, u, closure)
+                <= u.size * n * 8 + 1024)
+
+
+def test_closure_cache_keeps_one_value_per_mask_within_its_bound():
+    # a fresh table, so no other test's seeds sit in its cache
+    table = InteractionTable(Basis.build(3.0))
+    seed = _seed(table.basis, ONE_SIGNED)
+    first = table.closure(seed)
+    # two seeds with one closure share one value
+    wider = seed.copy()
+    wider[np.argmax(first.mask & ~seed)] = True  # a mode the closure adds
+    assert table.closure(wider) is first
+    # a lone mode is its own closure: twelve of them overrun the bound,
+    # which drops every value and never keeps more than 8
+    for lone in np.eye(len(seed), dtype=bool)[:12]:
+        assert table.closure(lone).mask.sum() == 1
+        assert len({id(c) for c in table._closures.values()}) <= 8
+    assert seed.tobytes() not in table._closures
+    # a seed asked for again gives the same mask and rows, bit for bit
+    again = table.closure(seed)
+    assert again is not first and again.terms == first.terms
+    for got, want in zip((again.mask, *again.rows),
+                         (first.mask, *first.rows)):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_table_cache_is_keyed_on_modes():
@@ -527,3 +552,17 @@ def test_known_triad_value(basis4):
     nz = {basis4.modes[i]: out[i] for i in np.nonzero(out)[0]}
     assert nz  # the canonical forced pair does interact
     assert np.max(np.abs(out - want)) < 1e-13
+
+
+@pytest.mark.parametrize("call", [
+    lambda: SpectralField(Basis.build(2.0), np.zeros(3)),
+    lambda: SpectralField(Basis.build(2.0), np.zeros((1, 12))),
+    lambda: inner(SpectralField(Basis.build(2.0)),
+                  SpectralField(Basis.build(3.0))),
+    lambda: SpectralField(Basis.build(3.0)) - SpectralField(Basis.build(2.0)),
+    lambda: nonlinearity_B(SpectralField(Basis.build(2.0)),
+                           SpectralField(Basis.build(2.5))),
+])
+def test_fields_reject_a_wrong_length_or_another_basis(call):
+    with pytest.raises(ValueError, match="basis|different bases"):
+        call()

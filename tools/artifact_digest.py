@@ -2,9 +2,10 @@
 
 Each config runs through `vortexlab.cli.run_experiment` in a temporary
 directory. A kind's digest covers, config by config and file by file in
-name order, every data artifact and the manifest without its
-`wall_time_s`, the one field that differs between equal runs. Two
-checkouts whose digests agree wrote the same bytes for every config.
+name order, the bytes of every file the run wrote: each data artifact,
+and `manifest.json` as written less its `wall_time_s` line, the one
+field that differs between equal runs. Two checkouts whose digests agree
+wrote the same bytes for every config.
 
     python tools/artifact_digest.py            # the checkout holding this file
     python tools/artifact_digest.py OTHER_DIR  # the checkout at OTHER_DIR
@@ -56,6 +57,11 @@ CONFIGS = [
                                       forcing=ONE_SIGNED),
      "analysis": {"subspace": [[0, 2], [-1, -2], [1, 0]], "t": 0.1,
                   "n_paths": 20}},
+    # blocks of 91 and 9 paths, both on the one 16-mode closure
+    {"kind": "malliavin", "sim": _sim(3.0, 1e-3, 0.1, seed=14,
+                                      forcing=ONE_SIGNED),
+     "analysis": {"subspace": [[0, 2], [-1, -2], [1, 0]], "t": 0.1,
+                  "n_paths": 100}},
     {"kind": "quadvar", "sim": {"nu": 0.5, "forcing": CANONICAL, "seed": 5},
      "analysis": {"delta_cap": 0.02, "horizon": 1.0, "n_processes": 2,
                   "n_paths": 20}},
@@ -77,14 +83,13 @@ def digests(run_experiment) -> dict:
     for number, config in enumerate(CONFIGS):
         h = by_kind.setdefault(config["kind"], hashlib.sha256())
         with tempfile.TemporaryDirectory() as out:
-            manifest = run_experiment(json.loads(json.dumps(config)), out)
-            manifest.pop("wall_time_s")
-            h.update(f"{number}:manifest:".encode())
-            h.update(json.dumps(manifest, sort_keys=True).encode())
+            run_experiment(json.loads(json.dumps(config)), out)
             for path in sorted(Path(out).iterdir()):
-                if path.name != "manifest.json":
-                    h.update(f"{number}:{path.name}:".encode())
-                    h.update(path.read_bytes())
+                data = path.read_bytes().splitlines(keepends=True)
+                if path.name == "manifest.json":
+                    data = [x for x in data if b'"wall_time_s":' not in x]
+                h.update(f"{number}:{path.name}:".encode())
+                h.update(b"".join(data))
     out = {kind: h.hexdigest() for kind, h in sorted(by_kind.items())}
     out["all"] = hashlib.sha256("".join(out.values()).encode()).hexdigest()
     return out
