@@ -9,8 +9,8 @@ so that adjoint gradients match finite differences of the discrete objective
 to roundoff rather than to O(dt). All three steps are written once, as the
 methods of `Stepper`.
 
-`tangent_sweep` (forward from s) and `adjoint_sweep` (backward from t, also
-on blocks) yield the column flows node by node; an endpoint is the last node.
+`tangent_sweep` (forward from s) and `adjoint_sweep` (backward from t) check
+their window and return one node loop's generator; an endpoint is the last.
 """
 
 from __future__ import annotations
@@ -93,15 +93,21 @@ def tangent_flow(traj: Trajectory, s: float, phi: SpectralField,
 
 
 def tangent_sweep(traj: Trajectory, s: float, phi_cols: np.ndarray, t: float):
-    """J_{s,r} phi_cols for r from s to t, yielded node by node as (n, m):
-    phi_cols first, then one `Stepper.tangent` per step."""
+    """J_{s,r} phi_cols for r from s to t, a generator of the nodes: phi_cols
+    first, then one `Stepper.tangent` per step. The window is checked here."""
     i0, i1 = _window(traj, s, t)
-    stepper = Stepper(traj)
-    V = np.column_stack([np.asarray(phi_cols, dtype=float)])
-    yield V
-    for i in range(i0, i1):
-        V = stepper.tangent(i, V)
-        yield V
+    return _sweep(traj, Stepper(traj).tangent, phi_cols, range(i0, i1))
+
+
+def _sweep(traj: Trajectory, step, phi_cols: np.ndarray, steps):
+    """The node loop of both sweeps: the columns as (n, m), or (P, n, m) on
+    block states (nodes, P, n) from node 0 on, then step(i, .) for each i."""
+    U = np.column_stack([np.asarray(phi_cols, dtype=float)])
+    U = np.broadcast_to(U, traj.states.shape[1:-1] + U.shape).copy()
+    yield U
+    for i in steps:
+        U = step(i, U)
+        yield U
 
 
 def adjoint_flow(traj: Trajectory, t: float, phi: SpectralField,
@@ -115,19 +121,14 @@ def adjoint_flow(traj: Trajectory, t: float, phi: SpectralField,
 
 def adjoint_sweep(traj: Trajectory, t: float, phi_cols: np.ndarray,
                   s: float, discrete_transpose: bool = False):
-    """Backward adjoint flow U^{t,phi} columnwise, yielded node by node from
-    t back to s: (n, m), or (P, n, m) on block states (nodes, P, n). Default
-    steps integrate the backward equation in reversed time (`Stepper.adjoint`);
+    """Backward adjoint flow U^{t,phi} columnwise, a generator of the nodes
+    from t back to s; the window is checked here. Default steps integrate the
+    backward equation in reversed time (`Stepper.adjoint`);
     discrete_transpose=True steps the exact transpose (`Stepper.transpose`)."""
     i0, i1 = _window(traj, s, t)
     stepper = Stepper(traj)
     step = stepper.transpose if discrete_transpose else stepper.adjoint
-    U = np.column_stack([np.asarray(phi_cols, dtype=float)])
-    U = np.broadcast_to(U, traj.states.shape[1:-1] + U.shape).copy()
-    yield U
-    for i in range(i1 - 1, i0 - 1, -1):
-        U = step(i, U)
-        yield U
+    return _sweep(traj, step, phi_cols, range(i1 - 1, i0 - 1, -1))
 
 
 def duality_drift(traj: Trajectory, k, s: float, t: float,
@@ -204,7 +205,7 @@ def control_gradient(traj: Trajectory, residual_proj: np.ndarray,
     # row i reads node i + 1; zip stops before the sweep steps to node s
     for i, U in zip(range(len(grad) - 1, traj.grid_index(s) - 1, -1),
                     adjoint_sweep(traj, traj.config.t_final, adj, s, True)):
-        grad[i] = U[forced, 0]
+        grad[i] = U.take(forced, axis=-2)[:, 0]
     # h_i enters w_{i+1} = decay*(w_i + dt*(N(w_i) + Q h_i)) as dt*decay
     return dt * (traj.decay[forced] * grad)
 
@@ -216,7 +217,8 @@ def control_search(config: SimConfig, projection, target, s: float, t: float,
     projection: list of modes spanning the target subspace; target: the
     desired projected coefficient vector at time t, which must be
     config.t_final. Controls are piecewise-constant rates on the forced
-    modes over [s, t], s a grid time before t; zero noise.
+    modes over [s, t], s a grid time before t; zero noise. No control moves
+    a projection wholly off the closure of w_0 and every forced mode: no step.
     """
     if abs(t - config.t_final) > 1e-9 * config.t_final:
         raise ValueError("control matches the endpoint: need t == t_final")
@@ -239,10 +241,12 @@ def control_search(config: SimConfig, projection, target, s: float, t: float,
 
     J, traj, end, r = objective(control)
     history = [J]
-    step = 1.0
-    it = 0
+    step, it = 1.0, 0
     converged = np.sqrt(2 * J) <= tol
-    while it < max_iters and not converged:
+    seed = traj.states[0] != 0
+    seed[traj.forced_indices] = True
+    reach = build_interaction_table(basis).closure(seed).mask[proj_idx].any()
+    while reach and it < max_iters and not converged:
         grad = control_gradient(traj, r, proj_idx, s)  # zero before s
         gnorm2 = float(np.sum(grad ** 2))
         if gnorm2 == 0.0:

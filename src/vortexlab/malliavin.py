@@ -79,17 +79,14 @@ def malliavin_forward(traj: Trajectory, t: float, subspace) -> MalliavinForm:
     i_t = traj.grid_index(t)
     n, m = len(traj.basis), len(idx)
     R = np.zeros(traj.states.shape[1:-1] + (m, m))
-    # each path's forced rows, taken from the (P n, m) view of a node
-    at = (np.arange(0, traj.states[0].size, n)[:, None]
-          + traj.forced_indices).ravel()
-    rows = []
+    rows = []  # the forced rows of each node, ([P,] n_forced, m)
     for k, U in enumerate(adjoint_sweep(traj, t, np.eye(n)[:, idx], 0.0,
                                         discrete_transpose=True)):
-        rows.append(U.reshape(-1, m).take(at, axis=0))
+        rows.append(U.take(traj.forced_indices, axis=-2))
         if k in (0, i_t):  # trapezoid in s: half weights at both ends,
             rows[-1] *= math.sqrt(0.5) if i_t else 0.0  # 0 on one node
         if len(rows) == GRAM_CHUNK or k == i_t:
-            X = np.stack(rows, axis=1).reshape(R.shape[:-2] + (-1, m))
+            X = np.stack(rows, axis=-2).reshape(R.shape[:-2] + (-1, m))
             X = np.concatenate([R, math.sqrt(traj.config.dt) * X], axis=-2)
             R = np.linalg.qr(X, mode="r")
             rows = []

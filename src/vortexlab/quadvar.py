@@ -302,10 +302,11 @@ def omega_b_bound(delta_cap: float, horizon: float, n_processes: int) -> float:
             * math.exp(-delta_cap ** (-19.0 / 42.0) / (3.0 * n_processes ** 2)))
 
 
-def wilson_interval(successes: int, n: int, z: float = 1.96):
-    """Wilson score confidence interval for a binomial proportion."""
+def wilson_interval(successes: int, n: int):
+    """Wilson score 95% confidence interval for a binomial proportion."""
     if n == 0:
         return 0.0, 1.0
+    z = 1.96
     p = successes / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom

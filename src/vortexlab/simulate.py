@@ -124,15 +124,16 @@ def noise_scale(nu: float, lam: np.ndarray, dt: float) -> np.ndarray:
 
 
 def simulate_blocks(config: SimConfig, paths) -> Iterator[tuple]:
-    """(block, simulate(config, block)) for consecutive blocks of the path
-    index sequence `paths`, in order, of `block_size` paths. Every bin of a
-    block's drift sums a lone path's terms in its order, so the block size
-    shows in no output. A caller drops each block before asking for the
-    next, so one block is alive at a time."""
+    """A generator of (block, simulate(config, block)) for consecutive blocks
+    of the path index sequence `paths` (non-empty, checked here), in order, of
+    `block_size` paths. Every bin of a block's drift sums a lone path's terms
+    in its order, so the block size shows in no output. A caller drops each
+    block before asking for the next, so one block is alive at a time."""
+    if not len(paths):
+        raise ValueError("simulate needs at least one path")
     size = block_size(config, len(paths))
-    for start in range(0, len(paths), size):
-        block = paths[start:start + size]
-        yield block, simulate(config, block)
+    blocks = (paths[i:i + size] for i in range(0, len(paths), size))
+    return ((block, simulate(config, block)) for block in blocks)
 
 
 def block_size(config: SimConfig, n_paths: int) -> int:

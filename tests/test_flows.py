@@ -1,15 +1,19 @@
 """Variational flows: tangent, adjoint duality, second variation, control."""
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from vortexlab import flows
+from vortexlab import simulate as simulate_module
 from vortexlab.flows import (Stepper, adjoint_flow, adjoint_sweep,
                              control_gradient, control_search, duality_drift,
                              second_variation, tangent_flow, tangent_sweep)
 from vortexlab.malliavin import malliavin_backward_form, malliavin_forward
 from vortexlab.lattice import ForcingGeometry
-from vortexlab.simulate import SimConfig, simulate
+from vortexlab.simulate import SimConfig, simulate, simulate_blocks
 from vortexlab.spectral import (Basis, InteractionTable, SpectralField,
                                 build_interaction_table, inner)
 
@@ -495,21 +499,42 @@ def test_control_search_kicks_a_zero_gradient():
     assert res.residual < 5e-3
 
 
-def test_control_search_stops_on_a_target_off_the_closure():
+def test_control_search_stops_on_a_target_off_the_closure(monkeypatch):
     # +-(1, 0) are parallel, so their closure is the two forced modes and
-    # (0, 1) stays exactly 0 under every control: the gradient is still zero
-    # after the kick, and the search stops there with the objective unmoved
+    # (0, 1) stays exactly 0 under every control: the search stops after its
+    # first objective, with no kick and no gradient sweep
     cfg = SimConfig(nu=0.5, forcing=ForcingGeometry(frozenset({(1, 0),
                                                                (-1, 0)})),
                     radius=3.0, dt=1e-2, t_final=0.2)
+    calls = []
+    for name in ("simulate", "adjoint_sweep"):
+        run = getattr(flows, name)
+        monkeypatch.setattr(flows, name, lambda *a, run=run, name=name, **k:
+                            calls.append(name) or run(*a, **k))
     res = control_search(cfg, [(0, 1)], [0.05], 0.0, 0.2)
-    assert res.iterations == 1 and not res.converged
-    assert res.history == [0.5 * 0.05 ** 2] * 2
+    assert calls == ["simulate"]
+    assert res.iterations == 0 and not res.converged
+    assert res.history == [0.5 * 0.05 ** 2]
     assert res.residual == 0.05
+    assert not res.control.any()
+
+
+def test_control_search_stops_when_backtracking_finds_no_lower_objective():
+    # a forced target is reached to rounding; below that no trial step lowers
+    # J, so the backtracking runs out long before max_iters
+    cfg = SimConfig(nu=0.5, forcing=ForcingGeometry(frozenset({(1, 0),
+                                                               (-1, 0)})),
+                    radius=2.0, dt=1e-2, t_final=0.1)
+    res = control_search(cfg, [(1, 0)], [0.3], 0.0, 0.1, tol=1e-300,
+                         max_iters=200)
+    assert 0 < res.iterations < 200 and not res.converged
+    assert len(res.history) == res.iterations + 1
+    assert np.all(np.diff(res.history) <= 0.0)
+    assert 0.0 < res.residual < 1e-15
 
 
 @pytest.mark.parametrize("call, match", [
-    (lambda traj, phi: list(tangent_sweep(traj, 0.02, phi.coeffs, 0.01)),
+    (lambda traj, phi: tangent_sweep(traj, 0.02, phi.coeffs, 0.01),
      "need s <= t"),
     (lambda traj, phi: duality_drift(traj, (1, 0), 0.01, 0.01, phi),
      "need s < t"),
@@ -522,3 +547,38 @@ def test_flows_reject_invalid_windows_and_targets(call, match):
     phi = SpectralField.single_mode(traj.basis, (2, 1))
     with pytest.raises(ValueError, match=match):
         call(traj, phi)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda traj, phi: tangent_sweep(traj, 0.01, phi, 0.02005), "not on"),
+    (lambda traj, phi: adjoint_sweep(traj, 0.01, phi, 0.02), "need s <= t"),
+    (lambda traj, phi: adjoint_sweep(traj, 0.03, phi, 0.0, True), "not on"),
+    (lambda traj, phi: simulate_blocks(traj.config, []), "at least one path"),
+])
+def test_sweeps_and_block_loops_check_their_arguments_at_the_call(
+        monkeypatch, call, match):
+    # plain functions that return a generator: the check runs at the call,
+    # before any Stepper or simulate call
+    for fn in (tangent_sweep, adjoint_sweep, simulate_blocks):
+        assert not inspect.isgeneratorfunction(fn)
+    traj = make_traj(t_final=0.02)
+    phi = SpectralField.single_mode(traj.basis, (2, 1)).coeffs
+    monkeypatch.setattr(flows, "Stepper", None)
+    monkeypatch.setattr(simulate_module, "simulate", None)
+    with pytest.raises(ValueError, match=match):
+        call(traj, phi)
+
+
+def test_block_tangent_sweep_is_stacked_at_every_node_and_bitwise_lone():
+    # a block's nodes are (P, n, m) from node 0 on, as the adjoint sweep's
+    cfg = make_traj(t_final=0.02).config
+    block = simulate(cfg, range(3))
+    cols = np.random.default_rng(7).standard_normal((len(block.basis), 2))
+    nodes = list(tangent_sweep(block, 0.0, cols, 0.02))
+    assert len(nodes) == 21
+    assert all(V.shape == (3, len(block.basis), 2) for V in nodes)
+    for b in range(3):
+        lone = list(tangent_sweep(simulate(cfg, [b]), 0.0, cols, 0.02))
+        for V, want in zip(nodes, lone, strict=True):
+            assert np.array_equal(V[b], want)
+            assert np.array_equal(np.signbit(V[b]), np.signbit(want))

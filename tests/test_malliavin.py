@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from vortexlab import flows, malliavin, spectral
+from vortexlab import simulate as simulate_module
 from vortexlab.lattice import ForcingGeometry
 from vortexlab.flows import adjoint_sweep
 from vortexlab.malliavin import (DEFAULT_EPSILONS, GRAM_CHUNK, MalliavinForm,
@@ -329,6 +330,18 @@ def test_min_eigenvalue_tail_runs_and_orders():
     assert np.all(table.lambda_min <= table.lambda_max + 1e-15)
     assert np.all(table.trace > 0)
     assert table.intervals.shape == (len(DEFAULT_EPSILONS), 2)
+
+
+def test_min_eigenvalue_tail_rejects_no_paths_before_simulating(monkeypatch):
+    # the empty path set raises at simulate_blocks' call, before any
+    # simulate, instead of NaN frequencies and a failed Wilson count
+    cfg = SimConfig(nu=1.0, forcing=CANONICAL, radius=2.0, dt=2e-3,
+                    t_final=0.05, seed=3)
+    monkeypatch.setattr(simulate_module, "simulate", None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="simulate needs at least one"):
+            min_eigenvalue_tail(cfg, 0.05, [(1, 0), (1, 1)], n_paths=0)
 
 
 def test_min_eigenvalue_tail_warns_on_unreachable_subspace():
