@@ -93,12 +93,13 @@ def _check_mode_list(value, path):
 
 
 def _check_modes_in_ball(value, path, radius):
-    modes = _check_mode_list(value, path)
+    modes, seen = _check_mode_list(value, path), set()
     for i, (k1, k2) in enumerate(modes):
         if k1 * k1 + k2 * k2 > radius * radius:
             _fail(f"{path}[{i}]", "mode outside the basis radius")
-        if (k1, k2) in modes[:i]:
+        if (k1, k2) in seen:
             _fail(f"{path}[{i}]", "repeated mode")
+        seen.add((k1, k2))
     return modes
 
 
@@ -441,8 +442,7 @@ def run_experiment(raw_config: dict, out_dir=None, seed=None) -> dict:
         # a runtime failure still leaves the partial manifest behind
         manifest["wall_time_s"] = time.monotonic() - start
         with open(out / "manifest.json", "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest
 
 

@@ -43,15 +43,20 @@ class Stepper:
     block in place on its matmul's output. It reads what `simulate`
     recorded: L is linear in w and L(0) is all +0, so the leading +0 nodes
     share the table's zero matrix, with the same bits, and L_i skips the
-    +-0 terms of the modes off the run's closure.
+    +-0 terms of the modes off the run's closure. If the columns `cols` it
+    will step are +0 in every bit off a split closure E, L_i is only its
+    E x E block (`inner`), with the same bits: DU + dt (+-0) stays +0.
     """
 
-    def __init__(self, traj: Trajectory):
+    def __init__(self, traj: Trajectory, cols: np.ndarray):
         self.states = traj.states
         self.table = build_interaction_table(traj.basis)
         self.dt = traj.config.dt
         self.decay = traj.decay[:, None]
         self.zeros, self.closure = traj.zero_nodes, traj.closure
+        off = np.compress(~self.closure.mask, np.asarray(cols, float), 0)
+        if self.closure.inner is not None and not off.view(np.int64).any():
+            self.closure = self.closure.inner
         self.zero_L = np.broadcast_to(self.table.zero_L,
                                       self.states.shape[1:] + traj.decay.shape)
 
@@ -96,7 +101,8 @@ def tangent_sweep(traj: Trajectory, s: float, phi_cols: np.ndarray, t: float):
     """J_{s,r} phi_cols for r from s to t, a generator of the nodes: phi_cols
     first, then one `Stepper.tangent` per step. The window is checked here."""
     i0, i1 = _window(traj, s, t)
-    return _sweep(traj, Stepper(traj).tangent, phi_cols, range(i0, i1))
+    return _sweep(traj, Stepper(traj, phi_cols).tangent, phi_cols,
+                  range(i0, i1))
 
 
 def _sweep(traj: Trajectory, step, phi_cols: np.ndarray, steps):
@@ -126,7 +132,7 @@ def adjoint_sweep(traj: Trajectory, t: float, phi_cols: np.ndarray,
     backward equation in reversed time (`Stepper.adjoint`);
     discrete_transpose=True steps the exact transpose (`Stepper.transpose`)."""
     i0, i1 = _window(traj, s, t)
-    stepper = Stepper(traj)
+    stepper = Stepper(traj, phi_cols)
     step = stepper.transpose if discrete_transpose else stepper.adjoint
     return _sweep(traj, step, phi_cols, range(i1 - 1, i0 - 1, -1))
 
@@ -168,8 +174,8 @@ def second_variation(traj: Trajectory, s1: float, phi1: SpectralField,
         pass
     for v2 in tangent_sweep(traj, s2, phi2.coeffs, traj.times[start]):
         pass
-    # columns v1, v2 and psi share each step; psi also takes the source
-    stepper = Stepper(traj)
+    # v1, v2 and psi share each step; psi's source may leave the closure
+    stepper = Stepper(traj, np.ones((len(basis), 1)))
     X = np.hstack((v1, v2, np.zeros_like(v1)))
     for i in range(start, it):
         v1, v2 = X[:, 0], X[:, 1]

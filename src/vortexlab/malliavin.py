@@ -100,11 +100,11 @@ def lyapunov_covariance(traj: Trajectory, t: float) -> np.ndarray:
     weighted to match the Gram's trapezoid rule. It neither sweeps the
     transposes nor folds a factor, so it checks the Gram independently."""
     n, dt = len(traj.basis), traj.config.dt
-    stepper = Stepper(traj)
+    eye = np.eye(n)
+    stepper = Stepper(traj, eye)
     S = np.zeros((n, n))
     S[traj.forced_indices, traj.forced_indices] = 1.0
     M = np.broadcast_to(0.5 * dt * S, traj.states.shape[1:-1] + (n, n))
-    eye = np.eye(n)
     for i in range(traj.grid_index(t)):
         Phi = stepper.tangent(i, eye)
         M = Phi @ M @ Phi.mT + dt * S

@@ -148,7 +148,7 @@ def sample_wiener_ensemble(times, n_processes: int, n_paths: int,
                            seed: int = 0) -> np.ndarray:
     """Exact Wiener samples at the given times, shape (n_paths, N, n_times).
 
-    Path p is one block rng.normals(seed, rng.WIENER, p, ...), so any path
+    Path p is rng.normals(seed, rng.WIENER, [p], ...)'s one block, so any path
     can be regenerated in isolation.
     """
     times = np.asarray(times, dtype=float)
@@ -156,8 +156,8 @@ def sample_wiener_ensemble(times, n_processes: int, n_paths: int,
         raise ValueError("times must start at 0 and increase")
     sd = np.sqrt(np.diff(times))
     out = np.zeros((n_paths, n_processes, len(times)))
-    for p in range(n_paths):
-        xi = rng.normals(seed, rng.WIENER, p, (len(sd), n_processes))
+    for p, xi in enumerate(rng.normals(seed, rng.WIENER, range(n_paths),
+                                       (len(sd), n_processes))):
         out[p, :, 1:] = np.cumsum(sd[:, None] * xi, axis=0).T
     return out
 

@@ -2,7 +2,7 @@
 
 Philox is keyed by (seed, path); the stream, one per use of randomness, is
 the counter's top word, so streams sit 2**192 blocks apart and never overlap.
-One call draws a path's whole block. Salmon et al., SC'11.
+One draw is a path's whole block. Salmon et al., SC'11.
 """
 
 from __future__ import annotations
@@ -15,9 +15,13 @@ SEED_END = 2 ** 64  # seeds lie in [0, SEED_END): the key's first word
 SCHEME = "philox4x64; key (seed, path); counter [0, 0, 0, stream]; standard_normal"
 
 
-def normals(seed: int, stream: int, path: int, shape) -> np.ndarray:
-    """One block of standard normals for (seed, stream, path), C order; the
-    seed, in [0, 2**64), is the key's first word as given."""
-    bitgen = np.random.Philox(counter=[0, 0, 0, stream],
-                              key=np.array([seed, path], dtype=np.uint64))
-    return np.random.Generator(bitgen).standard_normal(shape)
+def normals(seed: int, stream: int, paths, shape):
+    """A generator of one block of standard normals per path in `paths`, for
+    (seed, stream, path), C order; the seed, in [0, 2**64), is the key's first
+    word as given. One Philox is re-keyed per path: a fresh one's draws."""
+    bitgen = np.random.Philox(counter=[0, 0, 0, stream], key=0)
+    gen, state = np.random.Generator(bitgen), bitgen.state
+    for path in paths:  # the state of a fresh Philox keyed (seed, path)
+        state["state"]["key"] = np.array([seed, path], dtype=np.uint64)
+        bitgen.state = state
+        yield gen.standard_normal(shape)

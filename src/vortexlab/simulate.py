@@ -186,9 +186,9 @@ def simulate(config: SimConfig, paths=(0,), increments=None,
     shape = (n_steps, P, len(forced)) if P > 1 else (n_steps, len(forced))
     if increments is None:
         incs = np.empty((n_steps, P, len(forced)))
-        for b, p in enumerate(paths):
-            incs[:, b] = sqrt_dt * rng.normals(config.seed, rng.SIMULATE, p,
-                                               (n_steps, len(forced)))
+        for b, xi in enumerate(rng.normals(config.seed, rng.SIMULATE, paths,
+                                           (n_steps, len(forced)))):
+            incs[:, b] = sqrt_dt * xi
         incs = incs.reshape(shape)
     else:
         incs = np.array(increments, dtype=float)

@@ -209,15 +209,17 @@ def _table_rows(basis: Basis):
     return (*np.concatenate(rows).T.copy(), np.concatenate(cjk))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class Closure:
     """A Galerkin closure's read-only bool `mask`, its live `rows` (j, k, l,
-    sym), and the count `terms` and kept arrays `bufs` of L(w)'s terms."""
+    sym), and the count `terms` and kept arrays `bufs` of L(w)'s terms; if
+    L(w) is split on (E, E'), `inner` keeps only the E x E terms, else None."""
 
     mask: np.ndarray
     rows: tuple
     terms: int
     bufs: list
+    inner: "Closure | None" = None
 
 
 class InteractionTable:
@@ -252,6 +254,7 @@ class InteractionTable:
         self.whole = Closure(np.broadcast_to(True, n), self.live, 2 * len(l),
                              [self._lin_src, self._lin_coeff, self._lin_flat,
                               np.empty(2 * len(l))])  # grown by a stack
+        self.whole.inner = self.whole
         self.zero_L = np.zeros((n, n))  # L(0) for flows.Stepper; never written
         if not len(self.cjk):  # no triads: bincount would give int zeros
             self.apply = self.adjoint_apply = lambda v, w: np.zeros(n)
@@ -279,11 +282,13 @@ class InteractionTable:
 
     def closure(self, seed: np.ndarray) -> Closure:
         """The least bool mode mask E >= seed with E[l] |= E[j] & E[k] on
-        every live row, as a `Closure`: `whole` if E is all True. Values are
-        cached by seed and by mask, one per mask; a new seed that finds 8 or
-        more keys drops them all, so at most 8 are kept. Each but `whole`
-        copies 32 B per row and term, <= 96 B per live row (2.4 MB at radius
-        8.1), besides the stacks `linearization` grows in it."""
+        every live row, as a `Closure`: `whole` if E is all True. L(w) for w
+        on E sends E to E; it is split on (E, E') unless a term from E has
+        its row in E and its column off E. Values are cached by seed and by
+        mask, one per mask; a new seed that finds 8 or more keys drops them
+        all, so at most 8 are kept. Each but `whole` copies 32 B per row and
+        term and per `inner` term, <= 160 B per live row (4.0 MB at radius
+        8.1), besides the stacks `linearization` grows in them."""
         if (c := self._closures.get(key := seed.tobytes())) is None:
             E, (j, k, l, _) = np.array(seed, dtype=bool), self.live
             while not E[(new := l[E[j] & E[k]])].all():
@@ -293,11 +298,14 @@ class InteractionTable:
                 c = self.whole
             elif (c := self._closures.get(E.tobytes())) is None:
                 term = E[self._lin_src]  # j's half, then k's
-                row = np.logical_and(*np.split(term, 2))
-                lin = [a[term] for a in (self._lin_src, self._lin_coeff,
-                                         self._lin_flat)]
-                c = Closure(E, tuple(a[row] for a in self.live), len(lin[0]),
-                            lin + [np.empty(len(lin[0]))])
+                row, col = np.divmod(self._lin_flat, len(E))
+                split = not (term & E[row] & ~E[col]).any()  # on (E, E')
+                rows = tuple(a[np.logical_and(*np.split(term, 2))]
+                             for a in self.live)
+                for keep in [term & E[col]] * split + [term]:  # inner first
+                    bufs = [a[keep] for a in (self._lin_src, self._lin_coeff,
+                                              self._lin_flat, self._lin_coeff)]
+                    c = Closure(E, rows, len(bufs[0]), bufs, c)  # c: inner
             if len(self._closures) >= 8:
                 self._closures.clear()
             self._closures[key] = self._closures[E.tobytes()] = c
@@ -307,11 +315,12 @@ class InteractionTable:
         """Dense matrix L(w) of v -> -B(w, v) - B(v, w), the tangent
         operator's non-diagonal part; w of shape (..., n) gives (..., n, n)
         from one bincount, each matrix bit-identical to its own call and, if
-        w is +-0 off a `closure`'s mask, to the call without it. It gathers
-        into the closure's kept arrays (sources, coefficients, targets,
-        values; `whole`'s without one): 32 B per path and ordered triad of
-        the largest stack seen. A `block_size` block (2**16 ordered triads,
-        or one path) keeps at most 2 MiB; a larger stack keeps more."""
+        w is +-0 off a `closure`'s mask, to the call without it (an `inner`
+        leaves the E' x E' block +0). It gathers into the closure's kept
+        arrays (sources, coefficients, targets, values, at first a copy of
+        the coefficients; `whole`'s without one): 32 B per path and ordered
+        triad of the largest stack seen. A `block_size` block (2**16 ordered
+        triads, or one path) keeps at most 2 MiB; a larger stack keeps more."""
         n, closure = len(self.basis), closure or self.whole
         terms, bufs = closure.terms, closure.bufs
         size = w.size // n * terms

@@ -1,4 +1,5 @@
 """Variational flows: tangent, adjoint duality, second variation, control."""
+import dataclasses
 import inspect
 
 import numpy as np
@@ -132,9 +133,9 @@ def test_stepper_transpose_is_exact_property(drawn, i):
     _, (w0, *cols) = drawn
     cfg = SimConfig(nu=1.0, forcing=CANONICAL, dt=1e-3, t_final=4e-3,
                     initial=w0)
-    stepper = Stepper(simulate(cfg))
     V = np.stack([f.coeffs for f in cols[:2]], axis=1)
     U = np.stack([f.coeffs for f in cols[2:]], axis=1)
+    stepper = Stepper(simulate(cfg), np.hstack((V, U)))
     lhs = U.T @ stepper.tangent(i, V)
     rhs = stepper.transpose(i, U).T @ V
     # l1 norms, which do not underflow as squares would on tiny fields
@@ -157,7 +158,7 @@ def test_stepper_steps_are_their_formulas_bitwise():
     lone = simulate(cfg, [0], np.zeros((10, 4)), drive[:, 0])
     for traj, zeros in ((simulate(cfg), 1), (simulate(cfg, [0, 3]), 1),
                         (lone, 7), (simulate(cfg, [0, 3], drive), 7)):
-        stepper = Stepper(traj)
+        stepper = Stepper(traj, X)
         assert stepper.zeros == zeros
         D, dt = stepper.decay, stepper.dt
         for i in (0, 4, 6, 7):
@@ -217,11 +218,15 @@ def test_simulate_records_its_zero_nodes_and_closure_for_the_stepper(
     mask = traj.closure.mask
     whole = build_interaction_table(traj.basis).whole
     assert (traj.closure is whole) == mask.all()
+    assert whole.inner is whole
     assert not nodes[:, :, ~mask].any()
     monkeypatch.setattr(InteractionTable, "closure", None)
-    stepper = Stepper(traj)
+    ones = np.ones((len(traj.basis), 1))
+    stepper = Stepper(traj, ones)
     assert stepper.zeros == traj.zero_nodes
     assert stepper.closure is traj.closure
+    assert Stepper(traj, 0 * ones).closure is (traj.closure.inner
+                                               or traj.closure)
     assert np.shares_memory(stepper.decay, traj.decay)
 
 
@@ -416,7 +421,7 @@ def test_sweeps_on_a_closure_are_the_whole_ball_sweeps_bitwise(case,
     # seen; columns on and off the closure step to the same bits
     traj = closure_run(case)[0]()
     basis, t = traj.basis, traj.config.t_final
-    mask = Stepper(traj).closure.mask
+    mask = traj.closure.mask
     assert not mask.all()
     subspace = [(1, 0), (0, 2), basis.modes[np.argmin(mask)]]  # last: off
     idx = np.array([basis.index[k] for k in subspace])
@@ -441,6 +446,85 @@ def test_sweeps_on_a_closure_are_the_whole_ball_sweeps_bitwise(case,
     for got, want in zip(reduced, full):
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def inner_case(case):
+    """(trajectory, columns, split): a noisy radius-3 run whose closure
+    L(w) splits or not, and columns on or off it, or control-r8's search
+    drive at radius 8.1 with its projection's residual columns."""
+    if case == "r8-control":
+        cfg = SimConfig(nu=0.5, forcing=CANONICAL, radius=8.1, dt=5e-3,
+                        t_final=0.1)
+        control = np.zeros((cfg.n_steps(), 4))  # drives (-1, -1), (1, 0)
+        control[:, [0, 2]] = np.random.default_rng(8).uniform(
+            -0.3, 0.3, (cfg.n_steps(), 2))
+        traj = simulate(cfg, increments=np.zeros_like(control),
+                        control=control)
+        idx = np.array([traj.basis.index[k]
+                        for k in [(0, 1), (-1, -1), (1, 0)]])
+        cols = np.zeros((len(traj.basis), 1))
+        cols[idx, 0] = [0.1, -0.05, 0.15]
+        return traj, cols, True
+    forcing = ({(1, 1), (-1, -1), (0, 2), (0, -2)} if case == "cross"
+               else {(1, 0), (-1, -1)})
+    cfg = SimConfig(nu=0.5, forcing=ForcingGeometry(frozenset(forcing)),
+                    radius=3.0, dt=1e-3, t_final=0.02, seed=3)
+    traj = simulate(cfg)
+    E = traj.closure.mask
+    cols = np.eye(len(E))[:, np.flatnonzero(E)[[0, 2, 3]]]
+    cols[E, 1] *= -1.0  # a -0 on every mode of E but one
+    if case == "off-columns":
+        cols[np.argmin(E), 0] = 0.5
+    elif case == "minus-zero-off":
+        cols[np.argmin(E), 2] = -0.0
+    return traj, cols, case in ("split", "r8-control")
+
+
+@pytest.mark.parametrize("case", ["split", "cross", "off-columns",
+                                  "minus-zero-off", "r8-control"])
+def test_sweeps_on_the_inner_block_are_the_full_term_sweeps_bitwise(
+        case, monkeypatch):
+    # columns +0 off a split closure step on its E x E terms alone; a
+    # closure with cross terms, or columns not +0 off it, keep every term
+    traj, cols, split = inner_case(case)
+    closure, t = traj.closure, traj.config.t_final
+    n_modes = {"split": 14, "cross": 6, "r8-control": 106}
+    assert closure.mask.sum() == n_modes.get(case, 14)
+    assert (closure.inner is None) == (case == "cross")
+    if closure.inner is not None:
+        assert closure.inner.mask is closure.mask
+        assert closure.inner.rows is closure.rows
+        assert 0 < closure.inner.terms < closure.terms
+    idx = np.flatnonzero(cols.any(axis=1))
+    subspace = [traj.basis.modes[i] for i in idx]
+
+    def sweeps():
+        if case == "r8-control":
+            return [control_gradient(traj, cols[idx, 0], idx)]
+        out = [*adjoint_sweep(traj, t, cols, 0.0),
+               *adjoint_sweep(traj, t, cols, 0.0, True),
+               *tangent_sweep(traj, 0.0, cols, t)]
+        # the Gram steps eye's columns and the gradient a residual padded
+        # with +0, so neither holds the -0 off E
+        if case != "minus-zero-off":
+            out += [malliavin_forward(traj, t, subspace).factor,
+                    control_gradient(traj, cols[idx, 0], idx)]
+        return out
+
+    terms, table = [], build_interaction_table(traj.basis)
+    linearization = table.linearization
+    monkeypatch.setattr(table, "linearization", lambda w, closure: terms.append(
+        closure.terms) or linearization(w, closure))
+    got = sweeps()
+    want_terms = (closure.inner if split else closure).terms
+    assert terms and set(terms) == {want_terms}
+    terms.clear()
+    traj.closure = dataclasses.replace(closure, inner=None)  # every term
+    want = sweeps()
+    assert set(terms) == {closure.terms}
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()  # sign bits included
 
 
 def test_control_search_trivial_target():

@@ -70,23 +70,42 @@ def test_simulate_draws_one_block_per_path():
     cfg = SimConfig(nu=0.5, forcing=CANONICAL, radius=3.0, dt=1e-3,
                     t_final=0.05, seed=2 ** 64 - 3)
     traj = simulate(cfg, [6])
-    want = math.sqrt(cfg.dt) * rng.normals(cfg.seed, rng.SIMULATE, 6, (50, 4))
+    want = math.sqrt(cfg.dt) * next(rng.normals(cfg.seed, rng.SIMULATE, [6],
+                                                (50, 4)))
     assert np.array_equal(traj.increments, want)
 
 
 def test_each_seed_is_its_own_key():
     # a key word past 2**63 - 1 once went through float64: seeds 2**63 and
     # 2**63 + 1 drew the same normals, and negative seeds drew seed 0's
-    a, b = (rng.normals(s, rng.SIMULATE, 0, 8) for s in (2 ** 63, 2 ** 63 + 1))
+    a, b = (next(rng.normals(s, rng.SIMULATE, [0], 8))
+            for s in (2 ** 63, 2 ** 63 + 1))
     assert not np.array_equal(a, b)
     # below 2**63 the key is the plain pair, so those seeds keep their draws
     plain = np.random.Philox(counter=[0, 0, 0, rng.SIMULATE], key=[5, 3])
-    assert np.array_equal(rng.normals(5, rng.SIMULATE, 3, 8),
+    assert np.array_equal(next(rng.normals(5, rng.SIMULATE, [3], 8)),
                           np.random.Generator(plain).standard_normal(8))
     for seed in (-1, 2 ** 64, 1.5):
         with pytest.raises(ValueError, match="seed"):
             SimConfig(nu=0.5, forcing=CANONICAL, radius=3.0, dt=1e-3,
                       t_final=0.05, seed=seed)
+
+
+@pytest.mark.parametrize("stream", [rng.WIENER, rng.SIMULATE])
+@pytest.mark.parametrize("seed", [0, 2 ** 63, 2 ** 64 - 1])
+def test_one_rekeyed_philox_draws_what_a_fresh_one_per_path_draws(seed,
+                                                                  stream):
+    # the paths out of order and repeated, the blocks of two shapes: the
+    # re-keyed generator keeps no buffered bits from the path before
+    paths = [3, 0, 2 ** 64 - 1, 3, 7]
+    for shape in ((5, 3), 7):
+        got = list(rng.normals(seed, stream, paths, shape))
+        assert len(got) == len(paths)
+        for path, block in zip(paths, got):
+            fresh = np.random.Philox(counter=[0, 0, 0, stream],
+                                     key=np.array([seed, path], np.uint64))
+            want = np.random.Generator(fresh).standard_normal(shape)
+            assert block.tobytes() == want.tobytes()
 
 
 def test_replayed_increments_are_copied():

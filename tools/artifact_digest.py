@@ -25,6 +25,7 @@ from pathlib import Path
 CANONICAL = [[1, 0], [-1, 0], [1, 1], [-1, -1]]
 ONE_SIGNED = [[-1, -2], [0, 2], [0, -2]]  # closure 16 of the 28 modes
 SUBSPACE = [[0, 1], [2, 1], [0, -1], [-2, -1]]
+CROSS = [[1, 1], [-1, -1], [0, 2], [0, -2]]  # L(w) on a closure not split
 
 
 def _sim(radius, dt, t_final, seed=0, forcing=CANONICAL, **extra):
@@ -32,9 +33,10 @@ def _sim(radius, dt, t_final, seed=0, forcing=CANONICAL, **extra):
                 t_final=t_final, seed=seed, **extra)
 
 
-def _control(sim, s=0.0, max_iters=10):
+def _control(sim, s=0.0, max_iters=10,
+             projection=([0, 1], [-1, -1], [1, 0])):
     return {"kind": "control", "sim": sim,
-            "analysis": {"projection": [[0, 1], [-1, -1], [1, 0]],
+            "analysis": {"projection": list(projection),
                          "target": [0.1, -0.05, 0.15], "t": sim["t_final"],
                          "s": s, "max_iters": max_iters}}
 
@@ -69,6 +71,10 @@ CONFIGS = [
     _control(_sim(3.0, 1e-2, 0.2), s=0.1),
     _control(_sim(3.0, 1e-2, 0.2, initial={"0,1": 0.2, "2,1": -0.1})),
     _control(_sim(8.1, 5e-3, 0.1), max_iters=2),
+    # the search drives the projection's three forced modes, whose 5-mode
+    # closure has cross terms: its sweeps keep every term
+    _control(_sim(3.0, 1e-2, 0.2, forcing=CROSS),
+             projection=([1, 1], [0, 2], [-1, -1])),
     {"kind": "bracket", "sim": _sim(3.0, 1e-3, 0.1, seed=2),
      "analysis": {"phi_mode": [1, 2], "t0": 0.02, "t1": 0.08}},
     {"kind": "bracket", "sim": _sim(3.0, 1e-3, 0.1, seed=2,
