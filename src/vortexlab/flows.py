@@ -42,10 +42,10 @@ class Stepper:
     run's viscous decay over one step; each method maps an (n, m) column
     block in place on its matmul's output. It reads what `simulate`
     recorded: L is linear in w and L(0) is all +0, so the leading +0 nodes
-    share the table's zero matrix, with the same bits, and L_i skips the
-    +-0 terms of the modes off the run's closure. If the columns `cols` it
-    will step are +0 in every bit off a split closure E, L_i is only its
-    E x E block (`inner`), with the same bits: DU + dt (+-0) stays +0.
+    share the table's zero matrix, with the same bits. If the columns
+    `cols` it will step are +0 in every bit off the run's closure E and
+    L(w) is split on (E, E'), L_i is only its E x E block, with the same
+    bits: DU + dt (+-0) stays +0. Otherwise L_i is the whole table's.
     """
 
     def __init__(self, traj: Trajectory, cols: np.ndarray):
@@ -53,10 +53,10 @@ class Stepper:
         self.table = build_interaction_table(traj.basis)
         self.dt = traj.config.dt
         self.decay = traj.decay[:, None]
-        self.zeros, self.closure = traj.zero_nodes, traj.closure
-        off = np.compress(~self.closure.mask, np.asarray(cols, float), 0)
-        if self.closure.inner is not None and not off.view(np.int64).any():
-            self.closure = self.closure.inner
+        self.zeros, closure = traj.zero_nodes, traj.closure
+        off = np.compress(~closure.mask, np.asarray(cols, float), 0)
+        split = closure.split and not off.view(np.int64).any()
+        self.closure = closure if split else self.table.whole
         self.zero_L = np.broadcast_to(self.table.zero_L,
                                       self.states.shape[1:] + traj.decay.shape)
 

@@ -1,4 +1,4 @@
-"""Real Fourier basis, spectral fields, Biot-Savart, and the bilinear term.
+"""Real Fourier basis, spectral fields, and the bilinear term.
 
 Basis functions are unnormalized sines and cosines on the 2-pi torus, so
 every basis function has squared L2 norm 2*pi^2 and the inner product of two
@@ -84,19 +84,6 @@ class SpectralField:
         f.coeffs[basis.index[k]] = amplitude
         return f
 
-    def __sub__(self, other):
-        _check_same_basis(self, other)
-        return SpectralField(self.basis, self.coeffs - other.coeffs)
-
-
-@dataclass
-class VelocityField:
-    """Divergence-free velocity, two coefficient vectors on the same basis."""
-
-    basis: Basis
-    u1: np.ndarray
-    u2: np.ndarray
-
 
 def _check_same_basis(a, b):
     if a.basis is not b.basis and a.basis.modes != b.basis.modes:
@@ -120,22 +107,6 @@ def interaction_coeff(j: Mode, k: Mode) -> float:
     j = check_mode(j)
     k = check_mode(k)
     return 0.5 * dot(perp(j), k) * (1.0 / norm2(j) - 1.0 / norm2(k))
-
-
-def biot_savart(w: SpectralField) -> VelocityField:
-    """Velocity from vorticity: mode k of w feeds (k^perp/|k|^2) on mode -k."""
-    basis = w.basis
-    u1 = np.zeros(len(basis))
-    u2 = np.zeros(len(basis))
-    for i, k in enumerate(basis.modes):
-        a = w.coeffs[i]
-        if a == 0.0:
-            continue
-        m = basis.index[(-k[0], -k[1])]
-        n2 = norm2(k)
-        u1[m] += -k[1] / n2 * a
-        u2[m] += k[0] / n2 * a
-    return VelocityField(basis=basis, u1=u1, u2=u2)
 
 
 def _product_terms(j: Mode, k: Mode):
@@ -209,17 +180,17 @@ def _table_rows(basis: Basis):
     return (*np.concatenate(rows).T.copy(), np.concatenate(cjk))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Closure:
-    """A Galerkin closure's read-only bool `mask`, its live `rows` (j, k, l,
-    sym), and the count `terms` and kept arrays `bufs` of L(w)'s terms; if
-    L(w) is split on (E, E'), `inner` keeps only the E x E terms, else None."""
+    """A Galerkin closure's read-only bool `mask` E, its live `rows` (j, k,
+    l, sym) with j and k in E, whether L(w) for w on E is `split` on
+    (E, E'), and the arrays `bufs` that `linearization` builds from the
+    rows on its first call and keeps."""
 
     mask: np.ndarray
     rows: tuple
-    terms: int
+    split: bool
     bufs: list
-    inner: "Closure | None" = None
 
 
 class InteractionTable:
@@ -239,26 +210,16 @@ class InteractionTable:
         # _product_terms(k, j): (j^perp.k)/|j|^2 becomes -(j^perp.k)/|k|^2
         self.ckj = -self.cjk * (lam[self.j] / lam[self.k])
         self.sym = self.cjk + self.ckj
-        # L(w)[l, k] collects -sym * w[j] and L(w)[l, j] collects
-        # -sym * w[k]; flat row-major targets for one bincount. It and B(w, w)
-        # skip the rows with sym = 0 (|j| = |k|): bins start at +0 and never
-        # hold -0, so +-0 changes no bit. A disk with triads has live rows.
+        # B(w, w) and L(w) skip the rows with sym = 0 (|j| = |k|): bins
+        # start at +0 and never hold -0, so +-0 changes no bit
         n, live = len(basis), np.flatnonzero(self.sym)
-        j, k, l, sym = self.j[live], self.k[live], self.l[live], self.sym[live]
-        self._lin_flat = np.concatenate((l * n + k, l * n + j))
-        self._lin_src = np.concatenate((j, k))
-        self._lin_coeff = -np.concatenate((sym, sym))
-        self.live = (*np.split(self._lin_src, 2), l, sym)  # j, k are views
+        self.live = tuple(a[live] for a in (self.j, self.k, self.l, self.sym))
         self._closures = {}  # Closure values by seed and by mask bytes
-        # the whole ball: a read-only all-True mask and the table's own arrays
-        self.whole = Closure(np.broadcast_to(True, n), self.live, 2 * len(l),
-                             [self._lin_src, self._lin_coeff, self._lin_flat,
-                              np.empty(2 * len(l))])  # grown by a stack
-        self.whole.inner = self.whole
+        # the whole ball: a read-only all-True mask and the live rows
+        self.whole = Closure(np.broadcast_to(True, n), self.live, True, [])
         self.zero_L = np.zeros((n, n))  # L(0) for flows.Stepper; never written
         if not len(self.cjk):  # no triads: bincount would give int zeros
             self.apply = self.adjoint_apply = lambda v, w: np.zeros(n)
-            self.linearization = lambda w, _=None: np.zeros(w.shape + (n,))
 
     def __len__(self) -> int:
         return 2 * len(self.cjk)  # ordered triples (j, k -> l), two per row
@@ -283,12 +244,12 @@ class InteractionTable:
     def closure(self, seed: np.ndarray) -> Closure:
         """The least bool mode mask E >= seed with E[l] |= E[j] & E[k] on
         every live row, as a `Closure`: `whole` if E is all True. L(w) for w
-        on E sends E to E; it is split on (E, E') unless a term from E has
-        its row in E and its column off E. Values are cached by seed and by
-        mask, one per mask; a new seed that finds 8 or more keys drops them
-        all, so at most 8 are kept. Each but `whole` copies 32 B per row and
-        term and per `inner` term, <= 160 B per live row (4.0 MB at radius
-        8.1), besides the stacks `linearization` grows in them."""
+        on E sends E to E; it is split on (E, E') unless a live row with
+        exactly one of j, k in E has its l in E. Values are cached by seed
+        and by mask, one per mask; a new seed that finds 8 or more keys
+        drops them all, so at most 8 are kept. Each but `whole` copies 32 B
+        per kept row (< 0.8 MB at radius 8.1), besides the stacks
+        `linearization` builds in it."""
         if (c := self._closures.get(key := seed.tobytes())) is None:
             E, (j, k, l, _) = np.array(seed, dtype=bool), self.live
             while not E[(new := l[E[j] & E[k]])].all():
@@ -297,15 +258,8 @@ class InteractionTable:
             if E.all():
                 c = self.whole
             elif (c := self._closures.get(E.tobytes())) is None:
-                term = E[self._lin_src]  # j's half, then k's
-                row, col = np.divmod(self._lin_flat, len(E))
-                split = not (term & E[row] & ~E[col]).any()  # on (E, E')
-                rows = tuple(a[np.logical_and(*np.split(term, 2))]
-                             for a in self.live)
-                for keep in [term & E[col]] * split + [term]:  # inner first
-                    bufs = [a[keep] for a in (self._lin_src, self._lin_coeff,
-                                              self._lin_flat, self._lin_coeff)]
-                    c = Closure(E, rows, len(bufs[0]), bufs, c)  # c: inner
+                rows = tuple(a[E[j] & E[k]] for a in self.live)
+                c = Closure(E, rows, not (E[l] & (E[j] ^ E[k])).any(), [])
             if len(self._closures) >= 8:
                 self._closures.clear()
             self._closures[key] = self._closures[E.tobytes()] = c
@@ -314,27 +268,29 @@ class InteractionTable:
     def linearization(self, w: np.ndarray, closure=None) -> np.ndarray:
         """Dense matrix L(w) of v -> -B(w, v) - B(v, w), the tangent
         operator's non-diagonal part; w of shape (..., n) gives (..., n, n)
-        from one bincount, each matrix bit-identical to its own call and, if
-        w is +-0 off a `closure`'s mask, to the call without it (an `inner`
-        leaves the E' x E' block +0). It gathers into the closure's kept
-        arrays (sources, coefficients, targets, values, at first a copy of
-        the coefficients; `whole`'s without one): 32 B per path and ordered
-        triad of the largest stack seen. A `block_size` block (2**16 ordered
-        triads, or one path) keeps at most 2 MiB; a larger stack keeps more."""
+        from one bincount, each matrix bit-identical to its own call. On a
+        `closure` E it sums only the rows with j and k in E: if w is +-0 off
+        E, its E x E block is the call without it, bit for bit, and the rest
+        is +0. L(w)[l, k] collects -sym * w[j], then L(w)[l, j] -sym * w[k]:
+        the closure keeps these shifted sources, coefficients, flat targets
+        and a value buffer for the largest stack seen, 32 B per path and
+        ordered triad. A `block_size` block (2**16 ordered triads, or one
+        path) keeps at most 2 MiB; a larger stack keeps more."""
         n, closure = len(self.basis), closure or self.whole
-        terms, bufs = closure.terms, closure.bufs
-        size = w.size // n * terms
-        if len(bufs[-1]) < size:  # matrix p reads w[p], fills L[p]
+        (j, k, l, sym), bufs = closure.rows, closure.bufs
+        size = w.size // n * 2 * len(l)
+        if not bufs or len(bufs[-1]) < size:  # matrix p reads w[p], fills L[p]
             p = np.arange(w.size // n)[:, None]
-            bufs[:] = ((p * n + bufs[0][:terms]).ravel(),
-                       np.tile(bufs[1][:terms], len(p)),
-                       (p * n * n + bufs[2][:terms]).ravel(), np.empty(size))
+            bufs[:] = ((p * n + np.concatenate((j, k))).ravel(),
+                       np.tile(-np.concatenate((sym, sym)), len(p)),
+                       (p * n * n + np.concatenate((l * n + k, l * n + j))
+                        ).ravel(), np.empty(size))
         src, coeff, flat, vals = bufs
         # mode "raise" would copy through a buffer; "wrap" writes into out
         vals = w.take(src[:size], out=vals[:size], mode="wrap")
         vals *= coeff[:size]
-        L = np.bincount(flat[:size], vals, w.size * n)
-        return L.reshape(w.shape + (n,))
+        L = np.bincount(flat[:size], vals, w.size * n)  # int if no terms
+        return L.reshape(w.shape + (n,)).astype(float, copy=False)
 
 
 _TABLE_CACHE: dict[tuple, InteractionTable] = {}

@@ -1,16 +1,22 @@
 """Experiment runner: config validation, artifacts, reproducibility."""
+import dataclasses
 import filecmp
+import importlib.util
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from vortexlab import cli, rng
+from vortexlab import simulate as simulate_module
 from vortexlab.cli import ConfigError, main, parse_config, run_experiment
 from vortexlab.simulate import block_size, simulate
+
+from conftest import whole_ball
 
 BASE_SIM = {
     "nu": 1.0,
@@ -500,6 +506,43 @@ def test_data_artifacts_byte_identical_across_runs(tmp_path):
     m2 = json.loads((out2 / "manifest.json").read_text())
     m1.pop("wall_time_s"), m2.pop("wall_time_s")
     assert m1 == m2
+
+
+def test_work_skipping_shortcuts_change_no_artifact_byte(monkeypatch):
+    # the closure's rows, its E x E block and the leading zero nodes skip
+    # only +-0 work: the artifact digest tool's configs, every CLI kind,
+    # write the same bytes with each shortcut off
+    spec = importlib.util.spec_from_file_location(
+        "artifact_digest",
+        Path(__file__).parents[1] / "tools" / "artifact_digest.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert {c["kind"] for c in tool.CONFIGS} == set(cli.KINDS)
+    seen = []
+
+    @dataclasses.dataclass
+    class Recorded(simulate_module.Trajectory):
+        def __post_init__(self):
+            seen.append((self.zero_nodes, self.closure))
+
+    @dataclasses.dataclass
+    class EveryNode(simulate_module.Trajectory):
+        def __post_init__(self):
+            self.zero_nodes = 0
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the one-signed tail warns
+        monkeypatch.setattr(simulate_module, "Trajectory", Recorded)
+        fast = tool.digests(run_experiment)
+        whole_ball(monkeypatch)
+        monkeypatch.setattr(simulate_module, "Trajectory", EveryNode)
+        slow = tool.digests(run_experiment)
+    # the first pass took each shortcut: zero nodes, a split closure
+    # smaller than the ball, and one with cross terms
+    assert any(zeros for zeros, _ in seen)
+    assert {(c.mask.all(), c.split) for _, c in seen} >= {
+        (False, True), (False, False)}
+    assert slow == fast
 
 
 def test_seed_override_changes_results(tmp_path):

@@ -1,5 +1,4 @@
 """Variational flows: tangent, adjoint duality, second variation, control."""
-import dataclasses
 import inspect
 
 import numpy as np
@@ -210,7 +209,8 @@ def test_simulate_records_its_zero_nodes_and_closure_for_the_stepper(
     # zero_nodes counts the leading nodes whose every bit is zero, and a
     # mode off the recorded closure is +-0 at every node, on every path;
     # the Stepper takes both, and the run's decay, from the record and asks
-    # for no closure
+    # for no closure: columns +0 off a split closure step on it, all others
+    # on the whole ball
     traj = recorded_run(case)()
     nodes = traj.states.reshape(len(traj.times), -1, len(traj.basis))
     bits = nodes.reshape(len(nodes), -1).view(np.int64).any(axis=1)
@@ -218,15 +218,15 @@ def test_simulate_records_its_zero_nodes_and_closure_for_the_stepper(
     mask = traj.closure.mask
     whole = build_interaction_table(traj.basis).whole
     assert (traj.closure is whole) == mask.all()
-    assert whole.inner is whole
+    assert whole.split
     assert not nodes[:, :, ~mask].any()
     monkeypatch.setattr(InteractionTable, "closure", None)
     ones = np.ones((len(traj.basis), 1))
     stepper = Stepper(traj, ones)
     assert stepper.zeros == traj.zero_nodes
-    assert stepper.closure is traj.closure
-    assert Stepper(traj, 0 * ones).closure is (traj.closure.inner
-                                               or traj.closure)
+    assert stepper.closure is whole
+    assert Stepper(traj, 0 * ones).closure is (traj.closure
+                                               if traj.closure.split else whole)
     assert np.shares_memory(stepper.decay, traj.decay)
 
 
@@ -401,10 +401,9 @@ def test_control_search_builds_no_zero_operator(monkeypatch):
     # when every node builds its own
     cfg = SimConfig(nu=0.5, forcing=CANONICAL, radius=3.0, dt=1e-2,
                     t_final=0.2)
-    table = build_interaction_table(cfg.basis())
     calls = []
-    build = table.linearization
-    monkeypatch.setattr(table, "linearization",
+    build = InteractionTable.linearization
+    monkeypatch.setattr(InteractionTable, "linearization",
                         lambda *a: calls.append(1) or build(*a))
     res = control_search(cfg, [(1, 0), (0, 1)], [0.1, 0.05], 0.1, 0.2,
                          max_iters=3)
@@ -416,9 +415,9 @@ def test_control_search_builds_no_zero_operator(monkeypatch):
                                   "signed-initial", "one-signed-block"])
 def test_sweeps_on_a_closure_are_the_whole_ball_sweeps_bitwise(case,
                                                                 monkeypatch):
-    # a mode that is +-0 at every node gives L_i only +-0 terms, so L_i
-    # gathers only the terms whose source is in the closure of the modes
-    # seen; columns on and off the closure step to the same bits
+    # a mode that is +-0 at every node adds only +-0 terms, so a run on
+    # the closure of the modes seen, and its sweeps, keep the whole ball's
+    # bits; columns on and off the closure step to the same bits
     traj = closure_run(case)[0]()
     basis, t = traj.basis, traj.config.t_final
     mask = traj.closure.mask
@@ -485,16 +484,15 @@ def inner_case(case):
 def test_sweeps_on_the_inner_block_are_the_full_term_sweeps_bitwise(
         case, monkeypatch):
     # columns +0 off a split closure step on its E x E terms alone; a
-    # closure with cross terms, or columns not +0 off it, keep every term
+    # closure with cross terms, or columns not +0 off it, step on the whole
+    # ball's terms
     traj, cols, split = inner_case(case)
     closure, t = traj.closure, traj.config.t_final
+    table = build_interaction_table(traj.basis)
     n_modes = {"split": 14, "cross": 6, "r8-control": 106}
     assert closure.mask.sum() == n_modes.get(case, 14)
-    assert (closure.inner is None) == (case == "cross")
-    if closure.inner is not None:
-        assert closure.inner.mask is closure.mask
-        assert closure.inner.rows is closure.rows
-        assert 0 < closure.inner.terms < closure.terms
+    assert closure.split == (case != "cross")
+    assert 0 < len(closure.rows[2]) < len(table.live[2])
     idx = np.flatnonzero(cols.any(axis=1))
     subspace = [traj.basis.modes[i] for i in idx]
 
@@ -511,17 +509,18 @@ def test_sweeps_on_the_inner_block_are_the_full_term_sweeps_bitwise(
                     control_gradient(traj, cols[idx, 0], idx)]
         return out
 
-    terms, table = [], build_interaction_table(traj.basis)
-    linearization = table.linearization
-    monkeypatch.setattr(table, "linearization", lambda w, closure: terms.append(
-        closure.terms) or linearization(w, closure))
+    terms, linearization = [], InteractionTable.linearization
+    monkeypatch.setattr(InteractionTable, "linearization",
+                        lambda self, w, closure: terms.append(
+                            2 * len(closure.rows[2]))
+                        or linearization(self, w, closure))
     got = sweeps()
-    want_terms = (closure.inner if split else closure).terms
+    want_terms = 2 * len((closure if split else table.whole).rows[2])
     assert terms and set(terms) == {want_terms}
     terms.clear()
-    traj.closure = dataclasses.replace(closure, inner=None)  # every term
+    traj.closure = table.whole  # every term
     want = sweeps()
-    assert set(terms) == {closure.terms}
+    assert set(terms) == {2 * len(table.live[2])}
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert a.tobytes() == b.tobytes()  # sign bits included

@@ -1,10 +1,11 @@
-"""Spectral core: basis, pairings, Biot-Savart, and the bilinear term.
+"""Spectral core: basis, pairings, and the bilinear term.
 
 The bilinear term is checked against an independent physical-space oracle:
 velocity and gradient fields are evaluated in closed form on a quadrature
 grid and the advection product is projected back onto the basis.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from vortexlab.lattice import ForcingGeometry, reachable_modes
 from vortexlab.simulate import SimConfig, simulate
 from vortexlab.spectral import (Basis, InteractionTable, SpectralField,
                                 TWO_PI_SQ, _product_terms, adjoint_C,
-                                biot_savart, build_interaction_table, inner,
+                                build_interaction_table, inner,
                                 interaction_coeff, nonlinearity_B,
                                 sobolev_norm)
 
@@ -95,42 +96,6 @@ def test_field_rejects_nonfinite(basis4):
     c[0] = np.inf
     with pytest.raises(ValueError):
         SpectralField(basis4, c)
-
-
-# ----------------------------------------------------------- Biot-Savart
-
-def test_biot_savart_single_modes(basis4):
-    # Mode k feeds k^perp/|k|^2 on the opposite-class label -k.
-    w = SpectralField.single_mode(basis4, (1, 0))
-    u = biot_savart(w)
-    m = basis4.index[(-1, 0)]
-    assert u.u1[m] == 0.0 and u.u2[m] == 1.0
-    assert np.count_nonzero(u.u1) == 0 and np.count_nonzero(u.u2) == 1
-
-    w = SpectralField.single_mode(basis4, (1, 1))
-    u = biot_savart(w)
-    m = basis4.index[(-1, -1)]
-    assert u.u1[m] == pytest.approx(-0.5)
-    assert u.u2[m] == pytest.approx(0.5)
-
-
-def test_biot_savart_divergence_free_on_grid(basis4):
-    # div u = 0 pointwise, via closed-form derivatives of each mode.
-    rng = np.random.default_rng(7)
-    w = SpectralField(basis4, rng.standard_normal(len(basis4)))
-    u = biot_savart(w)
-    x1, x2 = torus_grid(48)
-    div = np.zeros_like(x1)
-    for i, k in enumerate(basis4.modes):
-        # d/dx1 of e_k: sin class -> k1 cos, cos class -> -k1 sin
-        if (k[1] > 0) or (k[1] == 0 and k[0] > 0):
-            d1 = k[0] * np.cos(k[0] * x1 + k[1] * x2)
-            d2 = k[1] * np.cos(k[0] * x1 + k[1] * x2)
-        else:
-            d1 = -k[0] * np.sin(k[0] * x1 + k[1] * x2)
-            d2 = -k[1] * np.sin(k[0] * x1 + k[1] * x2)
-        div += u.u1[i] * d1 + u.u2[i] * d2
-    assert np.max(np.abs(div)) < 1e-12
 
 
 # --------------------------------------------------- interaction scalar
@@ -324,7 +289,7 @@ def test_stacked_linearization_is_bitwise_the_per_row_calls(basis4):
 def test_stacked_linearization_allocates_only_its_output():
     # after one call sizes the kept arrays, a call takes and scales in
     # place: its traced peak is the bincount's output and small objects.
-    # A lone w reads the prefix the table keeps from its build.
+    # A lone w reads the prefix of the arrays an earlier call kept.
     for radius, stack in ((3.0, (10,)), (4.0, (27,)), (3.0, ()), (4.0, ())):
         basis = Basis.build(radius)
         table, n = build_interaction_table(basis), len(basis)
@@ -341,7 +306,7 @@ def test_linearization_skips_zero_rows_exactly(radius, live):
     # bincount over every row gives the same bits, sign bits included
     basis = Basis.build(radius)
     table, n = build_interaction_table(basis), len(basis)
-    assert len(table._lin_src) == 2 * np.count_nonzero(table.sym) == live
+    assert 2 * len(table.live[2]) == 2 * np.count_nonzero(table.sym) == live
     flat = np.concatenate((table.l * n + table.k, table.l * n + table.j))
     src = np.concatenate((table.j, table.k))
     coeff = -np.concatenate((table.sym, table.sym))
@@ -389,18 +354,22 @@ def test_closure_of_canonical_forcing_is_the_ball(radius):
 
 
 def test_linearization_on_a_closure_is_the_full_call_bitwise():
-    # with w +-0 off the closure, the dropped terms are +-0: 24,704 of the
-    # 49,408 at radius 8.1; stacked calls read the kept arrays in place
+    # with w +-0 off the closure, the E x E block sums the terms of the
+    # rows with j and k in E, 12,352 of the 49,408 at radius 8.1, and the
+    # rest is +0; stacked calls read the kept arrays in place
     table = build_interaction_table(Basis.build(8.1))
     n = len(table.basis)
     closure = table.closure(_seed(table.basis, {(1, 0), (-1, -1)}))
     E = closure.mask
-    assert (E.sum(), closure.terms) == (106, 24704)
+    assert (E.sum(), 2 * len(closure.rows[2]), closure.split) == (106, 12352,
+                                                                  True)
     w = np.random.default_rng(31).uniform(-1.0, 1.0, (3, n))
     w[:, ~E], w[1, ::5] = -0.0, 0.0
+    block = np.outer(E, E)
     for u in (w, w[0], w[:2]):
         got, want = table.linearization(u, closure), table.linearization(u)
-        assert got.tobytes() == want.tobytes()
+        assert got[..., block].tobytes() == want[..., block].tobytes()
+        assert not got[..., ~block].view(np.int64).any()  # +0, no -0
         assert (traced_peak(table.linearization, u, closure)
                 <= u.size * n * 8 + 1024)
 
@@ -422,10 +391,26 @@ def test_closure_cache_keeps_one_value_per_mask_within_its_bound():
     assert seed.tobytes() not in table._closures
     # a seed asked for again gives the same mask and rows, bit for bit
     again = table.closure(seed)
-    assert again is not first and again.terms == first.terms
+    assert again is not first and again.split == first.split
     for got, want in zip((again.mask, *again.rows),
                          (first.mask, *first.rows)):
         assert got.tobytes() == want.tobytes()
+
+
+def test_a_closure_keeps_its_rows_and_builds_no_terms():
+    # control-r8's split closure copies its 6,176 live rows, 32 B each;
+    # L(w)'s gather arrays wait for a linearization, on it or on the ball
+    table = InteractionTable(Basis.build(8.1))  # an empty cache
+    seed = _seed(table.basis, {(1, 0), (-1, -1)})
+    tracemalloc.start()
+    try:
+        closure = table.closure(seed)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert (len(closure.rows[2]), closure.split) == (6176, True)
+    assert closure.bufs == table.whole.bufs == []
+    assert kept <= 40 * 6176 + 4096
 
 
 def test_table_cache_is_keyed_on_modes():
@@ -486,9 +471,8 @@ def test_table_build_memory_is_bounded():
     basis = Basis.build(12.0)
     peak = traced_peak(InteractionTable, basis)
     table = InteractionTable(basis)
-    own = sum(getattr(table, name).nbytes for name in (
-        "j", "k", "l", "cjk", "ckj", "sym",
-        "_lin_flat", "_lin_src", "_lin_coeff"))
+    own = sum(a.nbytes for a in (table.j, table.k, table.l, table.cjk,
+                                 table.ckj, table.sym, *table.live))
     assert peak <= 2.0 * own
 
 
@@ -524,9 +508,6 @@ def test_live_rows_are_the_rows_with_nonzero_sym(radius, live, rows):
     assert np.array_equal(~keep, lam[table.j] == lam[table.k])
     for got, full in zip(table.live, (table.j, table.k, table.l, table.sym)):
         assert np.array_equal(got, full[keep])
-    # j and k are the two halves of L(w)'s gather indices, not copies
-    j, k = table.live[:2]
-    assert j.base is k.base is table._lin_src
 
 
 def test_simulate_drift_is_minus_self_advection(basis8):
@@ -559,7 +540,6 @@ def test_known_triad_value(basis4):
     lambda: SpectralField(Basis.build(2.0), np.zeros((1, 12))),
     lambda: inner(SpectralField(Basis.build(2.0)),
                   SpectralField(Basis.build(3.0))),
-    lambda: SpectralField(Basis.build(3.0)) - SpectralField(Basis.build(2.0)),
     lambda: nonlinearity_B(SpectralField(Basis.build(2.0)),
                            SpectralField(Basis.build(2.5))),
 ])
