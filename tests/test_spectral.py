@@ -540,6 +540,8 @@ def test_known_triad_value(basis4):
     lambda: SpectralField(Basis.build(2.0), np.zeros((1, 12))),
     lambda: inner(SpectralField(Basis.build(2.0)),
                   SpectralField(Basis.build(3.0))),
+    lambda: adjoint_C(SpectralField(Basis.build(3.0)),
+                      SpectralField(Basis.build(2.0))),
     lambda: nonlinearity_B(SpectralField(Basis.build(2.0)),
                            SpectralField(Basis.build(2.5))),
 ])
